@@ -318,8 +318,10 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
     theta = get_number(cfg, "theta", math.pi / 4)
     phi = get_number(cfg, "phi", 0.0)
     prefactor = get_number(cfg, "coupling_prefactor", 1.0)
-    if kappa < 0:
-        raise ConfigError("kappa must be nonnegative")
+    if not math.isfinite(kappa) or kappa < 0:
+        raise ConfigError("kappa must be finite and nonnegative")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     if prefactor <= 0:

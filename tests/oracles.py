@@ -57,3 +57,29 @@ def projector(*vectors) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         p += np.outer(v, v.conj())
     return p
+
+
+def kicked_fidelities_loop(propagators, psi0, phis, lam) -> np.ndarray:
+    """Collective-kick Monte-Carlo, one sample and one kick at a time.
+
+    Sample r applies propagator k and then the diagonal kick
+    exp(-i phis[r, k] lam / 2), for every k in order.  With no propagators
+    the register idles through every kick in its row of ``phis``.  Each
+    fidelity is |<clean|state>|^2, where clean is the kick-free run.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    lam = np.asarray(lam, dtype=float)
+    clean = psi0.copy()
+    for u in propagators:
+        clean = u @ clean
+    fids = np.empty(len(phis))
+    for r, row in enumerate(phis):
+        state = psi0.copy()
+        if len(propagators):
+            for u, phi in zip(propagators, row):
+                state = np.exp(-0.5j * phi * lam) * (u @ state)
+        else:
+            for phi in row:
+                state = np.exp(-0.5j * phi * lam) * state
+        fids[r] = abs(np.vdot(clean, state)) ** 2
+    return fids

@@ -298,9 +298,15 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
         {"n_samples": 0},
         {"coupling_prefactor": 0.0},
         {"unknown": 1},
+        {"kappa": math.nan},
+        {"kappa": math.inf},
+        {"seed": -1},
     ):
         cfg = write_cfg(tmp_path, "c.json", payload)
         assert run(["dfs", "--config", cfg, "--out", str(tmp_path)]) == 2
+    cfg = write_cfg(tmp_path, "c.json", {"n_samples": 10})
+    assert run(["dfs", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert not (tmp_path / "dfs.csv").exists()
     capsys.readouterr()
 
 

@@ -7,7 +7,7 @@ from hologate import dfs, linalg, qutrit, two_qubit
 from hologate.dfs import DephasingChannel, DfsEncoding
 from hologate.qutrit import BrightDarkFrame, ErrorModel
 
-from oracles import CONTRAST_UNIFORM_HALF_8_KICKS
+from oracles import CONTRAST_UNIFORM_HALF_8_KICKS, kicked_fidelities_loop
 
 ENC3 = dfs.three_ion_encoding()
 ENC6 = dfs.six_ion_encoding()
@@ -169,6 +169,10 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         DephasingChannel(-0.1)
     with pytest.raises(ValueError):
+        DephasingChannel(math.inf)
+    with pytest.raises(ValueError):
+        DephasingChannel(math.nan)
+    with pytest.raises(ValueError):
         DephasingChannel(0.5, distribution="poisson")
     with pytest.raises(ValueError):
         DephasingChannel(0.5, n_samples=0)
@@ -257,3 +261,72 @@ def test_collective_kick_eigenphases():
     assert abs(u[0, 0] - np.exp(-0.6j)) < 1e-15
     assert abs(u[7, 7] - np.exp(0.6j)) < 1e-15
     assert abs(u[4, 4] - np.exp(-0.2j)) < 1e-15
+
+
+def collective_z_table(n_ions):
+    return np.array([n_ions - 2 * bin(i).count("1") for i in range(2**n_ions)], dtype=float)
+
+
+def random_state(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+KICKED_REGISTERS = {
+    "three_ion": (lambda: dfs.logical_composite_schedule(0.7, 0.2, ErrorModel(0.05, -0.03)), 3),
+    "empty": (lambda: [], 3),
+    "six_ion": (lambda: dfs.two_logical_composite_schedule(0.6, 0.3), 6),
+}
+
+
+@pytest.mark.parametrize(
+    "register, distribution, kappa, n_samples",
+    [
+        ("three_ion", "uniform", 0.8, 300),
+        ("three_ion", "gaussian", 0.8, 300),
+        ("three_ion", "uniform", 0.0, 50),
+        ("three_ion", "gaussian", 0.8, 1),
+        ("empty", "uniform", 0.8, 300),
+        ("empty", "gaussian", 0.8, 1),
+        ("six_ion", "uniform", 0.6, 200),
+        ("six_ion", "gaussian", 0.6, 200),
+    ],
+)
+def test_batched_kicked_run_matches_per_sample_loop(rng, register, distribution, kappa, n_samples):
+    build, n_ions = KICKED_REGISTERS[register]
+    schedule = build()
+    psi = random_state(rng, 2**n_ions)
+    channel = DephasingChannel(kappa, distribution, n_samples)
+    result = dfs.kicked_schedule_fidelities(
+        schedule, psi, channel, np.random.default_rng(17), n_ions
+    )
+    phis = channel.draw(np.random.default_rng(17), (n_samples, max(len(schedule), 1)))
+    propagators = [linalg.expm_hermitian(h, a) for h, a in schedule]
+    expected = kicked_fidelities_loop(propagators, psi, phis, collective_z_table(n_ions))
+    assert result.fidelities.shape == (n_samples,)
+    assert np.max(np.abs(result.fidelities - expected)) < 1e-13
+    if kappa > 0 and n_samples > 1:
+        assert expected.min() < 0.99
+
+
+@pytest.mark.parametrize(
+    "n_ions, distribution, kappa, n_kicks, n_samples",
+    [
+        (3, "uniform", 0.5, 8, 500),
+        (3, "gaussian", 0.5, 8, 500),
+        (3, "uniform", 0.0, 8, 50),
+        (3, "uniform", 0.5, 0, 50),
+        (3, "gaussian", 0.9, 3, 1),
+        (6, "uniform", 0.5, 4, 200),
+    ],
+)
+def test_batched_idle_run_matches_per_sample_loop(rng, n_ions, distribution, kappa, n_kicks, n_samples):
+    psi = random_state(rng, 2**n_ions)
+    channel = DephasingChannel(kappa, distribution, n_samples)
+    result = dfs.idle_contrast_run(psi, channel, n_kicks, n_ions, seed=23)
+    phis = channel.draw(np.random.default_rng(23), (n_samples, n_kicks))
+    expected = kicked_fidelities_loop([], psi, phis, collective_z_table(n_ions))
+    assert result.fidelities.shape == (n_samples,)
+    assert np.max(np.abs(result.fidelities - expected)) < 1e-13
+    if kappa > 0 and n_kicks > 0 and n_samples > 1:
+        assert expected.min() < 0.99
