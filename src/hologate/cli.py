@@ -60,6 +60,8 @@ def get_number(cfg: dict, key: str, default=None) -> float:
     value = cfg.get(key, default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return float(value)
 
 
@@ -212,8 +214,8 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
             raise ConfigError("epsilons list must not be empty")
         values = []
         for v in raw:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"epsilon entries must be numbers, got {v!r}")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise ConfigError(f"epsilon entries must be finite numbers, got {v!r}")
             values.append(float(v))
         return tuple(values)
     raise ConfigError("config key 'epsilons' must be a list or a {points: N} object")
@@ -286,7 +288,10 @@ def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
     samples = get_int(cfg, "samples_per_segment", 128)
     if samples < 1:
         raise ConfigError("samples_per_segment must be >= 1")
-    tolerance = get_number(cfg, "tolerance", tolerance)
+    if "tolerance" in cfg:
+        tolerance = get_number(cfg, "tolerance")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance!r}")
     schedule, basis = holonomy_schedule(cfg)
 
     trace = holonomy.trace_evolution(schedule, basis, samples)

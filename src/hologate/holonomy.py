@@ -23,15 +23,17 @@ class EvolutionTrace:
     """Sampled subspace evolution under a piecewise-constant schedule.
 
     states has shape (n_basis, n_samples, dim): evolved copies of each
-    subspace basis vector.  hamiltonians[i] is the generator in force at
-    sample i (for a boundary sample, the generator of the segment that
-    just ended).  segment_boundaries are sample indices closing each
-    segment; the last one is the final sample.
+    subspace basis vector.  generators has shape (n_segments, dim, dim),
+    one per segment, and segment_index[i] is the segment in force at
+    sample i (sample 0 belongs to segment 0, and a boundary sample to the
+    segment that just ended).  segment_boundaries are sample indices
+    closing each segment; the last one is the final sample.
     """
 
     times: np.ndarray
     states: np.ndarray
-    hamiltonians: np.ndarray
+    generators: np.ndarray
+    segment_index: np.ndarray
     segment_boundaries: tuple[int, ...]
 
     @property
@@ -60,7 +62,8 @@ def trace_evolution(
     each segment is subdivided into samples_per_segment equal-area slices
     and the states are stored after every slice.
     """
-    if samples_per_segment < 1:
+    n = samples_per_segment
+    if n < 1:
         raise ValueError("samples_per_segment must be >= 1")
     basis = np.array([np.asarray(v, dtype=complex) for v in subspace_basis])
     gram = basis.conj() @ basis.T
@@ -72,38 +75,40 @@ def trace_evolution(
     dim = schedule[0][0].shape[0]
     if basis.shape[1] != dim:
         raise ValueError("basis dimension does not match schedule generators")
+    if any(gen.shape != (dim, dim) for gen, _ in schedule):
+        raise ValueError("schedule generators differ in dimension")
 
-    times = [0.0]
-    states = [basis.copy()]
-    hams = [schedule[0][0]]
-    boundaries = []
-    t = 0.0
-    current = basis.copy()
-    for gen, area in schedule:
-        if gen.shape != (dim, dim):
-            raise ValueError("schedule generators differ in dimension")
-        step = linalg.expm_hermitian(gen, area / samples_per_segment)
-        for _ in range(samples_per_segment):
-            t += area / samples_per_segment
-            current = current @ step.T
-            times.append(t)
-            states.append(current.copy())
-            hams.append(gen)
-        boundaries.append(len(times) - 1)
+    n_segments = len(schedule)
+    areas = np.array([area for _, area in schedule])
+    # one sequential sum of area / n per slice, as a running clock would add them
+    times = np.cumsum(np.concatenate(([0.0], np.repeat(areas / n, n))))
+    states = np.empty((len(basis), 1 + n_segments * n, dim), dtype=complex)
+    states[:, 0, :] = basis
+    for s, (gen, area) in enumerate(schedule):
+        # seg[:, j] is the state j slices into the segment, seg[:, 0] its start;
+        # each round fills the next k slices from the first k by step^m
+        seg = states[:, s * n : (s + 1) * n + 1, :]
+        power = linalg.expm_hermitian(gen, area / n)
+        m = 1
+        while m <= n:
+            k = min(m, n + 1 - m)
+            seg[:, m : m + k, :] = seg[:, :k, :] @ power.T
+            m *= 2
+            if m <= n:
+                power = power @ power
 
     return EvolutionTrace(
-        times=np.array(times),
-        states=np.transpose(np.array(states), (1, 0, 2)),
-        hamiltonians=np.array(hams),
-        segment_boundaries=tuple(boundaries),
+        times=times,
+        states=states,
+        generators=np.array([gen for gen, _ in schedule]),
+        segment_index=np.concatenate(([0], np.repeat(np.arange(n_segments), n))),
+        segment_boundaries=tuple(range(n, n_segments * n + 1, n)),
     )
 
 
 def peak_rabi(trace: EvolutionTrace) -> float:
     """Largest spectral norm among the schedule generators."""
-    return max(
-        float(np.max(np.abs(np.linalg.eigvalsh(h)))) for h in trace.hamiltonians
-    )
+    return float(np.max(np.abs(np.linalg.eigvalsh(trace.generators))))
 
 
 def check_holonomy(trace: EvolutionTrace, tolerance: float = 1e-8) -> HolonomyReport:
@@ -115,24 +120,19 @@ def check_holonomy(trace: EvolutionTrace, tolerance: float = 1e-8) -> HolonomyRe
 
     scale = peak_rabi(trace)
     worst = 0.0
-    for i in range(n_samples):
-        vecs = trace.states[:, i, :]
-        elements = vecs.conj() @ trace.hamiltonians[i] @ vecs.T
+    start = 0
+    for gen, stop in zip(trace.generators, trace.segment_boundaries):
+        # rows[b, i] is basis vector b at sample i of this segment's block
+        rows = trace.states[:, start : stop + 1, :]
+        left = (rows.conj() @ gen).transpose(1, 0, 2)
+        elements = left @ rows.transpose(1, 2, 0)
         worst = max(worst, float(np.max(np.abs(elements))))
+        start = stop + 1
     cond2 = worst / scale if scale > 0 else worst
 
     passed = cond1 <= tolerance and cond2 <= tolerance
     return HolonomyReport(
         cond1_residual=cond1, cond2_max=cond2, passed=passed, tolerance=tolerance
-    )
-
-
-def projector_residual_curve(trace: EvolutionTrace) -> np.ndarray:
-    """Frobenius distance of P(t) from P(0) at every sample time."""
-    p0 = trace.projector(0)
-    n_samples = trace.states.shape[1]
-    return np.array(
-        [linalg.frobenius_distance(trace.projector(i), p0) for i in range(n_samples)]
     )
 
 

@@ -104,6 +104,9 @@ def test_gate_envelope_choice_does_not_move_the_matrix(tmp_path):
         {"gate": "elementary", "error": {"eps0": 2.0, "eps1": 0.0}},
         {"gate": "elementary", "theta": "wide"},
         {"gate": "elementary", "steps": 0},
+        {"gate": "elementary", "theta": math.nan},
+        {"gate": "elementary", "phi": math.inf},
+        {"gate": "elementary", "error": {"eps0": math.nan, "eps1": 0.0}},
         {},
     ],
 )
@@ -161,6 +164,8 @@ def test_sweep_accepts_explicit_epsilon_list(tmp_path):
         {"gate_kind": "twoqubit_composite", "error_mode": "common"},
         {"gate_kind": "single", "error_mode": "common", "epsilons": {"points": 1}},
         {"gate_kind": "single", "error_mode": "common", "epsilons": "grid"},
+        {"gate_kind": "single", "error_mode": "common", "epsilons": [0.01, math.nan]},
+        {"gate_kind": "single", "error_mode": "common", "theta": math.inf},
         {"error_mode": "common"},
     ],
 )
@@ -235,13 +240,27 @@ def test_check_holonomy_absurd_tolerance_reports_failure(tmp_path, capsys):
         {"schedule": "elementary", "truncate_segments": 3},
         {"schedule": "elementary", "truncate_segments": 0},
         {"schedule": "elementary", "samples_per_segment": 0},
+        {"schedule": "elementary", "theta": math.nan},
+        {"schedule": "composite4", "phi": math.inf},
+        {"schedule": "elementary", "tolerance": -1},
+        {"schedule": "elementary", "tolerance": math.nan},
+        {"schedule": "elementary", "tolerance": 0.0},
         {},
     ],
 )
 def test_check_holonomy_config_problems_exit_two(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert run(["check-holonomy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "holonomy_result.json").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["-1", "nan", "inf", "0"])
+def test_check_holonomy_meaningless_tolerance_flag_exits_two(tmp_path, capsys, flag):
+    cfg = write_cfg(tmp_path, "c.json", {"schedule": "elementary"})
+    args = ["check-holonomy", "--config", cfg, "--out", str(tmp_path), "--tolerance", flag]
+    assert run(args) == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def parse_dfs_csv(out_dir):
@@ -301,6 +320,9 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
         {"kappa": math.nan},
         {"kappa": math.inf},
         {"seed": -1},
+        {"theta": math.nan},
+        {"phi": math.inf},
+        {"coupling_prefactor": math.inf},
     ):
         cfg = write_cfg(tmp_path, "c.json", payload)
         assert run(["dfs", "--config", cfg, "--out", str(tmp_path)]) == 2

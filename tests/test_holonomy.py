@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hologate import holonomy, linalg, qutrit
+from hologate import dfs, holonomy, linalg, qutrit, two_qubit
 from hologate.qutrit import BrightDarkFrame
 
-from oracles import random_hermitian
+from oracles import (
+    phase_residual_loop,
+    projector_residual_curve,
+    random_hermitian,
+    sample_generators,
+    trace_states_loop,
+)
 
 COMP_BASIS = (qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1))
 
@@ -126,7 +132,7 @@ def test_peak_rabi_of_unit_envelope_is_one():
 
 def test_residual_curve_shape_and_extremes():
     trace = holonomy.trace_evolution(elementary_schedule(0.6, 1.0), COMP_BASIS)
-    curve = holonomy.projector_residual_curve(trace)
+    curve = projector_residual_curve(trace.states)
     assert curve.shape == (trace.states.shape[1],)
     assert curve[0] == 0.0
     assert curve[-1] < 1e-10
@@ -184,3 +190,86 @@ def test_trace_input_validation():
     mixed = [(np.zeros((3, 3)), 1.0), (np.zeros((4, 4)), 1.0)]
     with pytest.raises(ValueError):
         holonomy.trace_evolution(mixed, COMP_BASIS)
+
+
+def detuned_composite_schedule():
+    detuning = 0.25 * np.diag([1.0, -1.0, 0.0]).astype(complex)
+    pulses = qutrit.composite_four_field_pulses(0.8, 0.4)
+    return [(gen + detuning, area) for gen, area in qutrit.fields_schedule(pulses)]
+
+
+def oracle_cases() -> dict:
+    """name -> (schedule, basis) on 3-, 5-, 8- and 64-dim registers."""
+    composite4 = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4))
+    three = dfs.three_ion_encoding()
+    six = dfs.six_ion_encoding()
+    return {
+        "qutrit_composite4": (composite4, COMP_BASIS),
+        # the two failing controls: open loop, and a nonzero dynamical phase
+        "qutrit_truncated": (composite4[:-1], COMP_BASIS),
+        "qutrit_detuned": (detuned_composite_schedule(), COMP_BASIS),
+        "twoqubit_composite": (
+            two_qubit.gate_schedule("01") * 2,
+            [two_qubit.ket(label) for label in two_qubit.COMPUTATIONAL_LABELS],
+        ),
+        "three_ion": (
+            dfs.logical_composite_schedule(0.7, 0.2),
+            [three.logical_ket(label) for label in ("0", "1")],
+        ),
+        "six_ion": (
+            dfs.two_logical_composite_schedule(0.7, 0.2),
+            [six.logical_ket(label) for label in ("00", "01", "10", "11")],
+        ),
+    }
+
+
+ORACLE_CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 513])
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_batched_trace_matches_per_sample_loop(name, n):
+    schedule, basis = ORACLE_CASES[name]
+    trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=n)
+    ref_states = trace_states_loop(schedule, basis, n)
+    assert trace.states.shape == ref_states.shape
+    assert np.max(np.abs(trace.states - ref_states)) < 1e-12
+
+    t, ref_times, ref_boundaries = 0.0, [0.0], []
+    for _, area in schedule:
+        for _ in range(n):
+            t += area / n
+            ref_times.append(t)
+        ref_boundaries.append(len(ref_times) - 1)
+    assert np.array_equal(trace.times, np.array(ref_times))
+    assert trace.segment_boundaries == tuple(ref_boundaries)
+
+    gens = sample_generators(schedule, n)
+    peak = max(float(np.max(np.abs(np.linalg.eigvalsh(h)))) for h in gens)
+    assert holonomy.peak_rabi(trace) == peak
+    worst = float(np.max(phase_residual_loop(ref_states, schedule, n)))
+    ref_cond2 = worst / peak if peak > 0 else worst
+    ref_cond1 = projector_residual_curve(ref_states)[-1]
+    report = holonomy.check_holonomy(trace, tolerance=1e-8)
+    assert abs(report.cond1_residual - ref_cond1) < 1e-12
+    assert abs(report.cond2_max - ref_cond2) < 1e-12
+    assert report.passed == (ref_cond1 <= 1e-8 and ref_cond2 <= 1e-8)
+    assert report.passed == (name not in ("qutrit_truncated", "qutrit_detuned"))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_segment_index_layout(n):
+    schedule = qutrit.fields_schedule(qutrit.composite_two_field_pulses(0.8, 0.4))
+    trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=n)
+    assert trace.generators.shape == (len(schedule), 3, 3)
+    assert trace.segment_index.shape == (trace.states.shape[1],)
+    assert trace.segment_index[0] == 0
+    for k, boundary in enumerate(trace.segment_boundaries):
+        # a boundary sample belongs to the segment that just ended
+        assert trace.segment_index[boundary] == k
+        assert np.array_equal(trace.generators[k], schedule[k][0])
+        block = trace.segment_index[boundary - n + 1 : boundary + 1]
+        assert np.all(block == k)
+    gens = sample_generators(schedule, n)
+    for i, seg in enumerate(trace.segment_index):
+        assert np.array_equal(trace.generators[seg], gens[i])
