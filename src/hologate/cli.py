@@ -140,12 +140,18 @@ def parse_segments(cfg: dict):
     return qutrit.default_segments(envelope, steps)
 
 
+def check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance!r}")
+
+
 def cmd_gate(cfg: dict, out_dir: Path, tolerance: float) -> dict:
     check_keys(
         cfg,
         {"gate", "theta", "phi", "jk", "error", "envelope", "steps"},
         {"gate"},
     )
+    check_tolerance(tolerance)
     name = get_choice(cfg, "gate", GATE_NAMES)
     theta = get_number(cfg, "theta", math.pi / 2)
     phi = get_number(cfg, "phi", 0.0)
@@ -290,8 +296,7 @@ def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         raise ConfigError("samples_per_segment must be >= 1")
     if "tolerance" in cfg:
         tolerance = get_number(cfg, "tolerance")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ConfigError(f"tolerance must be finite and positive, got {tolerance!r}")
+    check_tolerance(tolerance)
     schedule, basis = holonomy_schedule(cfg)
 
     trace = holonomy.trace_evolution(schedule, basis, samples)
@@ -395,8 +400,12 @@ COMMANDS = {
 }
 
 
+# parse_args leaves the parser unchanged, so one instance serves every call
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)

@@ -314,10 +314,13 @@ def kicked_schedule_fidelities(
     """
     psi0 = np.asarray(psi0, dtype=complex)
     schedule = [(linalg.as_complex_matrix(g), float(a)) for g, a in schedule]
-    propagators = [linalg.expm_hermitian(g, a) for g, a in schedule]
-
-    # an empty schedule idles through one identity step, so it still takes one kick
-    propagators = propagators or [np.eye(psi0.size, dtype=complex)]
+    if schedule:
+        propagators = linalg.exponentials(
+            np.array([g for g, _ in schedule]), [a for _, a in schedule]
+        )
+    else:
+        # an empty schedule idles through one identity step, so it still takes one kick
+        propagators = [np.eye(psi0.size, dtype=complex)]
 
     clean = psi0.copy()
     for u in propagators:

@@ -79,16 +79,17 @@ def trace_evolution(
         raise ValueError("schedule generators differ in dimension")
 
     n_segments = len(schedule)
+    generators = np.array([gen for gen, _ in schedule])
     areas = np.array([area for _, area in schedule])
+    slice_steps = linalg.exponentials(generators, areas / n)
     # one sequential sum of area / n per slice, as a running clock would add them
     times = np.cumsum(np.concatenate(([0.0], np.repeat(areas / n, n))))
     states = np.empty((len(basis), 1 + n_segments * n, dim), dtype=complex)
     states[:, 0, :] = basis
-    for s, (gen, area) in enumerate(schedule):
+    for s, power in enumerate(slice_steps):
         # seg[:, j] is the state j slices into the segment, seg[:, 0] its start;
         # each round fills the next k slices from the first k by step^m
         seg = states[:, s * n : (s + 1) * n + 1, :]
-        power = linalg.expm_hermitian(gen, area / n)
         m = 1
         while m <= n:
             k = min(m, n + 1 - m)
@@ -100,7 +101,7 @@ def trace_evolution(
     return EvolutionTrace(
         times=times,
         states=states,
-        generators=np.array([gen for gen, _ in schedule]),
+        generators=generators,
         segment_index=np.concatenate(([0], np.repeat(np.arange(n_segments), n))),
         segment_boundaries=tuple(range(n, n_segments * n + 1, n)),
     )

@@ -10,6 +10,7 @@ the single-exponential result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,17 @@ class PulseSegment:
             raise ValueError("steps must be >= 1")
 
 
+def elementary_segments(segments) -> tuple[PulseSegment, PulseSegment]:
+    """Check the two nominal area-pi/2 segments of an elementary gate."""
+    segments = tuple(segments)
+    if len(segments) != 2:
+        raise ValueError("elementary gate takes exactly two segments")
+    for seg in segments:
+        if abs(seg.area - math.pi / 2) > 1e-12:
+            raise ValueError("elementary segments must have nominal area pi/2")
+    return segments
+
+
 def cumulative_area_fraction(u: np.ndarray | float, envelope: str) -> np.ndarray | float:
     """Fraction of the total area accumulated by scaled time u in [0, 1]."""
     if envelope == "square":
@@ -66,12 +78,36 @@ def slice_areas(segment: PulseSegment) -> np.ndarray:
     return areas
 
 
+def slice_schedule(generators, segments, stretch=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Every envelope slice of a segment list, as ``linalg.evolve`` input.
+
+    ``generators`` has shape (..., n_segments, d, d), one unit-envelope
+    generator per segment, with optional leading batch axes.  Each segment
+    contributes ``segment.steps`` slices that repeat its generator, with
+    the areas of ``slice_areas`` times ``stretch`` (a scalar or an array
+    over the batch axes, as an envelope-strength error scales them).
+    Returns generators (..., n_slices, d, d) and areas (..., n_slices).
+    """
+    segments = tuple(segments)
+    gens = np.asarray(generators)
+    if gens.ndim < 3 or gens.shape[-3] != len(segments):
+        raise ValueError(f"need one generator per segment, got {gens.shape} for {len(segments)}")
+    steps = [seg.steps for seg in segments]
+    if any(n > 1 for n in steps):
+        gens = np.repeat(gens, steps, axis=-3)
+        areas = np.concatenate([slice_areas(seg) for seg in segments])
+    else:
+        areas = np.array([seg.area for seg in segments])
+    return gens, np.asarray(stretch, dtype=float)[..., None] * areas
+
+
 def segment_unitary(generator: np.ndarray, segment: PulseSegment) -> np.ndarray:
-    """Evolution under a fixed unit-envelope generator for one segment."""
-    u = np.eye(np.asarray(generator).shape[0], dtype=complex)
-    for a in slice_areas(segment):
-        u = linalg.expm_hermitian(generator, float(a)) @ u
-    return u
+    """Evolution under a fixed unit-envelope generator for one segment.
+
+    All slice exponentials come from one ``linalg.evolve`` call, which
+    multiplies the slices in time order.
+    """
+    return linalg.evolve(*slice_schedule(np.asarray(generator)[None], (segment,)))
 
 
 def schedule_unitary(schedule) -> np.ndarray:
@@ -79,8 +115,5 @@ def schedule_unitary(schedule) -> np.ndarray:
     schedule = list(schedule)
     if not schedule:
         raise ValueError("empty schedule")
-    dim = np.asarray(schedule[0][0]).shape[0]
-    u = np.eye(dim, dtype=complex)
-    for gen, seg in schedule:
-        u = segment_unitary(gen, seg) @ u
-    return u
+    gens = np.array([linalg.as_complex_matrix(gen) for gen, _ in schedule])
+    return linalg.evolve(*slice_schedule(gens, [seg for _, seg in schedule]))

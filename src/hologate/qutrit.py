@@ -18,7 +18,7 @@ reparametrization can be checked rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,14 +90,29 @@ class FieldPulse:
     duration: float
 
 
+def drive_generators(theta, phi: float, phi0) -> np.ndarray:
+    """Unit-envelope generators e^{i phi0} |b><e| + h.c., batched.
+
+    ``theta`` (bright angle) and ``phi0`` (drive phase) broadcast against
+    each other; the result has their broadcast shape + (3, 3).
+    """
+    half = 0.5 * np.asarray(theta, dtype=float)
+    coupling = np.exp(1j * np.asarray(phi0, dtype=float))
+    to_0 = coupling * np.cos(half)
+    to_1 = coupling * (np.sin(half) * np.exp(1j * phi))
+    h = np.zeros(to_0.shape + (DIM, DIM), dtype=complex)
+    h[..., IDX_0, IDX_E] = to_0
+    h[..., IDX_1, IDX_E] = to_1
+    h[..., IDX_E, IDX_0] = to_0.conj()
+    h[..., IDX_E, IDX_1] = to_1.conj()
+    return h
+
+
 def hamiltonian(frame: BrightDarkFrame, omega: float, phi0: float) -> np.ndarray:
     """Drive Hamiltonian Omega * (e^{i phi0} |b><e| + h.c.)."""
     if omega < 0:
         raise ValueError("Rabi envelope value must be nonnegative")
-    b = frame.bright
-    e = ket(IDX_E)
-    h = omega * np.exp(1j * phi0) * np.outer(b, e.conj())
-    return h + linalg.dagger(h)
+    return omega * drive_generators(frame.theta, frame.phi, phi0)
 
 
 def two_field_hamiltonian(
@@ -147,24 +162,36 @@ def default_segments(envelope: str = "square", steps: int | None = None):
     )
 
 
-def _check_nominal_segments(segments) -> tuple[PulseSegment, PulseSegment]:
-    segments = tuple(segments)
-    if len(segments) != 2:
-        raise ValueError("elementary gate takes exactly two segments")
-    for seg in segments:
-        if abs(seg.area - HALF_PI) > 1e-12:
-            raise ValueError("elementary segments must have nominal area pi/2")
-    return segments
+def _elementary_gates(theta, phi: float, stretch, segments) -> np.ndarray:
+    """Elementary gates driving the bright state at angle ``theta``.
+
+    ``theta`` and ``stretch`` (the factor on every segment area) share a
+    batch shape; all gates come from one ``linalg.evolve`` call.
+    """
+    segments = pulses.elementary_segments(segments)
+    phi0 = np.array([seg.phi0 for seg in segments])
+    gens = drive_generators(np.asarray(theta, dtype=float)[..., None], phi, phi0)
+    return linalg.evolve(*pulses.slice_schedule(gens, segments, stretch))
 
 
 def elementary_gate(
     frame: BrightDarkFrame, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Ideal elementary gate: -i|e><e| + i|b><b| + |d><d|."""
-    u = np.eye(DIM, dtype=complex)
-    for seg in _check_nominal_segments(segments):
-        u = pulses.segment_unitary(hamiltonian(frame, 1.0, seg.phi0), seg) @ u
-    return u
+    return _elementary_gates(frame.theta, frame.phi, 1.0, segments)
+
+
+def error_gates(
+    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
+) -> np.ndarray:
+    """Error-affected elementary gates for a sequence of error models.
+
+    Stretched-and-tilted form: under each model the envelope integral
+    becomes (1+eps) * pi/2 per segment and the drive couples the tilted
+    bright state at theta_prime.  Returns shape (len(models), 3, 3).
+    """
+    params = np.array([effective_error_params(frame.theta, m) for m in models]).reshape(-1, 2)
+    return _elementary_gates(params[:, 1], frame.phi, 1.0 + params[:, 0], segments)
 
 
 def elementary_gate_with_error(
@@ -177,13 +204,7 @@ def elementary_gate_with_error(
     """
     if model is None:
         return elementary_gate(frame, segments)
-    eps, theta_prime = effective_error_params(frame.theta, model)
-    tilted = BrightDarkFrame(theta_prime, frame.phi)
-    u = np.eye(DIM, dtype=complex)
-    for seg in _check_nominal_segments(segments):
-        stretched = replace(seg, area=(1.0 + eps) * seg.area)
-        u = pulses.segment_unitary(hamiltonian(tilted, 1.0, seg.phi0), stretched) @ u
-    return u
+    return error_gates(frame, (model,), segments)[0]
 
 
 def elementary_field_pulses(

@@ -9,6 +9,7 @@ log-log fit is the measured order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,12 @@ def gate_fidelity(u_ideal: np.ndarray, v_actual: np.ndarray) -> FidelityResult:
     v = linalg.as_complex_matrix(v_actual)
     if u.shape != v.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    num = abs(np.trace(linalg.dagger(u) @ v))
-    den = np.trace(linalg.dagger(u) @ u).real
-    return FidelityResult(value=float(num / den))
+    return FidelityResult(value=float(_fidelities(u, v)))
+
+
+def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """gate_fidelity of one ideal (d, d) against a stack of gates (..., d, d)."""
+    return np.abs(np.einsum("ij,...ij->...", u.conj(), v)) / np.vdot(u, u).real
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class SweepSpec:
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"unknown error mode {self.error_mode!r}")
         eps = tuple(self.epsilons)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("epsilons must be a nonempty strictly positive list")
+        if not eps or not all(0 < e < 1 for e in eps):
+            raise ValueError("epsilons must be a nonempty list of values in (0, 1)")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly increasing")
         two_qubit_kind = self.gate_kind.startswith("twoqubit")
@@ -107,30 +111,39 @@ def one_qubit_model(mode: str, eps: float) -> qutrit.ErrorModel:
     raise ValueError(f"{mode!r} is not a one-qubit error mode")
 
 
-def gate_pair(spec: SweepSpec, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(ideal, error-affected) gates for one sweep point."""
+def sweep_gates(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The ideal gate and the error-affected gate at every sweep point.
+
+    The error-affected elementary gates of the whole grid come from one
+    batched evolution (two for composite4: the theta and the mirrored
+    pi - theta gate), built through the same stretched-and-tilted route as
+    the single-gate builders, and compose as those builders do.  The ideal
+    is built once.  Returns (ideal (d, d), actual (n_eps, d, d)).
+    """
     if spec.gate_kind.startswith("twoqubit"):
-        model = two_qubit.TwoQubitErrorModel(eps)
+        models = [two_qubit.TwoQubitErrorModel(eps) for eps in spec.epsilons]
+        u = two_qubit.error_gates(spec.jk, models)
         if spec.gate_kind == "twoqubit_single":
-            return two_qubit.elementary_gate(spec.jk), two_qubit.elementary_gate(spec.jk, model)
-        return two_qubit.composite_gate(spec.jk), two_qubit.composite_gate(spec.jk, model)
+            return two_qubit.elementary_gate(spec.jk), u
+        return two_qubit.composite_gate(spec.jk), u @ u
 
     frame = qutrit.BrightDarkFrame(spec.theta, spec.phi)
-    model = one_qubit_model(spec.error_mode, eps)
+    models = [one_qubit_model(spec.error_mode, eps) for eps in spec.epsilons]
+    u = qutrit.error_gates(frame, models)
     if spec.gate_kind == "single":
-        return qutrit.elementary_gate(frame), qutrit.elementary_gate_with_error(frame, model)
+        return qutrit.elementary_gate(frame), u
     if spec.gate_kind == "composite2":
-        return qutrit.composite_two(frame), qutrit.composite_two(frame, model)
-    return qutrit.composite_four(frame), qutrit.composite_four(frame, model)
+        return qutrit.composite_two(frame), u @ u
+    mirrored = qutrit.BrightDarkFrame(math.pi - spec.theta, spec.phi)
+    u_m = qutrit.error_gates(mirrored, models)
+    return qutrit.composite_four(frame), u @ u @ u_m @ u_m
 
 
 def sweep_samples(spec: SweepSpec) -> list[tuple[float, float]]:
     """(eps, infidelity) points in grid order, floor points included."""
-    out = []
-    for eps in spec.epsilons:
-        ideal, actual = gate_pair(spec, eps)
-        out.append((eps, gate_fidelity(ideal, actual).infidelity))
-    return out
+    ideal, actual = sweep_gates(spec)
+    infidelities = 1.0 - _fidelities(ideal, actual)
+    return list(zip(spec.epsilons, infidelities.tolist()))
 
 
 def fit_power_law(samples) -> ScalingFit:

@@ -14,7 +14,7 @@ bright-angle tilt, so the repetition alone cancels the leading error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,21 +101,23 @@ def gate_schedule(
     return [(segment_generator(jk, seg.phi0), stretch * seg.area) for seg in segments]
 
 
+def error_gates(jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
+    """Elementary gates for a sequence of error models (None for no error).
+
+    Each model stretches every segment area by 1 + eps_jk; all gates come
+    from one ``linalg.evolve`` call.  Returns shape (len(models), 5, 5).
+    """
+    segments = pulses.elementary_segments(segments)
+    stretch = np.array([1.0 + (m.eps_jk if m else 0.0) for m in models])
+    gens = np.stack([segment_generator(jk, seg.phi0) for seg in segments])
+    return linalg.evolve(*pulses.slice_schedule(gens, segments, stretch))
+
+
 def elementary_gate(
     jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Two-segment gate; ideal value -i|a><a| + i|jk><jk| + rest unchanged."""
-    segments = tuple(segments)
-    if len(segments) != 2:
-        raise ValueError("elementary gate takes exactly two segments")
-    stretch = 1.0 + (model.eps_jk if model else 0.0)
-    u = np.eye(DIM, dtype=complex)
-    for seg in segments:
-        if abs(seg.area - HALF_PI) > 1e-12:
-            raise ValueError("elementary segments must have nominal area pi/2")
-        stretched = replace(seg, area=stretch * seg.area)
-        u = pulses.segment_unitary(segment_generator(jk, seg.phi0), stretched) @ u
-    return u
+    return error_gates(jk, (model,), segments)[0]
 
 
 def composite_gate(

@@ -2,10 +2,11 @@
 
 Nothing here imports the package under test.  The propagator integrates
 the Schrodinger equation with a classical fixed-step RK4 scheme, so any
-agreement with the eigendecomposition-based implementation is a genuine
-cross-check rather than the same code exercised twice.  The trace
-loops below step a subspace through a schedule one slice and one sample
-at a time, as a reference for the batched holonomy certification.
+agreement with the closed-form and eigendecomposition exponentials of the
+implementation is a genuine cross-check rather than the same code
+exercised twice.  The trace loops below evolve a subspace through a
+schedule one slice and one sample at a time, as a reference for the
+batched holonomy certification.
 """
 
 import numpy as np
@@ -96,11 +97,6 @@ def kicked_fidelities_loop(propagators, psi0, phis, lam) -> np.ndarray:
     return fids
 
 
-def _expm_hermitian(h, t):
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def sample_generators(schedule, n: int) -> list:
     """The generator in force at each sample of an n-slice-per-segment trace.
 
@@ -117,14 +113,19 @@ def trace_states_loop(schedule, basis, n: int) -> np.ndarray:
     """Evolve a basis through a schedule one equal-area slice at a time.
 
     Returns the states after every slice as (n_basis, 1 + n_segments * n,
-    dim), the first sample being the basis itself.
+    dim), the first sample being the basis itself.  The state j slices into
+    a segment is the segment's start state under exp(-i H j area / n),
+    from one eigh of H, so rounding does not compound over the slices of
+    a segment.
     """
     current = np.array([np.asarray(v, dtype=complex) for v in basis])
     states = [current.copy()]
     for h, area in schedule:
-        step = _expm_hermitian(np.asarray(h, dtype=complex), area / n)
-        for _ in range(n):
-            current = current @ step.T
+        w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+        start = current
+        for j in range(1, n + 1):
+            step = (v * np.exp(-1j * w * (j * area / n))) @ v.conj().T
+            current = start @ step.T
             states.append(current)
     return np.transpose(np.array(states), (1, 0, 2))
 

@@ -116,6 +116,35 @@ def test_gate_config_problems_exit_two(tmp_path, capsys, payload):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["nan", "inf", "-1", "0"])
+def test_gate_meaningless_tolerance_flag_exits_two(tmp_path, capsys, flag):
+    cfg = write_cfg(tmp_path, "c.json", {"gate": "elementary"})
+    args = ["gate", "--config", cfg, "--out", str(tmp_path), "--tolerance", flag]
+    assert run(args) == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "gate_result.json").exists()
+
+
+def test_main_calls_do_not_share_parsed_options(tmp_path, capsys):
+    gate = write_cfg(
+        tmp_path, "gate.json", {"gate": "elementary", "error": {"eps0": 0.05, "eps1": 0.0}}
+    )
+    noise = write_cfg(tmp_path, "dfs.json", {"kappa": 0.5, "n_samples": 20, "seed": 4})
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    assert run(["dfs", "--config", noise, "--seed", "77", "--tolerance", "10"] + out("a")) == 0
+    assert run(["gate", "--config", gate] + out("b")) == 0
+    assert run(["gate", "--config", gate, "--tolerance", "10"] + out("c")) == 0
+    assert run(["dfs", "--config", noise] + out("d")) == 0
+    capsys.readouterr()
+    assert load_record(tmp_path / "a", "dfs_result.json")["outputs"]["seed"] == 77
+    assert load_record(tmp_path / "b", "gate_result.json")["outputs"]["within_tolerance"] is False
+    assert load_record(tmp_path / "c", "gate_result.json")["outputs"]["within_tolerance"] is True
+    assert load_record(tmp_path / "d", "dfs_result.json")["outputs"]["seed"] == 4
+
+
 def test_unreadable_and_malformed_configs_exit_two(tmp_path, capsys):
     assert run(["gate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"
@@ -167,12 +196,15 @@ def test_sweep_accepts_explicit_epsilon_list(tmp_path):
         {"gate_kind": "single", "error_mode": "common", "epsilons": [0.01, math.nan]},
         {"gate_kind": "single", "error_mode": "common", "theta": math.inf},
         {"error_mode": "common"},
+        {"gate_kind": "single", "error_mode": "common", "epsilons": [0.5, 1.5]},
+        {"gate_kind": "single", "error_mode": "common", "epsilons": [1.0]},
     ],
 )
 def test_sweep_config_problems_exit_two(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_at_the_noise_floor_exits_three(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg
+from hologate import dfs, linalg, qutrit, two_qubit
 
 from oracles import random_hermitian, rk4_propagator
 
@@ -147,3 +147,127 @@ def test_vector_norm_helpers():
     assert abs(linalg.norm(v) - 5.0) < 1e-15
     assert linalg.is_normalized(v / 5.0)
     assert not linalg.is_normalized(v)
+
+
+def eigh_expm(h, t):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def package_generators():
+    """name -> generators from every builder family, at generic angles and errors."""
+    model = qutrit.ErrorModel(0.05, -0.03)
+    frame = qutrit.BrightDarkFrame(0.8, 0.3)
+    return {
+        "qutrit": [qutrit.hamiltonian(frame, 1.3, phi0) for phi0 in (0.0, math.pi / 2, 2.1)],
+        "two_field": [
+            g for g, _ in qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4, model))
+        ],
+        "five_level": [
+            two_qubit.segment_generator(jk, phi0) for jk in ("00", "11") for phi0 in (0.0, 1.0)
+        ],
+        "three_ion": [g for g, _ in dfs.logical_composite_schedule(0.8, 0.4, model, 0.7)],
+        # +-W has multiplicity two here, where W^2 = tr(H^2)/2 would be wrong
+        "six_ion": [g for g, _ in dfs.two_logical_composite_schedule(0.8, 0.4, model, 0.7)],
+    }
+
+
+def forbid_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh fallback taken")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", fail)
+
+
+@pytest.mark.parametrize("family", sorted(package_generators()))
+def test_closed_form_matches_eigh_on_package_generators(family, monkeypatch):
+    gens = np.array(package_generators()[family])
+    areas = np.array([0.01, math.pi / 2, 2.0, -1.3, 7.5])
+    expected = [[eigh_expm(g, a) for a in areas] for g in gens]
+    forbid_eigh(monkeypatch)
+    got = linalg.exponentials(gens[:, None], areas)
+    assert got.shape == (len(gens), len(areas)) + gens.shape[1:]
+    for g, row, ref_row in zip(gens, got, expected):
+        for u, ref in zip(row, ref_row):
+            assert linalg.frobenius_distance(u, ref) < 1e-13
+        assert linalg.frobenius_distance(linalg.expm_hermitian(g, areas[1]), ref_row[1]) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: np.diag([1.0, 2.0, 3.0]).astype(complex),
+        lambda rng: random_hermitian(rng, 4),
+        lambda rng: random_hermitian(rng, 64, scale=0.1),
+    ],
+    ids=["diagonal", "random4", "random64"],
+)
+def test_generators_off_the_cube_identity_take_the_eigh_fallback(make, rng, monkeypatch):
+    g = make(rng)
+    assert np.linalg.norm(g @ g @ g - np.trace(g @ g @ g @ g).real / np.trace(g @ g).real * g) > 1e-3
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    expected = eigh_expm(g, 1.7)
+    monkeypatch.setattr(linalg.np.linalg, "eigh", counted)
+    u = linalg.expm_hermitian(g, 1.7)
+    assert calls == [(1,) + g.shape]
+    assert linalg.frobenius_distance(u, expected) < 1e-13
+
+
+def test_zero_generator_gives_exact_identity(monkeypatch):
+    forbid_eigh(monkeypatch)
+    eye = np.eye(5)
+    assert np.array_equal(linalg.exponentials(np.zeros((3, 5, 5)), [0.5, -7.0, 1e6]), [eye] * 3)
+    assert np.array_equal(linalg.evolve(np.zeros((2, 5, 5)), [0.3, 0.4]), eye)
+
+
+def test_batched_evolution_matches_one_matrix_at_a_time(rng):
+    # a batch mixing closed-form and fallback generators, broadcast areas
+    frame = qutrit.BrightDarkFrame(0.6, 1.1)
+    gens = np.array(
+        [qutrit.hamiltonian(frame, 1.0, 0.4), random_hermitian(rng, 3), np.diag([1.0, 2.0, 3.0])]
+    )
+    areas = rng.uniform(-2.0, 2.0, size=(4, 3))
+    batch = linalg.exponentials(gens, areas)
+    products = linalg.evolve(gens, areas)
+    assert batch.shape == (4, 3, 3, 3) and products.shape == (4, 3, 3)
+    for b in range(4):
+        for k in range(3):
+            single = linalg.expm_hermitian(gens[k], areas[b, k])
+            assert linalg.frobenius_distance(batch[b, k], single) < 1e-15
+        schedule = list(zip(gens, areas[b]))
+        assert linalg.frobenius_distance(products[b], linalg.time_ordered_product(schedule)) < 1e-15
+        expected = eigh_expm(gens[2], areas[b, 2]) @ eigh_expm(gens[1], areas[b, 1]) @ eigh_expm(
+            gens[0], areas[b, 0]
+        )
+        assert linalg.frobenius_distance(products[b], expected) < 1e-13
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+def test_evolve_keeps_time_order_for_any_segment_count(seed, n):
+    gen_rng = np.random.default_rng(seed)
+    gens = np.array([random_hermitian(gen_rng, 3) for _ in range(n)])
+    areas = gen_rng.uniform(0.1, 2.0, size=n)
+    expected = np.eye(3)
+    for g, a in zip(gens, areas):
+        expected = eigh_expm(g, a) @ expected
+    assert linalg.frobenius_distance(linalg.evolve(gens, areas), expected) < 1e-12
+
+
+def test_evolve_rejects_bad_batches(rng):
+    g = random_hermitian(rng, 3)
+    with pytest.raises(ValueError):
+        linalg.evolve(np.zeros((0, 3, 3)), [])
+    with pytest.raises(ValueError):
+        linalg.evolve(np.array([g, g]), [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):
+        linalg.evolve(g, [0.1])
+    with pytest.raises(ValueError):
+        linalg.evolve(np.array([g, g + 1e-9j * np.eye(3)]), [0.1, 0.2])
+    with pytest.raises(ValueError):
+        linalg.evolve(np.zeros((2, 65, 65)), [0.1, 0.2])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import qutrit, scaling
+from hologate import linalg, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError, SweepSpec
 
@@ -65,7 +65,7 @@ def test_sweep_spec_validation():
         SweepSpec(gate_kind="single", error_mode="two_qubit", **good)
     with pytest.raises(ValueError):
         SweepSpec(gate_kind="twoqubit_composite", error_mode="common", **good)
-    for bad_eps in ((), (0.0, 0.1), (-0.01, 0.1), (0.02, 0.01), (0.01, 0.01)):
+    for bad_eps in ((), (0.0, 0.1), (-0.01, 0.1), (0.02, 0.01), (0.01, 0.01), (0.5, 1.5), (1.0,)):
         with pytest.raises(ValueError):
             SweepSpec(
                 gate_kind="single", error_mode="common",
@@ -90,21 +90,72 @@ def test_one_qubit_model_modes():
         scaling.one_qubit_model("two_qubit", 0.1)
 
 
-def test_gate_pair_dispatch():
+def test_sweep_gates_dispatch():
     spec = SweepSpec(
         gate_kind="twoqubit_single", theta=0.0, phi=0.0,
-        error_mode="two_qubit", epsilons=(0.01,), jk="01",
+        error_mode="two_qubit", epsilons=(0.01, 0.05), jk="01",
     )
-    ideal, actual = scaling.gate_pair(spec, 0.05)
+    ideal, actual = scaling.sweep_gates(spec)
     assert ideal.shape == (5, 5)
-    assert scaling.gate_fidelity(ideal, actual).infidelity > 1e-5
+    assert actual.shape == (2, 5, 5)
+    assert scaling.gate_fidelity(ideal, actual[1]).infidelity > 1e-5
     spec1 = SweepSpec(
         gate_kind="composite4", theta=0.8, phi=0.1,
-        error_mode="differential", epsilons=(0.01,),
+        error_mode="differential", epsilons=(0.05,),
     )
-    ideal1, actual1 = scaling.gate_pair(spec1, 0.05)
+    ideal1, actual1 = scaling.sweep_gates(spec1)
     assert ideal1.shape == (3, 3)
-    assert not np.array_equal(ideal1, actual1)
+    assert actual1.shape == (1, 3, 3)
+    assert not np.array_equal(ideal1, actual1[0])
+
+
+SWEEP_CASES = (
+    ("single", "common"),
+    ("single", "differential"),
+    ("single", "single_field"),
+    ("composite2", "common"),
+    ("composite2", "differential"),
+    ("composite4", "common"),
+    ("composite4", "differential"),
+    ("composite4", "single_field"),
+    ("twoqubit_single", "two_qubit"),
+    ("twoqubit_composite", "two_qubit"),
+)
+
+
+def single_gate(kind, mode, eps, theta, phi, jk):
+    """One sweep point's gate from the public single-gate builders."""
+    if kind.startswith("twoqubit"):
+        model = two_qubit.TwoQubitErrorModel(eps) if eps else None
+        build = two_qubit.elementary_gate if kind == "twoqubit_single" else two_qubit.composite_gate
+        return build(jk, model)
+    frame = BrightDarkFrame(theta, phi)
+    model = scaling.one_qubit_model(mode, eps) if eps else None
+    build = {
+        "single": qutrit.elementary_gate_with_error,
+        "composite2": qutrit.composite_two,
+        "composite4": qutrit.composite_four,
+    }[kind]
+    return build(frame, model)
+
+
+@pytest.mark.parametrize("kind,mode", SWEEP_CASES)
+def test_batched_sweep_gates_match_single_gate_builders(kind, mode):
+    theta, phi, jk = 0.7, 0.3, "10"
+    spec = SweepSpec(
+        gate_kind=kind, theta=theta, phi=phi, error_mode=mode,
+        epsilons=scaling.default_epsilon_grid(), jk=jk,
+    )
+    ideal, actual = scaling.sweep_gates(spec)
+    assert linalg.frobenius_distance(ideal, single_gate(kind, mode, 0.0, theta, phi, jk)) < 1e-13
+    assert actual.shape == (len(spec.epsilons),) + ideal.shape
+    for eps, gate in zip(spec.epsilons, actual):
+        expected = single_gate(kind, mode, eps, theta, phi, jk)
+        assert linalg.frobenius_distance(gate, expected) < 1e-13
+    samples = scaling.sweep_samples(spec)
+    assert [e for e, _ in samples] == list(spec.epsilons)
+    for (eps, infid), gate in zip(samples, actual):
+        assert abs(infid - scaling.gate_fidelity(ideal, gate).infidelity) < 1e-15
 
 
 def test_fit_recovers_exact_power_law():
