@@ -113,22 +113,25 @@ def exponentials(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"dimension {n} exceeds cap {DIM_CAP}")
     if not (_squared_norms(g - g.conj().swapaxes(-1, -2)) <= tol * tol).all():
         raise ValueError("generator is not Hermitian within tolerance")
-    g2 = g @ g
-    n2 = _squared_norms(g)
-    w2 = np.maximum(_squared_norms(g2) / np.maximum(n2, _TINY), _TINY)
-    # a generator too large to square overflows here and takes the fallback
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = _squared_norms(g2 @ g - w2[..., None, None] * g)
-        closed = residual <= CUBE_RTOL**2 * n2 * w2 * w2
-        w = np.sqrt(w2)
-        wt = w * a
-        steps = (-1j / w * np.sin(wt))[..., None, None] * g
-        steps += (-2.0 / w2 * np.sin(0.5 * wt) ** 2)[..., None, None] * g2
+    # Scaled to a largest entry of 1, with the areas carrying the scale, the
+    # powers and squared norms below can neither overflow nor underflow.
+    scale = np.maximum(np.abs(g).max(axis=(-2, -1)), _TINY)
+    h = g / scale[..., None, None]
+    t = a * scale
+    h2 = h @ h
+    n2 = _squared_norms(h)
+    w2 = np.maximum(_squared_norms(h2) / np.maximum(n2, _TINY), _TINY)
+    residual = _squared_norms(h2 @ h - w2[..., None, None] * h)
+    closed = residual <= CUBE_RTOL**2 * n2 * w2 * w2
+    w = np.sqrt(w2)
+    wt = w * t
+    steps = (-1j / w * np.sin(wt))[..., None, None] * h
+    steps += (-2.0 / w2 * np.sin(0.5 * wt) ** 2)[..., None, None] * h2
     steps += np.eye(n)
     if not closed.all():
         fallback = np.broadcast_to(~closed, steps.shape[:-2])
-        vals, vecs = np.linalg.eigh(np.broadcast_to(g, steps.shape)[fallback])
-        phases = np.exp(-1j * vals * np.broadcast_to(a, fallback.shape)[fallback][:, None])
+        vals, vecs = np.linalg.eigh(np.broadcast_to(h, steps.shape)[fallback])
+        phases = np.exp(-1j * vals * np.broadcast_to(t, fallback.shape)[fallback][:, None])
         steps[fallback] = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return steps
 

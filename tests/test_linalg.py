@@ -219,6 +219,18 @@ def test_generators_off_the_cube_identity_take_the_eigh_fallback(make, rng, monk
     assert linalg.frobenius_distance(u, expected) < 1e-13
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-60, 1e60, 1e160, 1e300])
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_exponential_is_exact_at_extreme_generator_scales(scale, closed_form, rng):
+    # squared norms of H^2 and H^3 would underflow or overflow at these scales
+    if closed_form:
+        g = qutrit.hamiltonian(qutrit.BrightDarkFrame(0.8, 0.3), 1.0, 0.4)
+    else:
+        g = random_hermitian(rng, 4)
+    u = linalg.expm_hermitian(g * scale, 0.9 / scale)
+    assert linalg.frobenius_distance(u, eigh_expm(g, 0.9)) < 1e-13
+
+
 def test_zero_generator_gives_exact_identity(monkeypatch):
     forbid_eigh(monkeypatch)
     eye = np.eye(5)
