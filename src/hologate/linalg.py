@@ -136,7 +136,7 @@ def exponentials(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
     return steps
 
 
-def evolve(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
+def evolve(generators, areas) -> np.ndarray:
     """Time-ordered product of exp(-i g_k a_k) over a batch of schedules.
 
     ``generators`` has shape (..., n_seg, d, d) and ``areas`` (..., n_seg);
@@ -155,7 +155,7 @@ def evolve(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
         )
     if g.shape[-3] == 0 or a.shape[-1] == 0:
         raise ValueError("empty schedule")
-    steps = exponentials(g, a, tol=tol)
+    steps = exponentials(g, a)
     # pairwise products keep time order: later slice on the left
     while steps.shape[-3] > 1:
         k = steps.shape[-3]

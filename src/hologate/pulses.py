@@ -92,12 +92,8 @@ def slice_schedule(generators, segments, stretch=1.0) -> tuple[np.ndarray, np.nd
     gens = np.asarray(generators)
     if gens.ndim < 3 or gens.shape[-3] != len(segments):
         raise ValueError(f"need one generator per segment, got {gens.shape} for {len(segments)}")
-    steps = [seg.steps for seg in segments]
-    if any(n > 1 for n in steps):
-        gens = np.repeat(gens, steps, axis=-3)
-        areas = np.concatenate([slice_areas(seg) for seg in segments])
-    else:
-        areas = np.array([seg.area for seg in segments])
+    gens = np.repeat(gens, [seg.steps for seg in segments], axis=-3)
+    areas = np.concatenate([slice_areas(seg) for seg in segments])
     return gens, np.asarray(stretch, dtype=float)[..., None] * areas
 
 

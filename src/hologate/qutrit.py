@@ -162,36 +162,30 @@ def default_segments(envelope: str = "square", steps: int | None = None):
     )
 
 
-def _elementary_gates(theta, phi: float, stretch, segments) -> np.ndarray:
-    """Elementary gates driving the bright state at angle ``theta``.
+def error_gates(
+    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
+) -> np.ndarray:
+    """Elementary gates for a sequence of error models (None for no error).
 
-    ``theta`` and ``stretch`` (the factor on every segment area) share a
-    batch shape; all gates come from one ``linalg.evolve`` call.
+    Stretched-and-tilted form: under each model the envelope integral
+    becomes (1+eps) * pi/2 per segment and the drive couples the tilted
+    bright state at theta_prime.  All gates come from one ``linalg.evolve``
+    call.  Returns shape (len(models), 3, 3).
     """
     segments = pulses.elementary_segments(segments)
+    params = np.array(
+        [(0.0, frame.theta) if m is None else effective_error_params(frame.theta, m) for m in models]
+    ).reshape(-1, 2)
     phi0 = np.array([seg.phi0 for seg in segments])
-    gens = drive_generators(np.asarray(theta, dtype=float)[..., None], phi, phi0)
-    return linalg.evolve(*pulses.slice_schedule(gens, segments, stretch))
+    gens = drive_generators(params[:, 1, None], frame.phi, phi0)
+    return linalg.evolve(*pulses.slice_schedule(gens, segments, 1.0 + params[:, 0]))
 
 
 def elementary_gate(
     frame: BrightDarkFrame, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Ideal elementary gate: -i|e><e| + i|b><b| + |d><d|."""
-    return _elementary_gates(frame.theta, frame.phi, 1.0, segments)
-
-
-def error_gates(
-    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Error-affected elementary gates for a sequence of error models.
-
-    Stretched-and-tilted form: under each model the envelope integral
-    becomes (1+eps) * pi/2 per segment and the drive couples the tilted
-    bright state at theta_prime.  Returns shape (len(models), 3, 3).
-    """
-    params = np.array([effective_error_params(frame.theta, m) for m in models]).reshape(-1, 2)
-    return _elementary_gates(params[:, 1], frame.phi, 1.0 + params[:, 0], segments)
+    return error_gates(frame, (None,), segments)[0]
 
 
 def elementary_gate_with_error(
@@ -202,8 +196,6 @@ def elementary_gate_with_error(
     The envelope integral becomes (1+eps) * pi/2 per segment and the
     drive couples the tilted bright state at theta_prime.
     """
-    if model is None:
-        return elementary_gate(frame, segments)
     return error_gates(frame, (model,), segments)[0]
 
 
@@ -240,6 +232,14 @@ def elementary_gate_direct(
     return linalg.time_ordered_product(schedule)
 
 
+def composite_two_gates(
+    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
+) -> np.ndarray:
+    """``composite_two`` for a sequence of error models, shape (len(models), 3, 3)."""
+    u = error_gates(frame, models, segments)
+    return u @ u
+
+
 def composite_two(
     frame: BrightDarkFrame, model: ErrorModel | None = None, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
@@ -248,8 +248,17 @@ def composite_two(
     Repetition cancels the first-order envelope stretch but leaves the
     bright-angle tilt untouched.
     """
-    u = elementary_gate_with_error(frame, model, segments)
-    return u @ u
+    return composite_two_gates(frame, (model,), segments)[0]
+
+
+def composite_four_gates(
+    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
+) -> np.ndarray:
+    """``composite_four`` for a sequence of error models, shape (len(models), 3, 3)."""
+    mirrored = BrightDarkFrame(math.pi - frame.theta, frame.phi)
+    u_t = error_gates(frame, models, segments)
+    u_m = error_gates(mirrored, models, segments)
+    return u_t @ u_t @ u_m @ u_m
 
 
 def composite_four(
@@ -261,10 +270,7 @@ def composite_four(
     factor first in time.  The mirrored angle reverses the sign of the
     first-order tilt, so both error channels cancel to leading order.
     """
-    mirrored = BrightDarkFrame(math.pi - frame.theta, frame.phi)
-    u_t = elementary_gate_with_error(frame, model, segments)
-    u_m = elementary_gate_with_error(mirrored, model, segments)
-    return u_t @ u_t @ u_m @ u_m
+    return composite_four_gates(frame, (model,), segments)[0]
 
 
 def composite_two_field_pulses(

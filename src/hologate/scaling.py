@@ -9,7 +9,6 @@ log-log fit is the measured order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,29 +113,28 @@ def one_qubit_model(mode: str, eps: float) -> qutrit.ErrorModel:
 def sweep_gates(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ideal gate and the error-affected gate at every sweep point.
 
-    The error-affected elementary gates of the whole grid come from one
-    batched evolution (two for composite4: the theta and the mirrored
-    pi - theta gate), built through the same stretched-and-tilted route as
-    the single-gate builders, and compose as those builders do.  The ideal
-    is built once.  Returns (ideal (d, d), actual (n_eps, d, d)).
+    Every gate, the ideal (no error model) first, comes from one call of
+    the gate module's batched builder, the one its single-gate builder
+    calls with one model, so the grid shares its evolutions.  Returns
+    (ideal (d, d), actual (n_eps, d, d)).
     """
     if spec.gate_kind.startswith("twoqubit"):
-        models = [two_qubit.TwoQubitErrorModel(eps) for eps in spec.epsilons]
-        u = two_qubit.error_gates(spec.jk, models)
+        models = [None] + [two_qubit.TwoQubitErrorModel(eps) for eps in spec.epsilons]
         if spec.gate_kind == "twoqubit_single":
-            return two_qubit.elementary_gate(spec.jk), u
-        return two_qubit.composite_gate(spec.jk), u @ u
+            gates = two_qubit.error_gates(spec.jk, models)
+        else:
+            gates = two_qubit.composite_gates(spec.jk, models)
+        return gates[0], gates[1:]
 
     frame = qutrit.BrightDarkFrame(spec.theta, spec.phi)
-    models = [one_qubit_model(spec.error_mode, eps) for eps in spec.epsilons]
-    u = qutrit.error_gates(frame, models)
+    models = [None] + [one_qubit_model(spec.error_mode, eps) for eps in spec.epsilons]
     if spec.gate_kind == "single":
-        return qutrit.elementary_gate(frame), u
-    if spec.gate_kind == "composite2":
-        return qutrit.composite_two(frame), u @ u
-    mirrored = qutrit.BrightDarkFrame(math.pi - spec.theta, spec.phi)
-    u_m = qutrit.error_gates(mirrored, models)
-    return qutrit.composite_four(frame), u @ u @ u_m @ u_m
+        gates = qutrit.error_gates(frame, models)
+    elif spec.gate_kind == "composite2":
+        gates = qutrit.composite_two_gates(frame, models)
+    else:
+        gates = qutrit.composite_four_gates(frame, models)
+    return gates[0], gates[1:]
 
 
 def sweep_samples(spec: SweepSpec) -> list[tuple[float, float]]:

@@ -120,12 +120,17 @@ def elementary_gate(
     return error_gates(jk, (model,), segments)[0]
 
 
+def composite_gates(jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
+    """``composite_gate`` for a sequence of error models, shape (len(models), 5, 5)."""
+    u = error_gates(jk, models, segments)
+    return u @ u
+
+
 def composite_gate(
     jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Repeated elementary gate; ideal value flips the sign of |jk> and |a>."""
-    u = elementary_gate(jk, model, segments)
-    return u @ u
+    return composite_gates(jk, (model,), segments)[0]
 
 
 def ideal_elementary(jk: str) -> np.ndarray:

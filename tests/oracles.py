@@ -6,9 +6,11 @@ agreement with the closed-form and eigendecomposition exponentials of the
 implementation is a genuine cross-check rather than the same code
 exercised twice.  The trace loops below evolve a subspace through a
 schedule one slice and one sample at a time, as a reference for the
-batched holonomy certification.
+batched holonomy certification, and ``trace_states_mpmath`` does the same
+in 30-digit arithmetic as a reference for those loops.
 """
 
+import mpmath
 import numpy as np
 
 # Average fidelity of an idle three-ion register initialized in
@@ -128,6 +130,32 @@ def trace_states_loop(schedule, basis, n: int) -> np.ndarray:
             current = start @ step.T
             states.append(current)
     return np.transpose(np.array(states), (1, 0, 2))
+
+
+def trace_states_mpmath(schedule, basis, n: int, dps: int = 30) -> np.ndarray:
+    """``trace_states_loop`` evolved in ``dps``-digit arithmetic.
+
+    Each generator is diagonalised by ``mpmath.eigh``; every slice
+    multiplies the eigenbasis coefficients by exp(-i lam area / n) and
+    maps them back, all at ``dps`` digits, so the states are rounded to
+    double precision once, when stored.  Same layout as
+    ``trace_states_loop``.
+    """
+    with mpmath.workdps(dps):
+        current = [[mpmath.mpc(x) for x in np.asarray(v, dtype=complex)] for v in basis]
+        samples = [[[complex(x) for x in psi] for psi in current]]
+        for h, area in schedule:
+            lam, vecs = mpmath.eigh(mpmath.matrix(np.asarray(h, dtype=complex).tolist()))
+            d = len(lam)
+            rows = [[vecs[i, k] for k in range(d)] for i in range(d)]
+            cols = [[vecs[i, k].conjugate() for i in range(d)] for k in range(d)]
+            phases = [mpmath.expj(-lam[k] * mpmath.mpf(area) / n) for k in range(d)]
+            coeffs = [[mpmath.fdot(col, psi) for col in cols] for psi in current]
+            for _ in range(n):
+                coeffs = [[c * z for c, z in zip(coeff, phases)] for coeff in coeffs]
+                current = [[mpmath.fdot(row, coeff) for row in rows] for coeff in coeffs]
+                samples.append([[complex(x) for x in psi] for psi in current])
+    return np.transpose(np.array(samples), (1, 0, 2))
 
 
 def phase_residual_loop(states, schedule, n: int) -> np.ndarray:

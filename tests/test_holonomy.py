@@ -12,6 +12,7 @@ from oracles import (
     random_hermitian,
     sample_generators,
     trace_states_loop,
+    trace_states_mpmath,
 )
 
 COMP_BASIS = (qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1))
@@ -255,6 +256,17 @@ def test_batched_trace_matches_per_sample_loop(name, n):
     assert abs(report.cond2_max - ref_cond2) < 1e-12
     assert report.passed == (ref_cond1 <= 1e-8 and ref_cond2 <= 1e-8)
     assert report.passed == (name not in ("qutrit_truncated", "qutrit_detuned"))
+
+
+@pytest.mark.parametrize("name", ["qutrit_composite4", "three_ion"])
+def test_trace_oracle_matches_high_precision_evolution(name):
+    # The per-sample loop is the reference for the batched trace at 1e-12,
+    # so it must itself sit well inside that bound.
+    schedule, basis = ORACLE_CASES[name]
+    ref = trace_states_mpmath(schedule, basis, 513)
+    assert np.max(np.abs(trace_states_loop(schedule, basis, 513) - ref)) < 1e-14
+    trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=513)
+    assert np.max(np.abs(trace.states - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])

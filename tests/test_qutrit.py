@@ -239,6 +239,25 @@ def test_composite_two_error_factorizes_into_tilted_loop_times_commutators():
     assert linalg.frobenius_distance(actual, u_omega @ u_theta) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "batched,field_pulses",
+    [
+        (qutrit.composite_two_gates, qutrit.composite_two_field_pulses),
+        (qutrit.composite_four_gates, qutrit.composite_four_field_pulses),
+    ],
+)
+def test_batched_composites_follow_field_pulse_order(batched, field_pulses):
+    # The pulse order of the raw two-field schedules is written out
+    # separately from the batched builders, which the single-gate ones call.
+    f = BrightDarkFrame(0.7, 0.3)
+    models = (None, ErrorModel(0.03, -0.02), ErrorModel(0.01, 0.01))
+    gates = batched(f, models)
+    assert gates.shape == (len(models), 3, 3)
+    for model, gate in zip(models, gates):
+        schedule = qutrit.fields_schedule(field_pulses(f.theta, f.phi, model))
+        assert linalg.frobenius_distance(gate, linalg.time_ordered_product(schedule)) < 1e-12
+
+
 def test_composite_four_trivial_angle_is_logical_identity():
     f = BrightDarkFrame(math.pi / 2, 0.7)
     u = qutrit.composite_four(f)

@@ -86,6 +86,12 @@ def test_composite_gate_matches_integrator():
     u = two_qubit.composite_gate("01", model)
     schedule = two_qubit.gate_schedule("01", model) * 2
     assert linalg.frobenius_distance(u, rk4_propagator(schedule)) < 1e-10
+    models = (None, model, TwoQubitErrorModel(-0.05))
+    gates = two_qubit.composite_gates("01", models)
+    assert gates.shape == (len(models), 5, 5)
+    for model, gate in zip(models, gates):
+        schedule = two_qubit.gate_schedule("01", model) * 2
+        assert linalg.frobenius_distance(gate, rk4_propagator(schedule)) < 1e-10
 
 
 def test_composite_deviation_is_second_order():
