@@ -40,7 +40,7 @@ def main():
     schedule = dfs.logical_composite_schedule(args.theta, args.phi)
     psi_enc = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
     psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    n_kicks = len(schedule)
+    n_kicks = schedule.n_segments
 
     rows = []
     print(f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}")

@@ -6,11 +6,10 @@ The composite gates should come out near slope 4, the plain ones near 2.
 """
 
 import argparse
-import csv
 import math
 from pathlib import Path
 
-from hologate import scaling
+from hologate import cli, scaling
 
 CASES = (
     ("single", "common"),
@@ -51,11 +50,7 @@ def main():
             epsilons=grid,
         )
         samples = scaling.sweep_samples(spec)
-        path = out_dir / f"{kind}_{mode}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("epsilon", "infidelity"))
-            writer.writerows((repr(e), repr(f)) for e, f in samples)
+        cli.write_csv(samples, ("epsilon", "infidelity"), out_dir, f"{kind}_{mode}.csv")
         try:
             fit = scaling.fit_power_law(samples)
         except scaling.DegenerateFitError as exc:

@@ -7,13 +7,7 @@ against the holonomy conditions, and optionally embedded in
 decoherence-free ion-register encodings.
 """
 
-from .linalg import (
-    expm_hermitian,
-    frobenius_distance,
-    is_hermitian,
-    is_unitary,
-    time_ordered_product,
-)
+from .linalg import Schedule, evolve, expm_hermitian, frobenius_distance
 from .pulses import PulseSegment
 from .qutrit import (
     BrightDarkFrame,
@@ -36,6 +30,7 @@ __all__ = [
     "FidelityResult",
     "PulseSegment",
     "ScalingFit",
+    "Schedule",
     "SweepSpec",
     "bch_residual",
     "composite_four",
@@ -43,12 +38,10 @@ __all__ = [
     "effective_error_params",
     "elementary_gate",
     "elementary_gate_with_error",
+    "evolve",
     "expm_hermitian",
     "frobenius_distance",
     "gate_fidelity",
-    "is_hermitian",
-    "is_unitary",
     "logical_rotation_target",
     "run_sweep",
-    "time_ordered_product",
 ]

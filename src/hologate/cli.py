@@ -6,13 +6,15 @@ config file.  Primary outputs are CSV files (plot-ready, byte-stable for
 a fixed config and seed) plus a JSON result record per run.
 
 Exit codes: 0 success, 2 config or validation problem, 3 numerical
-failure during an otherwise valid run.
+failure during an otherwise valid run, including any non-finite output;
+a run that fails writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dfs, holonomy, qutrit, scaling, two_qubit
+from . import __version__, dfs, holonomy, linalg, pulses, qutrit, scaling, two_qubit
 from .scaling import DegenerateFitError
 
 EXIT_OK = 0
@@ -74,7 +76,7 @@ def get_int(cfg: dict, key: str, default=None) -> int:
 
 def get_choice(cfg: dict, key: str, choices, default=None) -> str:
     value = cfg.get(key, default)
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:
         raise ConfigError(f"config key {key!r} must be one of {sorted(choices)}, got {value!r}")
     return value
 
@@ -85,6 +87,8 @@ def matrix_payload(m: np.ndarray) -> list:
 
 
 def make_record(command: str, config: dict, outputs: dict) -> dict:
+    if not all(math.isfinite(v) for v in outputs.values() if isinstance(v, float)):
+        raise FloatingPointError(f"{command} produced a non-finite output")
     return {
         "command": command,
         "config": config,
@@ -113,21 +117,16 @@ def write_csv(rows, header, out_dir: Path, name: str) -> Path:
     return path
 
 
-GATE_NAMES = ("elementary", "composite2", "composite4", "twoqubit_elementary", "twoqubit_composite")
-
-
-def parse_error_model(cfg: dict, gate_name: str):
+def parse_error_model(cfg: dict, gate: scaling.Gate):
     spec = cfg.get("error")
     if spec is None:
         return None
     if not isinstance(spec, dict):
         raise ConfigError("config key 'error' must be an object or null")
+    keys = [f.name for f in dataclasses.fields(gate.error_model)]
+    check_keys(spec, set(keys), set(keys))
     try:
-        if gate_name.startswith("twoqubit"):
-            check_keys(spec, {"eps_jk"}, {"eps_jk"})
-            return two_qubit.TwoQubitErrorModel(get_number(spec, "eps_jk"))
-        check_keys(spec, {"eps0", "eps1"}, {"eps0", "eps1"})
-        return qutrit.ErrorModel(get_number(spec, "eps0"), get_number(spec, "eps1"))
+        return gate.error_model(*(get_number(spec, key) for key in keys))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -137,7 +136,7 @@ def parse_segments(cfg: dict):
     steps = get_int(cfg, "steps", 1 if envelope == "square" else 32)
     if steps < 1:
         raise ConfigError("config key 'steps' must be >= 1")
-    return qutrit.default_segments(envelope, steps)
+    return pulses.default_segments(envelope, steps)
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -152,41 +151,18 @@ def cmd_gate(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         {"gate"},
     )
     check_tolerance(tolerance)
-    name = get_choice(cfg, "gate", GATE_NAMES)
+    gate = scaling.GATES[get_choice(cfg, "gate", scaling.GATES)]
     theta = get_number(cfg, "theta", math.pi / 2)
     phi = get_number(cfg, "phi", 0.0)
     jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
-    model = parse_error_model(cfg, name)
+    model = parse_error_model(cfg, gate)
     segments = parse_segments(cfg)
-
-    if name == "elementary":
-        frame = qutrit.BrightDarkFrame(theta, phi)
-        ideal = qutrit.elementary_gate(frame, segments)
-        actual = qutrit.elementary_gate_with_error(frame, model, segments)
-        basis = list(qutrit.BASIS_LABELS)
-    elif name == "composite2":
-        frame = qutrit.BrightDarkFrame(theta, phi)
-        ideal = qutrit.composite_two(frame, None, segments)
-        actual = qutrit.composite_two(frame, model, segments)
-        basis = list(qutrit.BASIS_LABELS)
-    elif name == "composite4":
-        frame = qutrit.BrightDarkFrame(theta, phi)
-        ideal = qutrit.composite_four(frame, None, segments)
-        actual = qutrit.composite_four(frame, model, segments)
-        basis = list(qutrit.BASIS_LABELS)
-    elif name == "twoqubit_elementary":
-        ideal = two_qubit.elementary_gate(jk, None, segments)
-        actual = two_qubit.elementary_gate(jk, model, segments)
-        basis = list(two_qubit.LABELS)
-    else:
-        ideal = two_qubit.composite_gate(jk, None, segments)
-        actual = two_qubit.composite_gate(jk, model, segments)
-        basis = list(two_qubit.LABELS)
+    ideal, actual = gate.build(theta, phi, jk, [None, model], segments)
 
     fid = scaling.gate_fidelity(ideal, actual)
     distance = float(np.linalg.norm(actual - ideal))
     outputs = {
-        "basis": basis,
+        "basis": list(gate.labels),
         "matrix": matrix_payload(actual),
         "ideal_matrix": matrix_payload(ideal),
         "fidelity_to_ideal": fid.value,
@@ -194,9 +170,10 @@ def cmd_gate(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         "distance_to_ideal": distance,
         "within_tolerance": distance <= tolerance,
     }
-    if not name.startswith("twoqubit"):
+    if gate.rotated_frame:
         # same gate viewed in the rotated (excited, bright, dark) basis,
         # where the ideal forms are diagonal
+        frame = qutrit.BrightDarkFrame(theta, phi)
         change = np.column_stack([qutrit.ket(qutrit.IDX_E), frame.bright, frame.dark])
         outputs["frame_basis"] = ["e", "b", "d"]
         outputs["matrix_frame_basis"] = matrix_payload(
@@ -229,12 +206,13 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
 
 def cmd_sweep(cfg: dict, out_dir: Path, tolerance: float) -> dict:
     check_keys(cfg, {"gate_kind", "theta", "phi", "jk", "error_mode", "epsilons"}, {"gate_kind", "error_mode"})
+    gate_kind = get_choice(cfg, "gate_kind", scaling.GATES)
     try:
         spec = scaling.SweepSpec(
-            gate_kind=get_choice(cfg, "gate_kind", scaling.GATE_KINDS),
+            gate_kind=gate_kind,
             theta=get_number(cfg, "theta", math.pi / 4),
             phi=get_number(cfg, "phi", 0.0),
-            error_mode=get_choice(cfg, "error_mode", scaling.ERROR_MODES),
+            error_mode=get_choice(cfg, "error_mode", scaling.GATES[gate_kind].error_modes),
             epsilons=parse_epsilons(cfg),
             jk=get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11"),
         )
@@ -243,7 +221,6 @@ def cmd_sweep(cfg: dict, out_dir: Path, tolerance: float) -> dict:
 
     samples = scaling.sweep_samples(spec)
     fit = scaling.fit_power_law(samples)
-    write_csv(samples, ("epsilon", "infidelity"), out_dir, "sweep.csv")
     outputs = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -252,37 +229,25 @@ def cmd_sweep(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         "n_samples_total": len(samples),
     }
     record = make_record("sweep", cfg, outputs)
+    write_csv(samples, ("epsilon", "infidelity"), out_dir, "sweep.csv")
     write_record(record, out_dir, "sweep_result.json")
     return record
 
 
 def holonomy_schedule(cfg: dict):
-    name = get_choice(cfg, "schedule", GATE_NAMES)
+    gate = scaling.GATES[get_choice(cfg, "schedule", scaling.GATES)]
     theta = get_number(cfg, "theta", math.pi / 2)
     phi = get_number(cfg, "phi", 0.0)
     jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
-
-    if name.startswith("twoqubit"):
-        schedule = two_qubit.gate_schedule(jk)
-        if name == "twoqubit_composite":
-            schedule = schedule * 2
-        basis = [two_qubit.ket(label) for label in two_qubit.COMPUTATIONAL_LABELS]
-    else:
-        builders = {
-            "elementary": qutrit.elementary_field_pulses,
-            "composite2": qutrit.composite_two_field_pulses,
-            "composite4": qutrit.composite_four_field_pulses,
-        }
-        schedule = qutrit.fields_schedule(builders[name](theta, phi))
-        basis = [qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1)]
+    schedule = gate.schedule(theta, phi, jk)
 
     truncate = cfg.get("truncate_segments")
     if truncate is not None:
         truncate = get_int(cfg, "truncate_segments")
-        if not 1 <= truncate <= len(schedule):
+        if not 1 <= truncate <= schedule.n_segments:
             raise ConfigError("truncate_segments out of range for this schedule")
-        schedule = schedule[:truncate]
-    return schedule, basis
+        schedule = linalg.Schedule(schedule.generators[:truncate], schedule.areas[:truncate])
+    return schedule, gate.subspace_basis()
 
 
 def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
@@ -328,8 +293,8 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
     theta = get_number(cfg, "theta", math.pi / 4)
     phi = get_number(cfg, "phi", 0.0)
     prefactor = get_number(cfg, "coupling_prefactor", 1.0)
-    if not math.isfinite(kappa) or kappa < 0:
-        raise ConfigError("kappa must be finite and nonnegative")
+    if kappa < 0:
+        raise ConfigError("kappa must be nonnegative")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     if n_samples < 1:
@@ -345,16 +310,10 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
     encoded = dfs.apply_collective_dephasing(schedule, psi_enc, channel, encoding, seed)
 
     psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    n_kicks = len(schedule)
+    n_kicks = schedule.n_segments
     unencoded = dfs.idle_contrast_run(psi_raw, channel, n_kicks, 3, seed + 1)
     closed_form = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks, 3)
 
-    write_csv(
-        [(kappa, encoded.mean, unencoded.mean)],
-        ("kappa", "encoded_fidelity", "unencoded_fidelity"),
-        out_dir,
-        "dfs.csv",
-    )
     outputs = {
         "encoded_mean_fidelity": encoded.mean,
         "encoded_min_fidelity": float(np.min(encoded.fidelities)),
@@ -365,6 +324,12 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
         "seed": seed,
     }
     record = make_record("dfs", cfg, outputs)
+    write_csv(
+        [(kappa, encoded.mean, unencoded.mean)],
+        ("kappa", "encoded_fidelity", "unencoded_fidelity"),
+        out_dir,
+        "dfs.csv",
+    )
     write_record(record, out_dir, "dfs_result.json")
     return record
 
@@ -413,7 +378,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateFitError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (DegenerateFitError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     summary = {k: v for k, v in record["outputs"].items() if not isinstance(v, list)}

@@ -148,26 +148,17 @@ def h2_effective(
     return h + linalg.dagger(h)
 
 
-def _h1_from_field_pulse(p: qutrit.FieldPulse, prefactor: float) -> np.ndarray:
-    # Sign and conjugation bookkeeping chosen so the encoded block matches
-    # the bare three-level generator entry for entry.
-    return h1_effective(
-        omega12_sq=p.amp0 / prefactor,
-        omega23_sq=p.amp1 / prefactor,
-        phi12=-p.phase0,
-        phi23=math.pi - p.phase1,
-        coupling_prefactor=prefactor,
-    )
+def _register_schedule(h_effective, pulse_list, prefactor: float) -> linalg.Schedule:
+    """Two-field pulses driven through a register's effective Hamiltonian.
 
-
-def _h2_from_field_pulse(p: qutrit.FieldPulse, prefactor: float) -> np.ndarray:
-    return h2_effective(
-        omega34_sq=p.amp0 / prefactor,
-        omega36_sq=p.amp1 / prefactor,
-        phi34=-p.phase0,
-        phi36=math.pi - p.phase1,
-        coupling_prefactor=prefactor,
-    )
+    Sign and conjugation bookkeeping chosen so the encoded block matches
+    the bare three-level generator entry for entry.
+    """
+    gens = [
+        h_effective(p.amp0 / prefactor, p.amp1 / prefactor, -p.phase0, math.pi - p.phase1, prefactor)
+        for p in pulse_list
+    ]
+    return linalg.Schedule(np.array(gens), [p.duration for p in pulse_list])
 
 
 def logical_composite_schedule(
@@ -175,30 +166,10 @@ def logical_composite_schedule(
     phi: float,
     model: qutrit.ErrorModel | None = None,
     coupling_prefactor: float = 1.0,
-) -> list[tuple[np.ndarray, float]]:
+) -> linalg.Schedule:
     """Eight-segment register schedule realizing the four-pulse composite."""
-    return [
-        (_h1_from_field_pulse(p, coupling_prefactor), p.duration)
-        for p in qutrit.composite_four_field_pulses(theta, phi, model)
-    ]
-
-
-def logical_composite_gate(
-    theta: float,
-    phi: float,
-    model: qutrit.ErrorModel | None = None,
-    coupling_prefactor: float = 1.0,
-) -> np.ndarray:
-    """Four-pulse composite gate on the full three-ion register."""
-    return linalg.time_ordered_product(
-        logical_composite_schedule(theta, phi, model, coupling_prefactor)
-    )
-
-
-def encoded_block(gate: np.ndarray, encoding: DfsEncoding, names) -> np.ndarray:
-    """Restriction of a register gate to named logical levels, in that order."""
-    idx = [encoding.index(n) for n in names]
-    return linalg.as_complex_matrix(gate)[np.ix_(idx, idx)]
+    pulse_list = qutrit.composite_four_field_pulses(theta, phi, model)
+    return _register_schedule(h1_effective, pulse_list, coupling_prefactor)
 
 
 def two_logical_composite_schedule(
@@ -206,12 +177,10 @@ def two_logical_composite_schedule(
     phi: float,
     model: qutrit.ErrorModel | None = None,
     coupling_prefactor: float = 1.0,
-) -> list[tuple[np.ndarray, float]]:
+) -> linalg.Schedule:
     """Four-segment six-ion schedule: the repeated elementary gate per block."""
-    return [
-        (_h2_from_field_pulse(p, coupling_prefactor), p.duration)
-        for p in qutrit.composite_two_field_pulses(theta, phi, model)
-    ]
+    pulse_list = qutrit.composite_two_field_pulses(theta, phi, model)
+    return _register_schedule(h2_effective, pulse_list, coupling_prefactor)
 
 
 def two_logical_composite_gate(
@@ -227,15 +196,7 @@ def two_logical_composite_gate(
     to the product gate -Z x Z, while generic angles give an entangling
     diagonal-block pair.
     """
-    return linalg.time_ordered_product(
-        two_logical_composite_schedule(theta, phi, model, coupling_prefactor)
-    )
-
-
-def logical_two_qubit_block(gate: np.ndarray) -> np.ndarray:
-    """4x4 logical action of a six-ion gate in the (00,01,10,11) order."""
-    enc = six_ion_encoding()
-    return encoded_block(gate, enc, ("00", "01", "10", "11"))
+    return linalg.evolve(two_logical_composite_schedule(theta, phi, model, coupling_prefactor))
 
 
 @dataclass(frozen=True)
@@ -278,11 +239,6 @@ def _collective_z(n_ions: int) -> np.ndarray:
     )
 
 
-def collective_kick(n_ions: int, phi: float) -> np.ndarray:
-    """Diagonal unitary exp(-i phi/2 * sum_i sz_i) on the register."""
-    return np.diag(np.exp(-0.5j * phi * _collective_z(n_ions)))
-
-
 @dataclass(frozen=True)
 class DephasingResult:
     fidelities: np.ndarray
@@ -300,7 +256,7 @@ class DephasingResult:
 
 
 def kicked_schedule_fidelities(
-    schedule,
+    schedule: linalg.Schedule,
     psi0,
     channel: DephasingChannel,
     rng: np.random.Generator,
@@ -308,19 +264,13 @@ def kicked_schedule_fidelities(
 ) -> DephasingResult:
     """State fidelities of kick-interleaved runs against the clean run.
 
-    One kick follows every schedule segment (an empty schedule still gets
-    one kick so an idle register is a valid experiment).  Fidelity is the
-    phase-insensitive overlap squared with the kick-free final state.
+    One kick follows every segment of an unbatched schedule.  Fidelity is
+    the phase-insensitive overlap squared with the kick-free final state.
     """
+    if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
+        raise ValueError("kicks follow one schedule, not a batch")
     psi0 = np.asarray(psi0, dtype=complex)
-    schedule = [(linalg.as_complex_matrix(g), float(a)) for g, a in schedule]
-    if schedule:
-        propagators = linalg.exponentials(
-            np.array([g for g, _ in schedule]), [a for _, a in schedule]
-        )
-    else:
-        # an empty schedule idles through one identity step, so it still takes one kick
-        propagators = [np.eye(psi0.size, dtype=complex)]
+    propagators = linalg.exponentials(schedule)
 
     clean = psi0.copy()
     for u in propagators:

@@ -54,34 +54,28 @@ class HolonomyReport:
 
 
 def trace_evolution(
-    schedule, subspace_basis, samples_per_segment: int = 128
+    schedule: linalg.Schedule, subspace_basis, samples_per_segment: int = 128
 ) -> EvolutionTrace:
-    """Propagate an orthonormal subspace basis through a schedule.
+    """Propagate an orthonormal subspace basis through an unbatched schedule.
 
-    schedule is an ordered list of (Hermitian generator, area) pairs;
-    each segment is subdivided into samples_per_segment equal-area slices
+    Each segment is subdivided into samples_per_segment equal-area slices
     and the states are stored after every slice.
     """
     n = samples_per_segment
     if n < 1:
         raise ValueError("samples_per_segment must be >= 1")
+    if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
+        raise ValueError("a trace follows one schedule, not a batch")
     basis = np.array([np.asarray(v, dtype=complex) for v in subspace_basis])
     gram = basis.conj() @ basis.T
     if linalg.frobenius_norm(gram - np.eye(len(basis))) > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
-    schedule = [(linalg.as_complex_matrix(g), float(a)) for g, a in schedule]
-    if not schedule:
-        raise ValueError("empty schedule")
-    dim = schedule[0][0].shape[0]
+    generators, areas = schedule.generators, schedule.areas
+    n_segments, dim = schedule.n_segments, generators.shape[-1]
     if basis.shape[1] != dim:
         raise ValueError("basis dimension does not match schedule generators")
-    if any(gen.shape != (dim, dim) for gen, _ in schedule):
-        raise ValueError("schedule generators differ in dimension")
 
-    n_segments = len(schedule)
-    generators = np.array([gen for gen, _ in schedule])
-    areas = np.array([area for _, area in schedule])
-    slice_steps = linalg.exponentials(generators, areas / n)
+    slice_steps = linalg.exponentials(linalg.Schedule(generators, areas / n))
     # one sequential sum of area / n per slice, as a running clock would add them
     times = np.cumsum(np.concatenate(([0.0], np.repeat(areas / n, n))))
     states = np.empty((len(basis), 1 + n_segments * n, dim), dtype=complex)

@@ -2,8 +2,9 @@
 
 Everything downstream (gates, holonomy checks, noise averaging) is built on
 plain complex ``numpy`` arrays.  Matrices are kept small (dimension cap 64,
-the six-ion register).  Every piecewise-constant evolution goes through
-``evolve``, which exponentiates a whole batch of segments at once.  Every
+the six-ion register).  Every piecewise-constant evolution is a
+``Schedule``, validated once when it is built, and goes through ``evolve``,
+which exponentiates a whole batch of segments at once.  Every
 drive generator this package builds has spectrum {0, +W, -W}, so its
 exponential has a closed form that needs no eigendecomposition; any other
 Hermitian generator falls back to ``eigh``, which keeps unitarity to machine
@@ -12,14 +13,16 @@ precision without scaling-and-squaring heuristics.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 # Largest system handled anywhere in this package is six two-level ions.
 DIM_CAP = 64
 
-DEFAULT_TOL = 1e-10
+# Largest ||g - g^H||_F / max|g_ij| a generator may have.  Relative, because
+# every generator is exponentiated after scaling to a unit largest entry.
+HERMITIAN_RTOL = 1e-12
 
 # Largest relative cube residual ||H^3 - W^2 H|| / (W^2 ||H||) (Frobenius)
 # for which evolve uses the closed-form exponential instead of eigh.  The
@@ -55,27 +58,8 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return frobenius_norm(m - dagger(m)) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return frobenius_norm(dagger(m) @ m - eye) <= tol
-
-
 def norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(v, dtype=complex)))
-
-
-def is_normalized(v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return abs(norm(v) - 1.0) <= tol
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
@@ -84,12 +68,52 @@ def _squared_norms(m: np.ndarray) -> np.ndarray:
     return (v * v).sum(axis=(-2, -1))
 
 
-def exponentials(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
-    """exp(-i g a) for a stack of Hermitian generators and areas.
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Piecewise-constant evolution: segment k runs generator k for area k.
 
-    ``generators`` has shape (k, ..., d, d), at least one batch axis, and
-    ``areas`` a shape that broadcasts against the batch shape; the result
-    has the broadcast batch shape + (d, d).
+    ``generators`` has shape (..., n, d, d) and ``areas`` (..., n); their
+    leading batch axes broadcast against each other, and segment 0 acts
+    first.  Both are stored as read-only copies once the generators are
+    found square, at most DIM_CAP wide and Hermitian to HERMITIAN_RTOL
+    relative to their largest entry, with one area per segment and at
+    least one segment.  Anything else raises ``ValueError``.
+    """
+
+    generators: np.ndarray
+    areas: np.ndarray
+
+    def __post_init__(self):
+        g = np.array(self.generators, dtype=complex, order="C")
+        a = np.array(self.areas, dtype=float)
+        if g.ndim < 3 or a.ndim < 1:
+            raise ValueError(
+                f"expected (..., n, d, d) generators and (..., n) areas, got {g.shape} and {a.shape}"
+            )
+        n, d, m = g.shape[-3:]
+        if d != m:
+            raise ValueError(f"generators must be square, got {(d, m)}")
+        if d > DIM_CAP:
+            raise ValueError(f"dimension {d} exceeds cap {DIM_CAP}")
+        if n == 0 or a.shape[-1] != n:
+            raise ValueError(f"need at least one segment and one area each, got {n} and {a.shape[-1]}")
+        np.broadcast_shapes(g.shape[:-3], a.shape[:-1])  # the batch axes must broadcast
+        h = g / np.maximum(np.abs(g).max(axis=(-2, -1)), _TINY)[..., None, None]
+        if not (_squared_norms(h - h.conj().swapaxes(-1, -2)) <= HERMITIAN_RTOL**2).all():
+            raise ValueError("generator is not Hermitian within tolerance")
+        g.flags.writeable = a.flags.writeable = False
+        object.__setattr__(self, "generators", g)
+        object.__setattr__(self, "areas", a)
+
+    @property
+    def n_segments(self) -> int:
+        return self.generators.shape[-3]
+
+
+def exponentials(schedule: Schedule) -> np.ndarray:
+    """exp(-i g_k a_k) for every segment of a schedule, unmultiplied.
+
+    The result has the broadcast batch shape + (n, d, d).
 
     With W^2 = ||H^2||_F^2 / ||H||_F^2, a generator with H^3 = W^2 H has
     the closed form exp(-iHt) = I - i sin(Wt) H/W - 2 sin^2(Wt/2) H^2/W^2
@@ -98,21 +122,8 @@ def exponentials(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
     multiplicity, where tr(H^2)/2 holds only for a single +-W pair.  A zero
     generator gives exactly I.  Every generator whose cube residual
     exceeds CUBE_RTOL is exponentiated by ``eigh`` instead.
-
-    Raises ``ValueError`` for non-square or over-cap generators, or one
-    that is not Hermitian within the absolute Frobenius tolerance ``tol``.
     """
-    g = np.ascontiguousarray(generators, dtype=complex)
-    a = np.asarray(areas, dtype=float)
-    if g.ndim < 3:
-        raise ValueError(f"expected a stack of matrices, got array of ndim {g.ndim}")
-    n, m = g.shape[-2:]
-    if n != m:
-        raise ValueError(f"generator must be square, got {(n, m)}")
-    if n > DIM_CAP:
-        raise ValueError(f"dimension {n} exceeds cap {DIM_CAP}")
-    if not (_squared_norms(g - g.conj().swapaxes(-1, -2)) <= tol * tol).all():
-        raise ValueError("generator is not Hermitian within tolerance")
+    g, a = schedule.generators, schedule.areas
     # Scaled to a largest entry of 1, with the areas carrying the scale, the
     # powers and squared norms below can neither overflow nor underflow.
     scale = np.maximum(np.abs(g).max(axis=(-2, -1)), _TINY)
@@ -127,7 +138,7 @@ def exponentials(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
     wt = w * t
     steps = (-1j / w * np.sin(wt))[..., None, None] * h
     steps += (-2.0 / w2 * np.sin(0.5 * wt) ** 2)[..., None, None] * h2
-    steps += np.eye(n)
+    steps += np.eye(g.shape[-1])
     if not closed.all():
         fallback = np.broadcast_to(~closed, steps.shape[:-2])
         vals, vecs = np.linalg.eigh(np.broadcast_to(h, steps.shape)[fallback])
@@ -136,26 +147,14 @@ def exponentials(generators, areas, *, tol: float = 1e-12) -> np.ndarray:
     return steps
 
 
-def evolve(generators, areas) -> np.ndarray:
-    """Time-ordered product of exp(-i g_k a_k) over a batch of schedules.
+def evolve(schedule: Schedule) -> np.ndarray:
+    """Time-ordered product exp(-i g_n a_n) ... exp(-i g_1 a_1) of a schedule.
 
-    ``generators`` has shape (..., n_seg, d, d) and ``areas`` (..., n_seg);
-    their leading batch axes broadcast against each other.  Segment 0 acts
-    first, so each result is exp(-i g_n a_n) ... exp(-i g_1 a_1), and the
-    return value has the broadcast batch shape + (d, d).  Every segment is
-    exponentiated in one ``exponentials`` call, whose checks apply; an empty
-    schedule raises ``ValueError``.
+    Every segment of every batch entry is exponentiated in one
+    ``exponentials`` call; the result has the broadcast batch shape +
+    (d, d).
     """
-    g = np.asarray(generators)
-    a = np.asarray(areas)
-    if g.ndim < 3 or a.ndim < 1:
-        raise ValueError(
-            f"expected (..., n_seg, d, d) generators and (..., n_seg) areas, "
-            f"got {g.shape} and {a.shape}"
-        )
-    if g.shape[-3] == 0 or a.shape[-1] == 0:
-        raise ValueError("empty schedule")
-    steps = exponentials(g, a)
+    steps = exponentials(schedule)
     # pairwise products keep time order: later slice on the left
     while steps.shape[-3] > 1:
         k = steps.shape[-3]
@@ -164,35 +163,10 @@ def evolve(generators, areas) -> np.ndarray:
     return steps[..., 0, :, :]
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0, *, tol: float = 1e-12) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(-i*h*t) for one Hermitian generator ``h``, by ``exponentials``.
 
     ``t`` is the evolution duration (or pulse area when ``h`` carries a unit
-    envelope).  Raises ``ValueError`` for non-square, non-Hermitian, or
-    over-cap input.
+    envelope).  Raises ``ValueError`` for input ``Schedule`` rejects.
     """
-    return exponentials(as_complex_matrix(h)[None], t, tol=tol)[0]
-
-
-def time_ordered_product(
-    segments: Sequence[tuple[np.ndarray, float]], dim: int | None = None
-) -> np.ndarray:
-    """Product of segment evolutions, later segments applied on the left.
-
-    ``segments`` is an ordered list of (Hermitian generator, area) pairs;
-    the first entry acts first in time, so the result is
-    ``exp(-i g_n a_n) ... exp(-i g_1 a_1)``.  An empty list yields the
-    identity, in which case ``dim`` must be given.
-    """
-    segments = list(segments)
-    if not segments:
-        if dim is None:
-            raise ValueError("empty schedule needs an explicit dimension")
-        return np.eye(dim, dtype=complex)
-    gens = [as_complex_matrix(gen) for gen, _ in segments]
-    if dim is None:
-        dim = gens[0].shape[0]
-    for gen in gens:
-        if gen.shape != (dim, dim):
-            raise ValueError(f"segment dimension mismatch: {gen.shape} vs {(dim, dim)}")
-    return evolve(np.array(gens), [float(area) for _, area in segments])
+    return exponentials(Schedule(as_complex_matrix(h)[None], [t]))[0]

@@ -44,6 +44,19 @@ class PulseSegment:
             raise ValueError("steps must be >= 1")
 
 
+def default_segments(envelope: str = "square", steps: int | None = None):
+    """The area-pi/2 segment pair of an elementary gate: drive phase pi/2, then 0."""
+    if steps is None:
+        steps = 1 if envelope == "square" else 32
+    return tuple(
+        PulseSegment(area=math.pi / 2, phi0=phi0, envelope=envelope, steps=steps)
+        for phi0 in (math.pi / 2, 0.0)
+    )
+
+
+DEFAULT_SEGMENTS = default_segments()
+
+
 def elementary_segments(segments) -> tuple[PulseSegment, PulseSegment]:
     """Check the two nominal area-pi/2 segments of an elementary gate."""
     segments = tuple(segments)
@@ -78,15 +91,14 @@ def slice_areas(segment: PulseSegment) -> np.ndarray:
     return areas
 
 
-def slice_schedule(generators, segments, stretch=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Every envelope slice of a segment list, as ``linalg.evolve`` input.
+def slice_schedule(generators, segments, stretch=1.0) -> linalg.Schedule:
+    """Every envelope slice of a segment list, as one schedule.
 
     ``generators`` has shape (..., n_segments, d, d), one unit-envelope
     generator per segment, with optional leading batch axes.  Each segment
     contributes ``segment.steps`` slices that repeat its generator, with
     the areas of ``slice_areas`` times ``stretch`` (a scalar or an array
     over the batch axes, as an envelope-strength error scales them).
-    Returns generators (..., n_slices, d, d) and areas (..., n_slices).
     """
     segments = tuple(segments)
     gens = np.asarray(generators)
@@ -94,22 +106,4 @@ def slice_schedule(generators, segments, stretch=1.0) -> tuple[np.ndarray, np.nd
         raise ValueError(f"need one generator per segment, got {gens.shape} for {len(segments)}")
     gens = np.repeat(gens, [seg.steps for seg in segments], axis=-3)
     areas = np.concatenate([slice_areas(seg) for seg in segments])
-    return gens, np.asarray(stretch, dtype=float)[..., None] * areas
-
-
-def segment_unitary(generator: np.ndarray, segment: PulseSegment) -> np.ndarray:
-    """Evolution under a fixed unit-envelope generator for one segment.
-
-    All slice exponentials come from one ``linalg.evolve`` call, which
-    multiplies the slices in time order.
-    """
-    return linalg.evolve(*slice_schedule(np.asarray(generator)[None], (segment,)))
-
-
-def schedule_unitary(schedule) -> np.ndarray:
-    """Left-multiplied product over an ordered (generator, PulseSegment) list."""
-    schedule = list(schedule)
-    if not schedule:
-        raise ValueError("empty schedule")
-    gens = np.array([linalg.as_complex_matrix(gen) for gen, _ in schedule])
-    return linalg.evolve(*slice_schedule(gens, [seg for _, seg in schedule]))
+    return linalg.Schedule(gens, np.asarray(stretch, dtype=float)[..., None] * areas)

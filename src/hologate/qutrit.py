@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pulses
-from .pulses import PulseSegment
+from .pulses import DEFAULT_SEGMENTS
 
 DIM = 3
 IDX_0, IDX_1, IDX_E = 0, 1, 2
@@ -115,18 +115,12 @@ def hamiltonian(frame: BrightDarkFrame, omega: float, phi0: float) -> np.ndarray
     return omega * drive_generators(frame.theta, frame.phi, phi0)
 
 
-def two_field_hamiltonian(
-    amp0: float, phase0: float, amp1: float, phase1: float
-) -> np.ndarray:
+def field_hamiltonian(pulse: FieldPulse) -> np.ndarray:
     """Hamiltonian with independent amplitudes on the two couplings."""
     h = np.zeros((DIM, DIM), dtype=complex)
-    h[IDX_0, IDX_E] = amp0 * np.exp(1j * phase0)
-    h[IDX_1, IDX_E] = amp1 * np.exp(1j * phase1)
+    h[IDX_0, IDX_E] = pulse.amp0 * np.exp(1j * pulse.phase0)
+    h[IDX_1, IDX_E] = pulse.amp1 * np.exp(1j * pulse.phase1)
     return h + linalg.dagger(h)
-
-
-def field_hamiltonian(pulse: FieldPulse) -> np.ndarray:
-    return two_field_hamiltonian(pulse.amp0, pulse.phase0, pulse.amp1, pulse.phase1)
 
 
 def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, float]:
@@ -146,22 +140,6 @@ def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, floa
     return eps, theta_prime
 
 
-DEFAULT_SEGMENTS = (
-    PulseSegment(area=HALF_PI, phi0=HALF_PI),
-    PulseSegment(area=HALF_PI, phi0=0.0),
-)
-
-
-def default_segments(envelope: str = "square", steps: int | None = None):
-    """The standard area-pi/2 segment pair under a chosen envelope."""
-    if steps is None:
-        steps = 1 if envelope == "square" else 32
-    return (
-        PulseSegment(area=HALF_PI, phi0=HALF_PI, envelope=envelope, steps=steps),
-        PulseSegment(area=HALF_PI, phi0=0.0, envelope=envelope, steps=steps),
-    )
-
-
 def error_gates(
     frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
@@ -178,7 +156,7 @@ def error_gates(
     ).reshape(-1, 2)
     phi0 = np.array([seg.phi0 for seg in segments])
     gens = drive_generators(params[:, 1, None], frame.phi, phi0)
-    return linalg.evolve(*pulses.slice_schedule(gens, segments, 1.0 + params[:, 0]))
+    return linalg.evolve(pulses.slice_schedule(gens, segments, 1.0 + params[:, 0]))
 
 
 def elementary_gate(
@@ -225,11 +203,7 @@ def elementary_gate_direct(
     Companion route to ``elementary_gate_with_error``; the two must agree
     because the reparametrization is an exact algebraic identity.
     """
-    schedule = [
-        (field_hamiltonian(p), p.duration)
-        for p in elementary_field_pulses(frame.theta, frame.phi, model)
-    ]
-    return linalg.time_ordered_product(schedule)
+    return linalg.evolve(fields_schedule(elementary_field_pulses(frame.theta, frame.phi, model)))
 
 
 def composite_two_gates(
@@ -289,9 +263,11 @@ def composite_four_field_pulses(
     )
 
 
-def fields_schedule(pulse_list) -> list[tuple[np.ndarray, float]]:
-    """(generator, duration) pairs ready for evolution or holonomy tracing."""
-    return [(field_hamiltonian(p), p.duration) for p in pulse_list]
+def fields_schedule(pulse_list) -> linalg.Schedule:
+    """The two-field pulses in time order, ready for evolution or holonomy tracing."""
+    return linalg.Schedule(
+        np.array([field_hamiltonian(p) for p in pulse_list]), [p.duration for p in pulse_list]
+    )
 
 
 def logical_rotation_target(theta: float, phi: float) -> np.ndarray:

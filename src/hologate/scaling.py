@@ -9,14 +9,12 @@ log-log fit is the measured order.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, qutrit, two_qubit
-
-GATE_KINDS = ("single", "composite2", "composite4", "twoqubit_single", "twoqubit_composite")
-ERROR_MODES = ("common", "differential", "single_field", "two_qubit")
 
 # Below this the infidelity is double-precision noise, not physics.
 INFIDELITY_FLOOR = 1e-14
@@ -50,12 +48,81 @@ def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Gate:
+    """One gate of the scheme, as the CLI and the sweeps use it.
+
+    build(theta, phi, jk, models, segments) makes one gate per error model
+    (None for ideal) in one batched evolution; schedule(theta, phi, jk) is
+    what check-holonomy certifies on the span of the ``subspace`` levels.
+    ``error_modes`` maps a sweep mode to the ``error_model`` of one eps;
+    three-level gates also report the rotated (excited, bright, dark) frame.
+    """
+
+    build: Callable[..., np.ndarray]
+    schedule: Callable[[float, float, str], linalg.Schedule]
+    labels: tuple[str, ...]
+    subspace: tuple[str, ...]
+    error_model: type
+    error_modes: dict[str, Callable[[float], object]]
+    rotated_frame: bool
+
+    def subspace_basis(self) -> np.ndarray:
+        return np.eye(len(self.labels), dtype=complex)[[self.labels.index(s) for s in self.subspace]]
+
+
+QUTRIT_MODES = {
+    "common": lambda eps: qutrit.ErrorModel(eps, eps),
+    "differential": lambda eps: qutrit.ErrorModel(eps, -eps),
+    "single_field": lambda eps: qutrit.ErrorModel(eps, 0.0),
+}
+
+
+def _qutrit_gate(build, field_pulses) -> Gate:
+    return Gate(
+        build=lambda theta, phi, jk, models, segments: build(
+            qutrit.BrightDarkFrame(theta, phi), models, segments
+        ),
+        schedule=lambda theta, phi, jk: qutrit.fields_schedule(field_pulses(theta, phi)),
+        labels=qutrit.BASIS_LABELS,
+        subspace=("0", "1"),
+        error_model=qutrit.ErrorModel,
+        error_modes=QUTRIT_MODES,
+        rotated_frame=True,
+    )
+
+
+def _two_qubit_gate(build, repeats: int) -> Gate:
+    return Gate(
+        build=lambda theta, phi, jk, models, segments: build(jk, models, segments),
+        schedule=lambda theta, phi, jk: two_qubit.gate_schedule(
+            jk, None, two_qubit.DEFAULT_SEGMENTS * repeats
+        ),
+        labels=two_qubit.LABELS,
+        subspace=two_qubit.COMPUTATIONAL_LABELS,
+        error_model=two_qubit.TwoQubitErrorModel,
+        error_modes={"two_qubit": two_qubit.TwoQubitErrorModel},
+        rotated_frame=False,
+    )
+
+
+GATES = {
+    "elementary": _qutrit_gate(qutrit.error_gates, qutrit.elementary_field_pulses),
+    "composite2": _qutrit_gate(qutrit.composite_two_gates, qutrit.composite_two_field_pulses),
+    "composite4": _qutrit_gate(qutrit.composite_four_gates, qutrit.composite_four_field_pulses),
+    "twoqubit_elementary": _two_qubit_gate(two_qubit.error_gates, 1),
+    "twoqubit_composite": _two_qubit_gate(two_qubit.composite_gates, 2),
+}
+# aliases: sweeps have always called the elementary gates "single"
+GATES["single"] = GATES["elementary"]
+GATES["twoqubit_single"] = GATES["twoqubit_elementary"]
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     """One error sweep: which gate, which error channel, which grid.
 
-    error_mode fixes how a single scalar eps feeds the error model:
-    common (eps0 = eps1 = eps), differential (eps0 = eps = -eps1),
-    single_field (eps0 = eps, eps1 = 0), two_qubit (eps_jk = eps).
+    error_mode names one of the gate's ``error_modes``, which fixes how a
+    single scalar eps feeds the error model.
     """
 
     gate_kind: str
@@ -66,20 +133,17 @@ class SweepSpec:
     jk: str = "11"
 
     def __post_init__(self):
-        if self.gate_kind not in GATE_KINDS:
+        if self.gate_kind not in GATES:
             raise ValueError(f"unknown gate kind {self.gate_kind!r}")
-        if self.error_mode not in ERROR_MODES:
-            raise ValueError(f"unknown error mode {self.error_mode!r}")
+        if self.error_mode not in GATES[self.gate_kind].error_modes:
+            raise ValueError(
+                f"error mode {self.error_mode!r} does not fit gate kind {self.gate_kind!r}"
+            )
         eps = tuple(self.epsilons)
         if not eps or not all(0 < e < 1 for e in eps):
             raise ValueError("epsilons must be a nonempty list of values in (0, 1)")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly increasing")
-        two_qubit_kind = self.gate_kind.startswith("twoqubit")
-        if two_qubit_kind != (self.error_mode == "two_qubit"):
-            raise ValueError(
-                f"error mode {self.error_mode!r} does not fit gate kind {self.gate_kind!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -100,40 +164,17 @@ def default_epsilon_grid(points: int = 12) -> tuple[float, ...]:
     return tuple(float(e) for e in np.logspace(-3.0, -1.5, points))
 
 
-def one_qubit_model(mode: str, eps: float) -> qutrit.ErrorModel:
-    if mode == "common":
-        return qutrit.ErrorModel(eps, eps)
-    if mode == "differential":
-        return qutrit.ErrorModel(eps, -eps)
-    if mode == "single_field":
-        return qutrit.ErrorModel(eps, 0.0)
-    raise ValueError(f"{mode!r} is not a one-qubit error mode")
-
-
 def sweep_gates(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ideal gate and the error-affected gate at every sweep point.
 
     Every gate, the ideal (no error model) first, comes from one call of
-    the gate module's batched builder, the one its single-gate builder
-    calls with one model, so the grid shares its evolutions.  Returns
-    (ideal (d, d), actual (n_eps, d, d)).
+    the gate's batched builder, so the grid shares its evolutions.
+    Returns (ideal (d, d), actual (n_eps, d, d)).
     """
-    if spec.gate_kind.startswith("twoqubit"):
-        models = [None] + [two_qubit.TwoQubitErrorModel(eps) for eps in spec.epsilons]
-        if spec.gate_kind == "twoqubit_single":
-            gates = two_qubit.error_gates(spec.jk, models)
-        else:
-            gates = two_qubit.composite_gates(spec.jk, models)
-        return gates[0], gates[1:]
-
-    frame = qutrit.BrightDarkFrame(spec.theta, spec.phi)
-    models = [None] + [one_qubit_model(spec.error_mode, eps) for eps in spec.epsilons]
-    if spec.gate_kind == "single":
-        gates = qutrit.error_gates(frame, models)
-    elif spec.gate_kind == "composite2":
-        gates = qutrit.composite_two_gates(frame, models)
-    else:
-        gates = qutrit.composite_four_gates(frame, models)
+    gate = GATES[spec.gate_kind]
+    mode = gate.error_modes[spec.error_mode]
+    models = [None] + [mode(eps) for eps in spec.epsilons]
+    gates = gate.build(spec.theta, spec.phi, spec.jk, models, qutrit.DEFAULT_SEGMENTS)
     return gates[0], gates[1:]
 
 
@@ -172,22 +213,6 @@ def fit_power_law(samples) -> ScalingFit:
 
 def run_sweep(spec: SweepSpec) -> ScalingFit:
     return fit_power_law(sweep_samples(spec))
-
-
-def order_ratio_test(gate_builder, eps: float) -> float:
-    """infidelity(eps) / infidelity(eps/2); near 2^n for an order-n law.
-
-    ``gate_builder`` maps a scalar error to a gate matrix; the ideal
-    reference is the zero-error gate.
-    """
-    if eps < 1e-7:
-        raise DegenerateFitError("eps too small, infidelities would sit at the floor")
-    ideal = gate_builder(0.0)
-    infid_full = gate_fidelity(ideal, gate_builder(eps)).infidelity
-    infid_half = gate_fidelity(ideal, gate_builder(eps / 2.0)).infidelity
-    if infid_full <= INFIDELITY_FLOOR or infid_half <= INFIDELITY_FLOOR:
-        raise DegenerateFitError("infidelity at the floating-point floor")
-    return infid_full / infid_half
 
 
 def residual_norm_ratio(frame: qutrit.BrightDarkFrame, eps: float) -> float:

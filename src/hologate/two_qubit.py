@@ -13,20 +13,17 @@ bright-angle tilt, so the repetition alone cancels the leading error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, pulses
-from .pulses import PulseSegment
+from .pulses import DEFAULT_SEGMENTS
 
 DIM = 5
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 ANCILLA_LABEL = "a"
 LABELS = COMPUTATIONAL_LABELS + (ANCILLA_LABEL,)
-
-HALF_PI = math.pi / 2
 
 
 def label_index(label: str) -> int:
@@ -53,30 +50,6 @@ class TwoQubitErrorModel:
             raise ValueError(f"|eps_jk| must be < 1, got {self.eps_jk}")
 
 
-def coupling_hamiltonian(
-    jk: str,
-    lm: str,
-    omega_jk: float,
-    phi_jk: float,
-    omega_lm: float,
-    phi_lm: float,
-) -> np.ndarray:
-    """Drive coupling two computational states to the ancilla.
-
-    Returns Omega_jk e^{i phi_jk} |jk><a| + Omega_lm e^{i phi_lm} |lm><a|
-    plus Hermitian conjugate.
-    """
-    if jk not in COMPUTATIONAL_LABELS or lm not in COMPUTATIONAL_LABELS:
-        raise ValueError("jk and lm must be computational labels")
-    if jk == lm:
-        raise ValueError("jk and lm must differ")
-    a = label_index(ANCILLA_LABEL)
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[label_index(jk), a] = omega_jk * np.exp(1j * phi_jk)
-    h[label_index(lm), a] = omega_lm * np.exp(1j * phi_lm)
-    return h + linalg.dagger(h)
-
-
 def segment_generator(jk: str, phi0: float) -> np.ndarray:
     """Single-field generator e^{i phi0}|jk><a| + h.c. at unit envelope."""
     if jk not in COMPUTATIONAL_LABELS:
@@ -87,18 +60,16 @@ def segment_generator(jk: str, phi0: float) -> np.ndarray:
     return h + linalg.dagger(h)
 
 
-DEFAULT_SEGMENTS = (
-    PulseSegment(area=HALF_PI, phi0=HALF_PI),
-    PulseSegment(area=HALF_PI, phi0=0.0),
-)
-
-
 def gate_schedule(
     jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
-) -> list[tuple[np.ndarray, float]]:
-    """(generator, area) pairs for one elementary gate, first in time first."""
+) -> linalg.Schedule:
+    """One schedule segment per pulse segment, first in time first.
+
+    The error model stretches every area by 1 + eps_jk.
+    """
     stretch = 1.0 + (model.eps_jk if model else 0.0)
-    return [(segment_generator(jk, seg.phi0), stretch * seg.area) for seg in segments]
+    gens = np.array([segment_generator(jk, seg.phi0) for seg in segments])
+    return linalg.Schedule(gens, [stretch * seg.area for seg in segments])
 
 
 def error_gates(jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
@@ -110,7 +81,7 @@ def error_gates(jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
     segments = pulses.elementary_segments(segments)
     stretch = np.array([1.0 + (m.eps_jk if m else 0.0) for m in models])
     gens = np.stack([segment_generator(jk, seg.phi0) for seg in segments])
-    return linalg.evolve(*pulses.slice_schedule(gens, segments, stretch))
+    return linalg.evolve(pulses.slice_schedule(gens, segments, stretch))
 
 
 def elementary_gate(
@@ -131,47 +102,3 @@ def composite_gate(
 ) -> np.ndarray:
     """Repeated elementary gate; ideal value flips the sign of |jk> and |a>."""
     return composite_gates(jk, (model,), segments)[0]
-
-
-def ideal_elementary(jk: str) -> np.ndarray:
-    u = np.eye(DIM, dtype=complex)
-    u[label_index(jk), label_index(jk)] = 1j
-    u[DIM - 1, DIM - 1] = -1j
-    return u
-
-
-def ideal_composite(jk: str) -> np.ndarray:
-    u = np.eye(DIM, dtype=complex)
-    u[label_index(jk), label_index(jk)] = -1.0
-    u[DIM - 1, DIM - 1] = -1.0
-    return u
-
-
-def computational_block(gate: np.ndarray) -> np.ndarray:
-    """Restriction of a five-level gate to the computational span."""
-    gate = linalg.as_complex_matrix(gate)
-    if gate.shape != (DIM, DIM):
-        raise ValueError(f"expected a {DIM}x{DIM} gate, got {gate.shape}")
-    return gate[:4, :4]
-
-
-def operator_schmidt_values(gate: np.ndarray) -> np.ndarray:
-    """Singular values of the qubit-qubit realignment of a 4x4 operator."""
-    g = linalg.as_complex_matrix(gate)
-    if g.shape != (4, 4):
-        raise ValueError("expected a 4x4 operator")
-    realigned = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    return np.linalg.svd(realigned, compute_uv=False)
-
-
-def entangling_power_check(gate: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff a 4x4 unitary is not a tensor product of one-qubit gates.
-
-    Decided by the operator Schmidt rank: a product gate realigns to a
-    rank-one matrix, anything entangling needs at least two terms.
-    """
-    g = linalg.as_complex_matrix(gate)
-    if g.shape != (4, 4) or not linalg.is_unitary(g, 1e-8):
-        raise ValueError("entangling check expects a 4x4 unitary")
-    values = operator_schmidt_values(g)
-    return int(np.sum(values > tol)) > 1

@@ -13,6 +13,9 @@ in 30-digit arithmetic as a reference for those loops.
 import mpmath
 import numpy as np
 
+# Below this an infidelity is double-precision noise, not physics.
+INFIDELITY_FLOOR = 1e-14
+
 # Average fidelity of an idle three-ion register initialized in
 # (|000> + |100>)/sqrt(2) under 8 independent uniform(-0.5, 0.5)
 # collective kicks: 1/2 + 1/2 * (sin(0.5)/0.5)^8, evaluated once with
@@ -179,3 +182,81 @@ def projector_residual_curve(states) -> np.ndarray:
     return np.array(
         [np.linalg.norm(projector(*states[:, i, :]) - p0) for i in range(states.shape[1])]
     )
+
+
+def schedule_pairs(schedule) -> list:
+    """(generator, area) pairs of an unbatched schedule, first segment first.
+
+    Works on anything with ``generators`` (n, d, d) and ``areas`` (n,), so
+    the references here take plain lists of pairs.
+    """
+    return list(zip(schedule.generators, schedule.areas))
+
+
+def is_unitary(m, tol: float = 1e-10) -> bool:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
+
+
+TWO_QUBIT_LABELS = ("00", "01", "10", "11")
+
+
+def ideal_two_qubit_elementary(jk: str) -> np.ndarray:
+    """Elementary gate on the five-level model: i on |jk>, -i on the ancilla (last)."""
+    u = np.eye(5, dtype=complex)
+    u[TWO_QUBIT_LABELS.index(jk), TWO_QUBIT_LABELS.index(jk)] = 1j
+    u[4, 4] = -1j
+    return u
+
+
+def ideal_two_qubit_composite(jk: str) -> np.ndarray:
+    """The elementary gate squared: -1 on |jk> and on the ancilla."""
+    u = np.eye(5, dtype=complex)
+    u[TWO_QUBIT_LABELS.index(jk), TWO_QUBIT_LABELS.index(jk)] = -1.0
+    u[4, 4] = -1.0
+    return u
+
+
+def operator_schmidt_values(gate) -> np.ndarray:
+    """Singular values of the qubit-qubit realignment of a 4x4 operator."""
+    g = np.asarray(gate, dtype=complex)
+    if g.shape != (4, 4):
+        raise ValueError("expected a 4x4 operator")
+    realigned = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return np.linalg.svd(realigned, compute_uv=False)
+
+
+def entangling_power_check(gate, tol: float = 1e-8) -> bool:
+    """True iff a 4x4 unitary is not a tensor product of one-qubit gates.
+
+    Decided by the operator Schmidt rank: a product gate realigns to a
+    rank-one matrix, anything entangling needs at least two terms.
+    """
+    g = np.asarray(gate, dtype=complex)
+    if g.shape != (4, 4) or not is_unitary(g, 1e-8):
+        raise ValueError("entangling check expects a 4x4 unitary")
+    return int(np.sum(operator_schmidt_values(g) > tol)) > 1
+
+
+def order_ratio(gate_builder, eps: float) -> float:
+    """infidelity(eps) / infidelity(eps/2); near 2^n for an order-n law.
+
+    ``gate_builder`` maps a scalar error to a gate matrix; the ideal
+    reference is the zero-error gate, and the infidelity is
+    1 - |Tr(U^dag V)| / Tr(U^dag U).  Raises ``ValueError`` when either
+    infidelity sits at the floating-point floor.
+    """
+    ideal = np.asarray(gate_builder(0.0), dtype=complex)
+
+    def infidelity(e):
+        overlap = abs(np.vdot(ideal, np.asarray(gate_builder(e), dtype=complex)))
+        return 1.0 - overlap / np.vdot(ideal, ideal).real
+
+    if eps < 1e-7:
+        raise ValueError("eps too small, infidelities would sit at the floor")
+    full, half = infidelity(eps), infidelity(eps / 2.0)
+    if full <= INFIDELITY_FLOOR or half <= INFIDELITY_FLOOR:
+        raise ValueError("infidelity at the floating-point floor")
+    return full / half

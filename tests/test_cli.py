@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hologate import cli
+from hologate import cli, scaling
 
 
 def write_cfg(tmp_path, name, payload):
@@ -361,6 +362,62 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"n_samples": 10})
     assert run(["dfs", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
     assert not (tmp_path / "dfs.csv").exists()
+    capsys.readouterr()
+
+
+# the kick phases overflow on purpose here, and numpy says so
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "payload", [{"kappa": 1e308}, {"kappa": 1e308, "distribution": "gaussian"}]
+)
+def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
+    cfg = write_cfg(tmp_path, "c.json", dict(payload, n_samples=50))
+    out = tmp_path / "out"
+    assert run(["dfs", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ALL_ERROR_MODES = {mode for gate in scaling.GATES.values() for mode in gate.error_modes}
+
+
+@pytest.mark.parametrize("name", sorted(scaling.GATES))
+def test_every_gate_name_runs_through_the_cli(tmp_path, capsys, name):
+    gate = scaling.GATES[name]
+    angles = {"theta": 0.7, "phi": 0.3, "jk": "01"}
+    error = {f.name: 0.03 for f in dataclasses.fields(gate.error_model)}
+    matrices = {}
+    for with_error in (False, True):
+        for envelope in ("square", "sine_squared"):
+            payload = dict(angles, gate=name, envelope=envelope)
+            if with_error:
+                payload["error"] = error
+            out = tmp_path / f"gate_{with_error}_{envelope}"
+            assert run(["gate", "--config", write_cfg(tmp_path, "g.json", payload), "--out", str(out)]) == 0
+            outputs = load_record(out, "gate_result.json")["outputs"]
+            assert outputs["basis"] == list(gate.labels)
+            assert outputs["within_tolerance"] is not with_error
+            assert ("matrix_frame_basis" in outputs) is gate.rotated_frame
+            matrices[with_error, envelope] = payload_to_matrix(outputs["matrix"])
+        gap = matrices[with_error, "square"] - matrices[with_error, "sine_squared"]
+        assert np.max(np.abs(gap)) < 1e-9
+
+    holonomy = dict(angles, schedule=name, samples_per_segment=32)
+    assert run(["check-holonomy", "--config", write_cfg(tmp_path, "h.json", holonomy)]
+               + ["--out", str(tmp_path / "whole")]) == 0
+    whole = load_record(tmp_path / "whole", "holonomy_result.json")["outputs"]
+    assert whole["passed"] is True
+    cut = dict(holonomy, truncate_segments=whole["n_segments"] - 1)
+    assert run(["check-holonomy", "--config", write_cfg(tmp_path, "t.json", cut)]
+               + ["--out", str(tmp_path / "cut")]) == 0
+    assert load_record(tmp_path / "cut", "holonomy_result.json")["outputs"]["passed"] is False
+
+    for mode in sorted(ALL_ERROR_MODES):
+        sweep = dict(angles, gate_kind=name, error_mode=mode, epsilons={"points": 4})
+        out = tmp_path / f"sweep_{mode}"
+        code = run(["sweep", "--config", write_cfg(tmp_path, "s.json", sweep), "--out", str(out)])
+        assert code == (0 if mode in gate.error_modes else 2)
+        assert (out / "sweep.csv").exists() is (code == 0)
     capsys.readouterr()
 
 

@@ -3,14 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from hologate import dfs, linalg, qutrit, two_qubit
+from hologate import dfs, linalg, qutrit
 from hologate.dfs import DephasingChannel, DfsEncoding
 from hologate.qutrit import BrightDarkFrame, ErrorModel
 
-from oracles import CONTRAST_UNIFORM_HALF_8_KICKS, kicked_fidelities_loop
+from oracles import (
+    CONTRAST_UNIFORM_HALF_8_KICKS,
+    entangling_power_check,
+    is_unitary,
+    kicked_fidelities_loop,
+)
 
 ENC3 = dfs.three_ion_encoding()
 ENC6 = dfs.six_ion_encoding()
+
+
+def encoded_block(gate, encoding, names):
+    """Restriction of a register matrix to named logical levels, in that order."""
+    idx = [encoding.index(n) for n in names]
+    return gate[np.ix_(idx, idx)]
+
+
+def logical_composite_gate(*args):
+    return linalg.evolve(dfs.logical_composite_schedule(*args))
 
 
 def plus_state(encoding, a, b):
@@ -54,7 +69,7 @@ def test_membership_verdicts():
 
 def test_h1_support_is_the_encoded_star():
     h = dfs.h1_effective(1.0, 1.0, 0.3, 0.7)
-    assert linalg.is_hermitian(h)
+    assert np.array_equal(h, h.conj().T)
     assert np.count_nonzero(h) == 4
     live = {ENC3.index("0"), ENC3.index("1"), ENC3.index("a")}
     for i in range(8):
@@ -72,7 +87,7 @@ def test_h1_rejects_bad_prefactor():
 
 def test_h2_has_no_cross_block_elements():
     h = dfs.h2_effective(1.1, 0.9, 0.2, 0.5)
-    assert linalg.is_hermitian(h)
+    assert np.array_equal(h, h.conj().T)
     block_a = [ENC6.index(n) for n in ("00", "01", "a1")]
     block_b = [ENC6.index(n) for n in ("10", "11", "a2")]
     for i in block_a:
@@ -87,18 +102,21 @@ def test_h2_has_no_cross_block_elements():
 
 def test_effective_coupling_reproduces_bare_three_level_generator():
     # unit prefactor: entries must agree exactly, not just to tolerance
-    for pulse in qutrit.elementary_field_pulses(0.8, 1.1, ErrorModel(0.05, -0.02)):
-        bare = qutrit.field_hamiltonian(pulse)
-        embedded = dfs._h1_from_field_pulse(pulse, 1.0)
-        block = dfs.encoded_block(embedded, ENC3, ("0", "1", "a"))
-        assert linalg.frobenius_distance(block, bare) < 1e-15
+    model = ErrorModel(0.05, -0.02)
+    bare = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 1.1, model))
+    register = dfs.logical_composite_schedule(0.8, 1.1, model)
+    assert np.array_equal(register.areas, bare.areas)
+    for embedded, gen in zip(register.generators, bare.generators):
+        block = encoded_block(embedded, ENC3, ("0", "1", "a"))
+        assert linalg.frobenius_distance(block, gen) < 1e-15
 
 
 def test_opaque_prefactor_cancels_in_the_block():
-    pulse = qutrit.elementary_field_pulses(0.8, 1.1)[0]
-    bare = qutrit.field_hamiltonian(pulse)
-    block = dfs.encoded_block(dfs._h1_from_field_pulse(pulse, 0.7), ENC3, ("0", "1", "a"))
-    assert linalg.frobenius_distance(block, bare) < 1e-12
+    bare = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 1.1))
+    register = dfs.logical_composite_schedule(0.8, 1.1, None, 0.7)
+    for embedded, gen in zip(register.generators, bare.generators):
+        block = encoded_block(embedded, ENC3, ("0", "1", "a"))
+        assert linalg.frobenius_distance(block, gen) < 1e-12
 
 
 def complement_is_identity(gate, encoding):
@@ -113,15 +131,15 @@ def complement_is_identity(gate, encoding):
 
 
 def test_logical_composite_acts_only_inside_the_encoding():
-    gate = dfs.logical_composite_gate(math.pi / 4, 0.0)
-    assert linalg.is_unitary(gate)
+    gate = logical_composite_gate(math.pi / 4, 0.0)
+    assert is_unitary(gate)
     assert complement_is_identity(gate, ENC3)
 
 
 def test_logical_composite_block_matches_bare_composite():
     theta, phi = math.pi / 4, 0.0
-    gate = dfs.logical_composite_gate(theta, phi)
-    block = dfs.encoded_block(gate, ENC3, ("0", "1", "a"))
+    gate = logical_composite_gate(theta, phi)
+    block = encoded_block(gate, ENC3, ("0", "1", "a"))
     bare = qutrit.composite_four(BrightDarkFrame(theta, phi))
     assert linalg.frobenius_distance(block, bare) < 1e-10
     assert linalg.frobenius_distance(
@@ -134,15 +152,15 @@ def test_logical_composite_block_tracks_error_model(rng):
         theta = rng.uniform(0.2, math.pi - 0.2)
         phi = rng.uniform(0, 2 * math.pi)
         model = ErrorModel(rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15))
-        gate = dfs.logical_composite_gate(theta, phi, model)
-        block = dfs.encoded_block(gate, ENC3, ("0", "1", "a"))
+        gate = logical_composite_gate(theta, phi, model)
+        block = encoded_block(gate, ENC3, ("0", "1", "a"))
         bare = qutrit.composite_four(BrightDarkFrame(theta, phi), model)
         assert linalg.frobenius_distance(block, bare) < 1e-9
 
 
 def test_two_logical_gate_is_block_structured():
     gate = dfs.two_logical_composite_gate(math.pi / 4, 0.0)
-    assert linalg.is_unitary(gate)
+    assert is_unitary(gate)
     assert complement_is_identity(gate, ENC6)
     block_a = [ENC6.index(n) for n in ("00", "01", "a1")]
     block_b = [ENC6.index(n) for n in ("10", "11", "a2")]
@@ -152,17 +170,17 @@ def test_two_logical_gate_is_block_structured():
 
 def test_two_logical_trivial_angle_gives_product_gate():
     gate = dfs.two_logical_composite_gate(0.0, 0.0)
-    block = dfs.logical_two_qubit_block(gate)
+    block = encoded_block(gate, ENC6, ("00", "01", "10", "11"))
     minus_zz = -np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     assert linalg.frobenius_distance(block, minus_zz) < 1e-10
-    assert not two_qubit.entangling_power_check(block)
+    assert not entangling_power_check(block)
 
 
 def test_two_logical_generic_angle_is_entangling():
     gate = dfs.two_logical_composite_gate(math.pi / 4, 0.0)
-    block = dfs.logical_two_qubit_block(gate)
-    assert linalg.is_unitary(block)
-    assert two_qubit.entangling_power_check(block)
+    block = encoded_block(gate, ENC6, ("00", "01", "10", "11"))
+    assert is_unitary(block)
+    assert entangling_power_check(block)
 
 
 def test_channel_validation():
@@ -208,7 +226,7 @@ def test_dephasing_rejects_unencoded_initial_state():
     channel = DephasingChannel(0.5, n_samples=10)
     with pytest.raises(ValueError):
         dfs.apply_collective_dephasing(
-            [], dfs.register_ket("110"), channel, ENC3, seed=0
+            dfs.logical_composite_schedule(0.7, 0.1), dfs.register_ket("110"), channel, ENC3, seed=0
         )
 
 
@@ -219,14 +237,6 @@ def test_dephasing_is_seed_deterministic():
     a = dfs.apply_collective_dephasing(schedule, psi, channel, ENC3, seed=42)
     b = dfs.apply_collective_dephasing(schedule, psi, channel, ENC3, seed=42)
     assert np.array_equal(a.fidelities, b.fidelities)
-
-
-def test_empty_schedule_still_kicks_once():
-    psi = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    channel = DephasingChannel(0.8, n_samples=100)
-    rng = np.random.default_rng(3)
-    result = dfs.kicked_schedule_fidelities([], psi, channel, rng, 3)
-    assert result.mean < 0.999
 
 
 def test_idle_contrast_closed_form_trivia():
@@ -256,13 +266,6 @@ def test_std_error_of_single_sample_is_zero():
     assert dfs.DephasingResult(np.array([0.5])).std_error == 0.0
 
 
-def test_collective_kick_eigenphases():
-    u = dfs.collective_kick(3, 0.4)
-    assert abs(u[0, 0] - np.exp(-0.6j)) < 1e-15
-    assert abs(u[7, 7] - np.exp(0.6j)) < 1e-15
-    assert abs(u[4, 4] - np.exp(-0.2j)) < 1e-15
-
-
 def collective_z_table(n_ions):
     return np.array([n_ions - 2 * bin(i).count("1") for i in range(2**n_ions)], dtype=float)
 
@@ -274,7 +277,6 @@ def random_state(rng, dim):
 
 KICKED_REGISTERS = {
     "three_ion": (lambda: dfs.logical_composite_schedule(0.7, 0.2, ErrorModel(0.05, -0.03)), 3),
-    "empty": (lambda: [], 3),
     "six_ion": (lambda: dfs.two_logical_composite_schedule(0.6, 0.3), 6),
 }
 
@@ -286,8 +288,6 @@ KICKED_REGISTERS = {
         ("three_ion", "gaussian", 0.8, 300),
         ("three_ion", "uniform", 0.0, 50),
         ("three_ion", "gaussian", 0.8, 1),
-        ("empty", "uniform", 0.8, 300),
-        ("empty", "gaussian", 0.8, 1),
         ("six_ion", "uniform", 0.6, 200),
         ("six_ion", "gaussian", 0.6, 200),
     ],
@@ -300,8 +300,8 @@ def test_batched_kicked_run_matches_per_sample_loop(rng, register, distribution,
     result = dfs.kicked_schedule_fidelities(
         schedule, psi, channel, np.random.default_rng(17), n_ions
     )
-    phis = channel.draw(np.random.default_rng(17), (n_samples, max(len(schedule), 1)))
-    propagators = [linalg.expm_hermitian(h, a) for h, a in schedule]
+    phis = channel.draw(np.random.default_rng(17), (n_samples, schedule.n_segments))
+    propagators = [linalg.expm_hermitian(h, a) for h, a in zip(schedule.generators, schedule.areas)]
     expected = kicked_fidelities_loop(propagators, psi, phis, collective_z_table(n_ions))
     assert result.fidelities.shape == (n_samples,)
     assert np.max(np.abs(result.fidelities - expected)) < 1e-13

@@ -11,6 +11,7 @@ from oracles import (
     projector_residual_curve,
     random_hermitian,
     sample_generators,
+    schedule_pairs,
     trace_states_loop,
     trace_states_mpmath,
 )
@@ -22,9 +23,17 @@ def elementary_schedule(theta=math.pi / 2, phi=0.0):
     return qutrit.fields_schedule(qutrit.elementary_field_pulses(theta, phi))
 
 
+def one_segment(gen, area):
+    return linalg.Schedule([gen], [area])
+
+
+def detuned(schedule):
+    detuning = 0.25 * np.diag([1.0, -1.0, 0.0])
+    return linalg.Schedule(schedule.generators + detuning, schedule.areas)
+
+
 def test_zero_generator_trace_is_static_and_passes():
-    schedule = [(np.zeros((3, 3)), 1.0)]
-    trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=16)
+    trace = holonomy.trace_evolution(one_segment(np.zeros((3, 3)), 1.0), COMP_BASIS, 16)
     assert np.allclose(trace.states, trace.states[:, :1, :])
     report = holonomy.check_holonomy(trace)
     assert report.passed
@@ -35,16 +44,16 @@ def test_zero_generator_trace_is_static_and_passes():
 def test_half_pi_segment_rotates_bright_into_excited():
     f = BrightDarkFrame(0.9, 0.3)
     gen = qutrit.hamiltonian(f, 1.0, 0.0)
-    trace = holonomy.trace_evolution([(gen, math.pi / 2)], [f.bright])
+    trace = holonomy.trace_evolution(one_segment(gen, math.pi / 2), [f.bright])
     final = trace.states[0, -1, :]
     assert linalg.norm(final - (-1j) * qutrit.ket(qutrit.IDX_E)) < 1e-12
 
 
 def test_trace_endpoint_matches_time_ordered_product(rng):
-    schedule = [(random_hermitian(rng, 4), rng.uniform(0.1, 2.0)) for _ in range(3)]
+    schedule = linalg.Schedule([random_hermitian(rng, 4) for _ in range(3)], rng.uniform(0.1, 2.0, 3))
     basis = np.eye(4, dtype=complex)
     trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=32)
-    u = linalg.time_ordered_product(schedule)
+    u = linalg.evolve(schedule)
     assert linalg.frobenius_distance(trace.states[:, -1, :].T, u) < 1e-10
 
 
@@ -84,7 +93,7 @@ def test_open_loop_fails_closure_but_not_phase():
     # still vanishes pointwise, so only the closure condition trips
     f = BrightDarkFrame(math.pi / 2, 0.0)
     gen = qutrit.hamiltonian(f, 1.0, 0.0)
-    trace = holonomy.trace_evolution([(gen, math.pi / 4)], COMP_BASIS)
+    trace = holonomy.trace_evolution(one_segment(gen, math.pi / 4), COMP_BASIS)
     report = holonomy.check_holonomy(trace, tolerance=1e-8)
     assert not report.passed
     assert report.cond1_residual > 0.1
@@ -92,17 +101,14 @@ def test_open_loop_fails_closure_but_not_phase():
 
 
 def test_detuned_schedule_fails_phase_condition():
-    detuning = 0.25 * np.diag([1.0, -1.0, 0.0]).astype(complex)
-    schedule = [(gen + detuning, area) for gen, area in elementary_schedule()]
-    trace = holonomy.trace_evolution(schedule, COMP_BASIS)
+    trace = holonomy.trace_evolution(detuned(elementary_schedule()), COMP_BASIS)
     report = holonomy.check_holonomy(trace, tolerance=1e-8)
     assert not report.passed
     assert report.cond2_max > 1e-3
 
 
 def test_phase_residual_is_stable_under_refinement():
-    detuning = 0.25 * np.diag([1.0, -1.0, 0.0]).astype(complex)
-    schedule = [(gen + detuning, area) for gen, area in elementary_schedule()]
+    schedule = detuned(elementary_schedule())
     coarse = holonomy.check_holonomy(
         holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=64)
     )
@@ -148,7 +154,7 @@ def test_midpoint_displacement_is_sqrt_two():
 
 
 def test_midpoint_of_idle_schedule_is_zero():
-    schedule = [(np.zeros((3, 3)), 1.0), (np.zeros((3, 3)), 1.0)]
+    schedule = linalg.Schedule(np.zeros((2, 3, 3)), [1.0, 1.0])
     trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=8)
     assert holonomy.grassmannian_midpoint_check(trace) == 0.0
 
@@ -156,7 +162,7 @@ def test_midpoint_of_idle_schedule_is_zero():
 def test_midpoint_requires_two_segments():
     f = BrightDarkFrame(1.0, 0.0)
     gen = qutrit.hamiltonian(f, 1.0, 0.0)
-    trace = holonomy.trace_evolution([(gen, math.pi / 2)], COMP_BASIS)
+    trace = holonomy.trace_evolution(one_segment(gen, math.pi / 2), COMP_BASIS)
     with pytest.raises(ValueError):
         holonomy.grassmannian_midpoint_check(trace)
 
@@ -175,7 +181,7 @@ def test_four_pulse_schedule_closes_after_every_gate():
 
 def test_trace_input_validation():
     with pytest.raises(ValueError):
-        holonomy.trace_evolution([], COMP_BASIS)
+        holonomy.trace_evolution(linalg.Schedule(np.zeros((0, 3, 3)), []), COMP_BASIS)
     with pytest.raises(ValueError):
         holonomy.trace_evolution(elementary_schedule(), COMP_BASIS, samples_per_segment=0)
     with pytest.raises(ValueError):
@@ -188,29 +194,26 @@ def test_trace_input_validation():
         holonomy.trace_evolution(
             elementary_schedule(), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         )
-    mixed = [(np.zeros((3, 3)), 1.0), (np.zeros((4, 4)), 1.0)]
     with pytest.raises(ValueError):
-        holonomy.trace_evolution(mixed, COMP_BASIS)
-
-
-def detuned_composite_schedule():
-    detuning = 0.25 * np.diag([1.0, -1.0, 0.0]).astype(complex)
-    pulses = qutrit.composite_four_field_pulses(0.8, 0.4)
-    return [(gen + detuning, area) for gen, area in qutrit.fields_schedule(pulses)]
+        holonomy.trace_evolution(linalg.Schedule(np.zeros((2, 4, 4)), [1.0, 1.0]), COMP_BASIS)
+    batch = linalg.Schedule(np.zeros((2, 1, 3, 3)), [[1.0], [2.0]])
+    with pytest.raises(ValueError):
+        holonomy.trace_evolution(batch, COMP_BASIS)
 
 
 def oracle_cases() -> dict:
     """name -> (schedule, basis) on 3-, 5-, 8- and 64-dim registers."""
     composite4 = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4))
+    truncated = linalg.Schedule(composite4.generators[:-1], composite4.areas[:-1])
     three = dfs.three_ion_encoding()
     six = dfs.six_ion_encoding()
     return {
         "qutrit_composite4": (composite4, COMP_BASIS),
         # the two failing controls: open loop, and a nonzero dynamical phase
-        "qutrit_truncated": (composite4[:-1], COMP_BASIS),
-        "qutrit_detuned": (detuned_composite_schedule(), COMP_BASIS),
+        "qutrit_truncated": (truncated, COMP_BASIS),
+        "qutrit_detuned": (detuned(composite4), COMP_BASIS),
         "twoqubit_composite": (
-            two_qubit.gate_schedule("01") * 2,
+            two_qubit.gate_schedule("01", None, two_qubit.DEFAULT_SEGMENTS * 2),
             [two_qubit.ket(label) for label in two_qubit.COMPUTATIONAL_LABELS],
         ),
         "three_ion": (
@@ -232,6 +235,7 @@ ORACLE_CASES = oracle_cases()
 def test_batched_trace_matches_per_sample_loop(name, n):
     schedule, basis = ORACLE_CASES[name]
     trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=n)
+    schedule = schedule_pairs(schedule)
     ref_states = trace_states_loop(schedule, basis, n)
     assert trace.states.shape == ref_states.shape
     assert np.max(np.abs(trace.states - ref_states)) < 1e-12
@@ -263,8 +267,9 @@ def test_trace_oracle_matches_high_precision_evolution(name):
     # The per-sample loop is the reference for the batched trace at 1e-12,
     # so it must itself sit well inside that bound.
     schedule, basis = ORACLE_CASES[name]
-    ref = trace_states_mpmath(schedule, basis, 513)
-    assert np.max(np.abs(trace_states_loop(schedule, basis, 513) - ref)) < 1e-14
+    pairs = schedule_pairs(schedule)
+    ref = trace_states_mpmath(pairs, basis, 513)
+    assert np.max(np.abs(trace_states_loop(pairs, basis, 513) - ref)) < 1e-14
     trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=513)
     assert np.max(np.abs(trace.states - ref)) < 1e-12
 
@@ -273,15 +278,15 @@ def test_trace_oracle_matches_high_precision_evolution(name):
 def test_segment_index_layout(n):
     schedule = qutrit.fields_schedule(qutrit.composite_two_field_pulses(0.8, 0.4))
     trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=n)
-    assert trace.generators.shape == (len(schedule), 3, 3)
+    assert trace.generators.shape == (schedule.n_segments, 3, 3)
     assert trace.segment_index.shape == (trace.states.shape[1],)
     assert trace.segment_index[0] == 0
     for k, boundary in enumerate(trace.segment_boundaries):
         # a boundary sample belongs to the segment that just ended
         assert trace.segment_index[boundary] == k
-        assert np.array_equal(trace.generators[k], schedule[k][0])
+        assert np.array_equal(trace.generators[k], schedule.generators[k])
         block = trace.segment_index[boundary - n + 1 : boundary + 1]
         assert np.all(block == k)
-    gens = sample_generators(schedule, n)
+    gens = sample_generators(schedule_pairs(schedule), n)
     for i, seg in enumerate(trace.segment_index):
         assert np.array_equal(trace.generators[seg], gens[i])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hologate import dfs, linalg, qutrit, two_qubit
 
-from oracles import random_hermitian, rk4_propagator
+from oracles import is_unitary, random_hermitian, rk4_propagator
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -70,7 +70,7 @@ def test_expm_area_additivity(seed, a, b):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 9))
 def test_expm_is_unitary(seed, dim):
     gen = random_hermitian(np.random.default_rng(seed), dim)
-    assert linalg.is_unitary(linalg.expm_hermitian(gen, 1.7))
+    assert is_unitary(linalg.expm_hermitian(gen, 1.7))
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 9), area=st.floats(0.1, 4 * math.pi))
@@ -81,42 +81,37 @@ def test_expm_matches_integrator(seed, dim, area):
     assert linalg.frobenius_distance(direct, ref) < 1e-8
 
 
-def test_time_ordered_empty_is_identity():
-    assert np.array_equal(linalg.time_ordered_product([], dim=3), np.eye(3))
-
-
 def test_time_ordered_empty_without_dim_rejected():
     with pytest.raises(ValueError):
-        linalg.time_ordered_product([])
+        linalg.Schedule(np.zeros((0, 3, 3)), [])
 
 
 def test_time_ordered_single_segment_reduces_to_expm(rng):
     gen = random_hermitian(rng, 3)
     assert linalg.frobenius_distance(
-        linalg.time_ordered_product([(gen, 0.8)]), linalg.expm_hermitian(gen, 0.8)
+        linalg.evolve(linalg.Schedule([gen], [0.8])), linalg.expm_hermitian(gen, 0.8)
     ) < 1e-14
 
 
 def test_time_ordered_applies_later_segments_on_left(rng):
     g1 = random_hermitian(rng, 3)
     g2 = random_hermitian(rng, 3)
-    u = linalg.time_ordered_product([(g1, 0.3), (g2, 0.9)])
+    u = linalg.evolve(linalg.Schedule([g1, g2], [0.3, 0.9]))
     expected = linalg.expm_hermitian(g2, 0.9) @ linalg.expm_hermitian(g1, 0.3)
     assert linalg.frobenius_distance(u, expected) < 1e-14
 
 
 def test_time_ordered_rejects_dimension_mismatch(rng):
     with pytest.raises(ValueError):
-        linalg.time_ordered_product(
-            [(random_hermitian(rng, 3), 1.0), (random_hermitian(rng, 4), 1.0)]
-        )
+        linalg.Schedule([random_hermitian(rng, 3), random_hermitian(rng, 4)], [1.0, 1.0])
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
 def test_time_ordered_product_is_unitary(seed, n):
     gen_rng = np.random.default_rng(seed)
-    schedule = [(random_hermitian(gen_rng, 3), float(gen_rng.uniform(0.1, 2.0))) for _ in range(n)]
-    assert linalg.is_unitary(linalg.time_ordered_product(schedule), 1e-9)
+    gens = [random_hermitian(gen_rng, 3) for _ in range(n)]
+    areas = gen_rng.uniform(0.1, 2.0, size=n)
+    assert is_unitary(linalg.evolve(linalg.Schedule(gens, areas)), 1e-9)
 
 
 def test_frobenius_distance_identical_is_zero():
@@ -134,19 +129,42 @@ def test_frobenius_distance_rejects_shape_mismatch():
 
 def test_hermitian_and_unitary_predicates(rng):
     h = random_hermitian(rng, 3)
-    assert linalg.is_hermitian(h)
-    assert not linalg.is_hermitian(h + 1j * np.eye(3))
+    linalg.Schedule([h], [1.0])
+    with pytest.raises(ValueError):
+        linalg.Schedule([h + 1j * np.eye(3)], [1.0])
     u = linalg.expm_hermitian(h, 1.0)
-    assert linalg.is_unitary(u)
-    assert not linalg.is_unitary(2 * u)
-    assert not linalg.is_unitary(np.zeros((2, 3)))
+    assert is_unitary(u)
+    assert not is_unitary(2 * u)
+    assert not is_unitary(np.zeros((2, 3)))
 
 
 def test_vector_norm_helpers():
     v = np.array([3.0, 4.0j])
     assert abs(linalg.norm(v) - 5.0) < 1e-15
-    assert linalg.is_normalized(v / 5.0)
-    assert not linalg.is_normalized(v)
+    assert abs(linalg.norm(v / 5.0) - 1.0) < 1e-15
+
+
+def test_hermitian_guard_is_relative_to_the_largest_entry():
+    # a nilpotent generator 1e-13 wide is far from Hermitian at its own scale
+    with pytest.raises(ValueError):
+        linalg.Schedule([[[0.0, 1e-13], [0.0, 0.0]]], [1e13])
+    # rounding-size asymmetry on a large Hermitian generator is accepted
+    g = 4e6 * np.array([[0.0, 1.0, 0.5j], [1.0, 1.0, 0.0], [-0.5j, 0.0, -1.0]])
+    g[0, 1] += 1e-11
+    u = linalg.expm_hermitian(g, 1e-6)
+    assert is_unitary(u, 1e-12)
+
+
+def test_schedule_is_a_read_only_copy(rng):
+    gens = np.array([random_hermitian(rng, 3)])
+    areas = np.array([0.5])
+    schedule = linalg.Schedule(gens, areas)
+    gens[0] = 0.0
+    areas[0] = 9.0
+    assert np.any(schedule.generators != 0) and schedule.areas[0] == 0.5
+    assert schedule.n_segments == 1
+    with pytest.raises(ValueError):
+        schedule.areas[0] = 1.0
 
 
 def eigh_expm(h, t):
@@ -161,14 +179,14 @@ def package_generators():
     return {
         "qutrit": [qutrit.hamiltonian(frame, 1.3, phi0) for phi0 in (0.0, math.pi / 2, 2.1)],
         "two_field": [
-            g for g, _ in qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4, model))
+            *qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4, model)).generators
         ],
         "five_level": [
             two_qubit.segment_generator(jk, phi0) for jk in ("00", "11") for phi0 in (0.0, 1.0)
         ],
-        "three_ion": [g for g, _ in dfs.logical_composite_schedule(0.8, 0.4, model, 0.7)],
+        "three_ion": list(dfs.logical_composite_schedule(0.8, 0.4, model, 0.7).generators),
         # +-W has multiplicity two here, where W^2 = tr(H^2)/2 would be wrong
-        "six_ion": [g for g, _ in dfs.two_logical_composite_schedule(0.8, 0.4, model, 0.7)],
+        "six_ion": list(dfs.two_logical_composite_schedule(0.8, 0.4, model, 0.7).generators),
     }
 
 
@@ -185,7 +203,7 @@ def test_closed_form_matches_eigh_on_package_generators(family, monkeypatch):
     areas = np.array([0.01, math.pi / 2, 2.0, -1.3, 7.5])
     expected = [[eigh_expm(g, a) for a in areas] for g in gens]
     forbid_eigh(monkeypatch)
-    got = linalg.exponentials(gens[:, None], areas)
+    got = linalg.exponentials(linalg.Schedule(gens[:, None, None], areas[:, None]))[..., 0, :, :]
     assert got.shape == (len(gens), len(areas)) + gens.shape[1:]
     for g, row, ref_row in zip(gens, got, expected):
         for u, ref in zip(row, ref_row):
@@ -234,8 +252,9 @@ def test_exponential_is_exact_at_extreme_generator_scales(scale, closed_form, rn
 def test_zero_generator_gives_exact_identity(monkeypatch):
     forbid_eigh(monkeypatch)
     eye = np.eye(5)
-    assert np.array_equal(linalg.exponentials(np.zeros((3, 5, 5)), [0.5, -7.0, 1e6]), [eye] * 3)
-    assert np.array_equal(linalg.evolve(np.zeros((2, 5, 5)), [0.3, 0.4]), eye)
+    steps = linalg.exponentials(linalg.Schedule(np.zeros((3, 5, 5)), [0.5, -7.0, 1e6]))
+    assert np.array_equal(steps, [eye] * 3)
+    assert np.array_equal(linalg.evolve(linalg.Schedule(np.zeros((2, 5, 5)), [0.3, 0.4])), eye)
 
 
 def test_batched_evolution_matches_one_matrix_at_a_time(rng):
@@ -245,15 +264,16 @@ def test_batched_evolution_matches_one_matrix_at_a_time(rng):
         [qutrit.hamiltonian(frame, 1.0, 0.4), random_hermitian(rng, 3), np.diag([1.0, 2.0, 3.0])]
     )
     areas = rng.uniform(-2.0, 2.0, size=(4, 3))
-    batch = linalg.exponentials(gens, areas)
-    products = linalg.evolve(gens, areas)
+    schedule = linalg.Schedule(gens, areas)
+    batch = linalg.exponentials(schedule)
+    products = linalg.evolve(schedule)
     assert batch.shape == (4, 3, 3, 3) and products.shape == (4, 3, 3)
     for b in range(4):
         for k in range(3):
             single = linalg.expm_hermitian(gens[k], areas[b, k])
             assert linalg.frobenius_distance(batch[b, k], single) < 1e-15
-        schedule = list(zip(gens, areas[b]))
-        assert linalg.frobenius_distance(products[b], linalg.time_ordered_product(schedule)) < 1e-15
+        one = linalg.evolve(linalg.Schedule(gens, areas[b]))
+        assert linalg.frobenius_distance(products[b], one) < 1e-15
         expected = eigh_expm(gens[2], areas[b, 2]) @ eigh_expm(gens[1], areas[b, 1]) @ eigh_expm(
             gens[0], areas[b, 0]
         )
@@ -268,18 +288,20 @@ def test_evolve_keeps_time_order_for_any_segment_count(seed, n):
     expected = np.eye(3)
     for g, a in zip(gens, areas):
         expected = eigh_expm(g, a) @ expected
-    assert linalg.frobenius_distance(linalg.evolve(gens, areas), expected) < 1e-12
+    assert linalg.frobenius_distance(linalg.evolve(linalg.Schedule(gens, areas)), expected) < 1e-12
 
 
 def test_evolve_rejects_bad_batches(rng):
     g = random_hermitian(rng, 3)
-    with pytest.raises(ValueError):
-        linalg.evolve(np.zeros((0, 3, 3)), [])
-    with pytest.raises(ValueError):
-        linalg.evolve(np.array([g, g]), [0.1, 0.2, 0.3])
-    with pytest.raises(ValueError):
-        linalg.evolve(g, [0.1])
-    with pytest.raises(ValueError):
-        linalg.evolve(np.array([g, g + 1e-9j * np.eye(3)]), [0.1, 0.2])
-    with pytest.raises(ValueError):
-        linalg.evolve(np.zeros((2, 65, 65)), [0.1, 0.2])
+    for gens, areas in (
+        (np.zeros((0, 3, 3)), []),
+        (np.array([g, g]), [0.1, 0.2, 0.3]),
+        (g, [0.1]),
+        (np.array([g, g + 1e-9j * np.eye(3)]), [0.1, 0.2]),
+        (np.zeros((2, 65, 65)), [0.1, 0.2]),
+        (np.zeros((2, 3, 4)), [0.1, 0.2]),
+        (np.array([[g, g], [g, g]]), np.ones((3, 2))),
+        (np.array([g]), 0.1),
+    ):
+        with pytest.raises(ValueError):
+            linalg.evolve(linalg.Schedule(gens, areas))

@@ -54,19 +54,21 @@ def test_envelope_only_redistributes_area(seed, steps):
     gen = random_hermitian(np.random.default_rng(seed), 3)
     for envelope in pulses.ENVELOPES:
         seg = PulseSegment(area=1.3, phi0=0.0, envelope=envelope, steps=steps)
-        u = pulses.segment_unitary(gen, seg)
+        u = linalg.evolve(pulses.slice_schedule(gen[None], (seg,)))
         assert linalg.frobenius_distance(u, linalg.expm_hermitian(gen, 1.3)) < 1e-9
 
 
 def test_schedule_unitary_orders_left(rng):
     g1, g2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-    s1 = PulseSegment(area=0.4, phi0=0.0)
-    s2 = PulseSegment(area=1.1, phi0=0.0)
-    u = pulses.schedule_unitary([(g1, s1), (g2, s2)])
+    s1 = PulseSegment(area=0.4, phi0=0.0, envelope="sine_squared", steps=5)
+    s2 = PulseSegment(area=1.1, phi0=0.0, steps=3)
+    schedule = pulses.slice_schedule(np.array([g1, g2]), (s1, s2))
+    assert schedule.n_segments == 8
+    u = linalg.evolve(schedule)
     expected = linalg.expm_hermitian(g2, 1.1) @ linalg.expm_hermitian(g1, 0.4)
     assert linalg.frobenius_distance(u, expected) < 1e-12
 
 
 def test_schedule_unitary_rejects_empty():
     with pytest.raises(ValueError):
-        pulses.schedule_unitary([])
+        pulses.slice_schedule(np.zeros((0, 3, 3)), ())

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg, qutrit
+from hologate import linalg, pulses, qutrit
 from hologate.pulses import PulseSegment
 from hologate.qutrit import BrightDarkFrame, ErrorModel
 
-from oracles import projector, rk4_propagator
+from oracles import projector, rk4_propagator, schedule_pairs
 
 angles = st.floats(0.0, math.pi)
 phases = st.floats(0.0, 2 * math.pi)
@@ -128,7 +128,8 @@ def test_elementary_gate_is_fourth_root_of_identity():
 def test_elementary_gate_against_integrator():
     f = BrightDarkFrame(math.pi / 2, 0.0)
     schedule = qutrit.fields_schedule(qutrit.elementary_field_pulses(f.theta, f.phi))
-    assert linalg.frobenius_distance(qutrit.elementary_gate(f), rk4_propagator(schedule)) < 1e-10
+    ref = rk4_propagator(schedule_pairs(schedule))
+    assert linalg.frobenius_distance(qutrit.elementary_gate(f), ref) < 1e-10
 
 
 @given(theta=angles, phi=phases)
@@ -164,11 +165,11 @@ def test_common_mode_gate_is_area_stretched_ideal():
     f = BrightDarkFrame(0.9, 0.4)
     eps = 0.07
     direct = qutrit.elementary_gate_with_error(f, ErrorModel(eps, eps))
-    stretched = linalg.time_ordered_product(
-        [
-            (qutrit.hamiltonian(f, 1.0, math.pi / 2), (1 + eps) * math.pi / 2),
-            (qutrit.hamiltonian(f, 1.0, 0.0), (1 + eps) * math.pi / 2),
-        ]
+    stretched = linalg.evolve(
+        linalg.Schedule(
+            [qutrit.hamiltonian(f, 1.0, math.pi / 2), qutrit.hamiltonian(f, 1.0, 0.0)],
+            [(1 + eps) * math.pi / 2] * 2,
+        )
     )
     assert linalg.frobenius_distance(direct, stretched) < 1e-12
 
@@ -180,7 +181,7 @@ def test_error_gate_matches_raw_two_field_evolution():
     raw = qutrit.elementary_gate_direct(f, model)
     assert linalg.frobenius_distance(reparam, raw) < 1e-9
     schedule = qutrit.fields_schedule(qutrit.elementary_field_pulses(f.theta, f.phi, model))
-    assert linalg.frobenius_distance(reparam, rk4_propagator(schedule)) < 1e-9
+    assert linalg.frobenius_distance(reparam, rk4_propagator(schedule_pairs(schedule))) < 1e-9
 
 
 @given(theta=angles, phi=phases, e0=small_eps, e1=small_eps)
@@ -255,7 +256,7 @@ def test_batched_composites_follow_field_pulse_order(batched, field_pulses):
     assert gates.shape == (len(models), 3, 3)
     for model, gate in zip(models, gates):
         schedule = qutrit.fields_schedule(field_pulses(f.theta, f.phi, model))
-        assert linalg.frobenius_distance(gate, linalg.time_ordered_product(schedule)) < 1e-12
+        assert linalg.frobenius_distance(gate, linalg.evolve(schedule)) < 1e-12
 
 
 def test_composite_four_trivial_angle_is_logical_identity():
@@ -378,8 +379,8 @@ def test_bch_residual_rejects_large_eps():
 @given(theta=angles, phi=phases, envelope_steps=st.integers(4, 40))
 def test_gates_do_not_depend_on_envelope(theta, phi, envelope_steps):
     f = BrightDarkFrame(theta, phi)
-    square = qutrit.composite_four(f, None, qutrit.default_segments("square"))
+    square = qutrit.composite_four(f, None, pulses.default_segments("square"))
     shaped = qutrit.composite_four(
-        f, None, qutrit.default_segments("sine_squared", envelope_steps)
+        f, None, pulses.default_segments("sine_squared", envelope_steps)
     )
     assert linalg.frobenius_distance(square, shaped) < 1e-9

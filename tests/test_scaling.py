@@ -9,7 +9,7 @@ from hologate import linalg, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError, SweepSpec
 
-from oracles import haar_unitary
+from oracles import haar_unitary, order_ratio
 
 
 def test_fidelity_of_identical_gates_is_one():
@@ -83,11 +83,24 @@ def test_default_grid_properties():
 
 
 def test_one_qubit_model_modes():
-    assert scaling.one_qubit_model("common", 0.1) == qutrit.ErrorModel(0.1, 0.1)
-    assert scaling.one_qubit_model("differential", 0.1) == qutrit.ErrorModel(0.1, -0.1)
-    assert scaling.one_qubit_model("single_field", 0.1) == qutrit.ErrorModel(0.1, 0.0)
-    with pytest.raises(ValueError):
-        scaling.one_qubit_model("two_qubit", 0.1)
+    modes = scaling.GATES["composite4"].error_modes
+    assert modes["common"](0.1) == qutrit.ErrorModel(0.1, 0.1)
+    assert modes["differential"](0.1) == qutrit.ErrorModel(0.1, -0.1)
+    assert modes["single_field"](0.1) == qutrit.ErrorModel(0.1, 0.0)
+    assert "two_qubit" not in modes
+    assert scaling.GATES["twoqubit_composite"].error_modes["two_qubit"](0.1) == (
+        two_qubit.TwoQubitErrorModel(0.1)
+    )
+
+
+def test_gate_table_aliases_share_entries():
+    assert scaling.GATES["single"] is scaling.GATES["elementary"]
+    assert scaling.GATES["twoqubit_single"] is scaling.GATES["twoqubit_elementary"]
+    for gate in scaling.GATES.values():
+        basis = gate.subspace_basis()
+        assert basis.shape == (len(gate.subspace), len(gate.labels))
+        assert np.array_equal(basis @ basis.conj().T, np.eye(len(gate.subspace)))
+        assert gate.rotated_frame == (gate.error_model is qutrit.ErrorModel)
 
 
 def test_sweep_gates_dispatch():
@@ -130,7 +143,7 @@ def single_gate(kind, mode, eps, theta, phi, jk):
         build = two_qubit.elementary_gate if kind == "twoqubit_single" else two_qubit.composite_gate
         return build(jk, model)
     frame = BrightDarkFrame(theta, phi)
-    model = scaling.one_qubit_model(mode, eps) if eps else None
+    model = scaling.GATES[kind].error_modes[mode](eps) if eps else None
     build = {
         "single": qutrit.elementary_gate_with_error,
         "composite2": qutrit.composite_two,
@@ -205,9 +218,9 @@ def test_order_ratio_for_fourth_order_gate():
     frame = BrightDarkFrame(math.pi / 4, 0.0)
 
     def builder(eps):
-        return qutrit.composite_four(frame, scaling.one_qubit_model("common", eps) if eps else None)
+        return qutrit.composite_four(frame, qutrit.ErrorModel(eps, eps) if eps else None)
 
-    assert abs(scaling.order_ratio_test(builder, 0.02) - 16.0) < 2.0
+    assert abs(order_ratio(builder, 0.02) - 16.0) < 2.0
 
 
 def test_order_ratio_for_second_order_gate():
@@ -215,19 +228,19 @@ def test_order_ratio_for_second_order_gate():
 
     def builder(eps):
         return qutrit.elementary_gate_with_error(
-            frame, scaling.one_qubit_model("common", eps) if eps else None
+            frame, qutrit.ErrorModel(eps, eps) if eps else None
         )
 
-    assert abs(scaling.order_ratio_test(builder, 0.02) - 4.0) < 0.5
+    assert abs(order_ratio(builder, 0.02) - 4.0) < 0.5
 
 
 def test_order_ratio_guards():
     frame = BrightDarkFrame(0.8, 0.0)
     ideal = qutrit.composite_four(frame)
-    with pytest.raises(DegenerateFitError):
-        scaling.order_ratio_test(lambda e: ideal, 0.02)
-    with pytest.raises(DegenerateFitError):
-        scaling.order_ratio_test(lambda e: ideal, 1e-9)
+    with pytest.raises(ValueError):
+        order_ratio(lambda e: ideal, 0.02)
+    with pytest.raises(ValueError):
+        order_ratio(lambda e: ideal, 1e-9)
 
 
 def test_residual_norm_ratio_is_quadratic():
