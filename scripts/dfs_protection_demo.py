@@ -8,13 +8,12 @@ the bare column decays toward the closed-form kick average.
 """
 
 import argparse
-import csv
 import math
 from pathlib import Path
 
 import numpy as np
 
-from hologate import dfs
+from hologate import cli, dfs
 
 
 def parse_args():
@@ -34,7 +33,6 @@ def parse_args():
 def main():
     args = parse_args()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     encoding = dfs.three_ion_encoding()
     schedule = dfs.logical_composite_schedule(args.theta, args.phi)
@@ -56,13 +54,12 @@ def main():
         rows.append((kappa, encoded.mean, bare.mean, exact))
         print(f"{kappa:6.2f} {encoded.mean:12.9f} {bare.mean:12.9f} {exact:13.9f}")
 
-    path = out_dir / "dfs_protection.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
-        )
-        writer.writerows((repr(a), repr(b), repr(c), repr(d)) for a, b, c, d in rows)
+    path = cli.write_csv(
+        rows,
+        ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form"),
+        out_dir,
+        "dfs_protection.csv",
+    )
     print(f"\nwrote {path}")
 
 

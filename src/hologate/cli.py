@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# Largest working set, in bytes, that a run may ask for.  Each size a config
+# sets is turned into a byte estimate (the memory formulas in the README),
+# and one over this exits 2 before anything is allocated.
+MAX_RUN_BYTES = 2**30
+
 
 class ConfigError(ValueError):
     """Anything wrong with the run configuration."""
@@ -72,6 +77,14 @@ def get_int(cfg: dict, key: str, default=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return value
+
+
+def check_run_size(key: str, n_bytes: int) -> None:
+    if n_bytes > MAX_RUN_BYTES:
+        raise ConfigError(
+            f"config key {key!r} asks for about {n_bytes / 2**20:.0f} MB,"
+            f" over the {MAX_RUN_BYTES // 2**20} MB limit"
+        )
 
 
 def get_choice(cfg: dict, key: str, choices, default=None) -> str:
@@ -131,11 +144,13 @@ def parse_error_model(cfg: dict, gate: scaling.Gate):
         raise ConfigError(str(exc)) from exc
 
 
-def parse_segments(cfg: dict):
+def parse_segments(cfg: dict, dim: int):
     envelope = get_choice(cfg, "envelope", ("square", "sine_squared"), "square")
     steps = get_int(cfg, "steps", 1 if envelope == "square" else 32)
     if steps < 1:
         raise ConfigError("config key 'steps' must be >= 1")
+    # two error models times two segments of `steps` slices each
+    check_run_size("steps", 16 * 4 * steps * (3 * dim * dim + 32))
     return pulses.default_segments(envelope, steps)
 
 
@@ -156,7 +171,7 @@ def cmd_gate(cfg: dict, out_dir: Path, tolerance: float) -> dict:
     phi = get_number(cfg, "phi", 0.0)
     jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
     model = parse_error_model(cfg, gate)
-    segments = parse_segments(cfg)
+    segments = parse_segments(cfg, len(gate.labels))
     ideal, actual = gate.build(theta, phi, jk, [None, model], segments)
 
     fid = scaling.gate_fidelity(ideal, actual)
@@ -191,6 +206,7 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
         points = get_int(raw, "points", 12)
         if points < 2:
             raise ConfigError("epsilon grid needs at least 2 points")
+        check_run_size("epsilons", 2560 * points)
         return scaling.default_epsilon_grid(points)
     if isinstance(raw, list):
         if not raw:
@@ -263,6 +279,9 @@ def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         tolerance = get_number(cfg, "tolerance")
     check_tolerance(tolerance)
     schedule, basis = holonomy_schedule(cfg)
+    n_basis, dim = basis.shape
+    n_samples = 1 + schedule.n_segments * samples
+    check_run_size("samples_per_segment", 16 * n_basis * dim * (n_samples + 3 * samples))
 
     trace = holonomy.trace_evolution(schedule, basis, samples)
     report = holonomy.check_holonomy(trace, tolerance)
@@ -305,12 +324,13 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
     encoding = dfs.three_ion_encoding()
     schedule = dfs.logical_composite_schedule(theta, phi, None, prefactor)
+    n_kicks = schedule.n_segments
+    check_run_size("n_samples", 16 * n_samples * (2 * encoding.dim + n_kicks))
 
     psi_enc = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
     encoded = dfs.apply_collective_dephasing(schedule, psi_enc, channel, encoding, seed)
 
     psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    n_kicks = schedule.n_segments
     unencoded = dfs.idle_contrast_run(psi_raw, channel, n_kicks, 3, seed + 1)
     closed_form = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks, 3)
 
@@ -374,7 +394,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        record = COMMANDS[args.command](cfg, out_dir, args.tolerance, args.seed)
+        # an overflow or NaN becomes the FloatingPointError below, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            record = COMMANDS[args.command](cfg, out_dir, args.tolerance, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,7 @@ indexes the register basis as a big-endian binary integer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,11 +42,6 @@ def register_ket(bits: str) -> np.ndarray:
     v = np.zeros(2 ** len(bits), dtype=complex)
     v[bit_index(bits)] = 1.0
     return v
-
-
-def collective_z_eigenvalue(bits: str) -> int:
-    """Eigenvalue of sum_i sz_i on a product state (0 counts +1, 1 counts -1)."""
-    return len(bits) - 2 * bits.count("1")
 
 
 @dataclass(frozen=True)
@@ -225,18 +221,40 @@ class DephasingChannel:
         if self.distribution == "uniform":
             x = self.kappa * t
             return float(np.sinc(x / math.pi))
-        return math.exp(-0.5 * (self.kappa * t) ** 2)
+        # float products saturate at inf, where the exponential is exactly 0
+        x = self.kappa * float(t)
+        return math.exp(-0.5 * x * x)
 
 
-def _collective_z(n_ions: int) -> np.ndarray:
-    """sum_i sz_i eigenvalue of every register basis state, in index order."""
-    return np.array(
-        [
-            collective_z_eigenvalue(format(i, f"0{n_ions}b"))
-            for i in range(2**n_ions)
-        ],
-        dtype=float,
-    )
+@functools.cache
+def _levels(n_ions: int) -> np.ndarray:
+    """Collective-z level n_ions - w of each basis state with w ions in "1", by index.
+
+    Level j has sum_i sz_i eigenvalue 2j - n_ions and is row j of ``_kick_phasors``.
+    """
+    levels = n_ions - np.array([bin(i).count("1") for i in range(2**n_ions)])
+    levels.flags.writeable = False
+    return levels
+
+
+def _kick_phasors(phi: np.ndarray, n_ions: int) -> np.ndarray:
+    """exp(-i phi lam / 2) for lam = -n_ions, 2 - n_ions, ..., n_ions (rows).
+
+    One cos/sin pair per angle gives z = exp(-i phi / 2); the rows follow
+    from conj(z)^n_ions = conj(z^n_ions) by repeated multiplication with z^2.
+    """
+    z = np.empty(phi.shape, dtype=complex)
+    np.cos(0.5 * phi, out=z.real)
+    np.sin(-0.5 * phi, out=z.imag)
+    table = np.empty((n_ions + 1,) + phi.shape, dtype=complex)
+    table[0] = z
+    for _ in range(n_ions - 1):
+        table[0] *= z
+    np.conjugate(table[0], out=table[0])
+    z *= z
+    for j in range(n_ions):
+        np.multiply(table[j], z, out=table[j + 1])
+    return table
 
 
 @dataclass(frozen=True)
@@ -276,22 +294,19 @@ def kicked_schedule_fidelities(
     for u in propagators:
         clean = u @ clean
 
-    # Every kick sample is one row of a (n_samples, dim) state array; the
-    # rows evolve together and two buffers are swapped for the whole run.
-    lam = _collective_z(n_ions)
-    phis = channel.draw(rng, (channel.n_samples, len(propagators)))
-    states = np.tile(psi0, (channel.n_samples, 1))
+    # Every kick sample is one column of a (dim, n_samples) state array; the
+    # columns evolve together and two buffers are swapped for the whole run.
+    level = _levels(n_ions)
+    phis = np.ascontiguousarray(channel.draw(rng, (channel.n_samples, len(propagators))).T)
+    states = np.repeat(psi0[:, None], channel.n_samples, axis=1)
     scratch = np.empty_like(states)
-    for k, u in enumerate(propagators):
-        np.matmul(states, u.T, out=scratch)
+    for u, phi in zip(propagators, phis):
+        np.matmul(u, states, out=scratch)
         states, scratch = scratch, states
-        # kick phase exp(-i phi lam / 2) from its cosine and sine, which is
-        # about a third cheaper than a complex exp of the same array
-        np.multiply(phis[:, k, None], -0.5 * lam, out=scratch.real)
-        np.sin(scratch.real, out=scratch.imag)
-        np.cos(scratch.real, out=scratch.real)
+        # "clip" writes straight into scratch; the default mode buffers a copy
+        np.take(_kick_phasors(phi, n_ions), level, axis=0, out=scratch, mode="clip")
         states *= scratch
-    fids = np.abs(states @ clean.conj()) ** 2
+    fids = np.abs(clean.conj() @ states) ** 2
     return DephasingResult(fidelities=fids)
 
 
@@ -318,13 +333,11 @@ def idle_contrast_run(
 ) -> DephasingResult:
     """Kicks only, no drive: the bare-register reference experiment."""
     rng = np.random.default_rng(seed)
-    psi0 = np.asarray(psi0, dtype=complex)
-    lam = _collective_z(n_ions)
+    # |<psi0|kicked psi0>| depends on psi0 only through its population of
+    # each collective-z level, and on the kicks only through their sum
+    pops = np.bincount(_levels(n_ions), np.abs(np.asarray(psi0)) ** 2, minlength=n_ions + 1)
     phis = channel.draw(rng, (channel.n_samples, n_kicks))
-    states = np.multiply(phis.sum(axis=1)[:, None], -0.5j * lam)
-    np.exp(states, out=states)
-    states *= psi0
-    fids = np.abs(states @ psi0.conj()) ** 2
+    fids = np.abs(pops @ _kick_phasors(phis.sum(axis=1), n_ions)) ** 2
     return DephasingResult(fidelities=fids)
 
 
@@ -333,17 +346,13 @@ def idle_contrast_closed_form(
 ) -> float:
     """Exact kick-averaged fidelity of an idle register.
 
-    With population |c_s|^2 on collective-z eigenvalue lambda_s, the
-    average over independent kicks factorizes into characteristic
-    functions: F = sum_st |c_s|^2 |c_t|^2 E[cos(phi (l_s - l_t)/2)]^K.
+    With population p_j on collective-z level j (eigenvalue 2j - n_ions),
+    the average over independent kicks factorizes into characteristic
+    functions: F = sum_jk p_j p_k E[cos(phi (j - k))]^K.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    lam = _collective_z(n_ions)
-    pops = np.abs(psi0) ** 2
-    keep = pops > 0
-    pops, lam = pops[keep], lam[keep]
-    total = 0.0
-    for ps, ls in zip(pops, lam):
-        for pt, lt in zip(pops, lam):
-            total += ps * pt * channel.characteristic((ls - lt) / 2.0) ** n_kicks
-    return float(total)
+    pops = np.bincount(_levels(n_ions), np.abs(np.asarray(psi0)) ** 2)
+    occupied = np.flatnonzero(pops)
+    return float(sum(
+        pops[j] * pops[k] * channel.characteristic(j - k) ** n_kicks
+        for j in occupied for k in occupied
+    ))

@@ -198,16 +198,20 @@ def fit_power_law(samples) -> ScalingFit:
         )
     x = np.log(np.array([e for e, _ in kept]))
     y = np.log(np.array([f for _, f in kept]))
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    # least squares in closed form, about the means of x and y
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = float(dx @ dx)
+    if sxx == 0:
+        raise DegenerateFitError("every kept sweep point has the same epsilon")
+    slope = float(dx @ dy) / sxx
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return ScalingFit(
         samples=tuple(kept),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r_squared),
+        slope=slope,
+        intercept=float(y.mean() - slope * x.mean()),
+        r_squared=r_squared,
     )
 
 

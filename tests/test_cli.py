@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -365,17 +367,50 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-# the kick phases overflow on purpose here, and numpy says so
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize(
     "payload", [{"kappa": 1e308}, {"kappa": 1e308, "distribution": "gaussian"}]
 )
 def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, "c.json", dict(payload, n_samples=50))
     out = tmp_path / "out"
-    assert run(["dfs", "--config", cfg, "--out", str(out)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["dfs", "--config", cfg, "--out", str(out)]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("dfs", {"n_samples": 10**10}),
+        ("check-holonomy", {"schedule": "twoqubit_composite", "samples_per_segment": 10**10}),
+        ("gate", {"gate": "composite4", "envelope": "sine_squared", "steps": 10**10}),
+        ("gate", {"gate": "twoqubit_elementary", "steps": 10**10}),
+        ("sweep", {"gate_kind": "elementary", "error_mode": "common", "epsilons": {"points": 10**10}}),
+    ],
+)
+def test_oversized_runs_exit_two_before_allocating(tmp_path, capsys, command, payload):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run([command, "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    assert "MB limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_size_limit_is_inclusive():
+    cli.check_run_size("n_samples", cli.MAX_RUN_BYTES)
+    with pytest.raises(cli.ConfigError):
+        cli.check_run_size("n_samples", cli.MAX_RUN_BYTES + 1)
 
 
 ALL_ERROR_MODES = {mode for gate in scaling.GATES.values() for mode in gate.error_modes}

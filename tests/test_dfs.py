@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ def test_encoding_indices():
 
 
 def test_encodings_have_uniform_collective_z():
-    assert {dfs.collective_z_eigenvalue(b) for b in dfs.THREE_ION_LABELS.values()} == {1}
-    assert {dfs.collective_z_eigenvalue(b) for b in dfs.SIX_ION_LABELS.values()} == {2}
+    assert {collective_z_table(3)[ENC3.index(n)] for n in dfs.THREE_ION_LABELS} == {1}
+    assert {collective_z_table(6)[ENC6.index(n)] for n in dfs.SIX_ION_LABELS} == {2}
 
 
 def test_encoding_rejects_mixed_weight():
@@ -330,3 +331,32 @@ def test_batched_idle_run_matches_per_sample_loop(rng, n_ions, distribution, kap
     assert np.max(np.abs(result.fidelities - expected)) < 1e-13
     if kappa > 0 and n_kicks > 0 and n_samples > 1:
         assert expected.min() < 0.99
+
+
+@pytest.mark.parametrize("n_ions", range(1, 7))
+def test_kick_phasors_match_complex_exponential(rng, n_ions):
+    phi = np.concatenate(([0.0, 1e-9, -100.0, 100.0], rng.uniform(-100, 100, 500)))
+    lam = np.arange(-n_ions, n_ions + 1, 2)
+    table = dfs._kick_phasors(phi, n_ions)
+    assert table.shape == (n_ions + 1, len(phi))
+    error = np.abs(table - np.exp(-0.5j * phi * lam[:, None]))
+    assert (error <= 2 * n_ions * np.finfo(float).eps * (1 + np.abs(phi))).all()
+
+
+@pytest.mark.parametrize("register", sorted(KICKED_REGISTERS))
+def test_kicked_run_holds_about_two_state_arrays(register):
+    build, n_ions = KICKED_REGISTERS[register]
+    schedule, n_samples = build(), 4000
+    psi = np.full(2**n_ions, 2 ** (-n_ions / 2), dtype=complex)
+    channel = DephasingChannel(0.8, "gaussian", n_samples)
+    run = lambda: dfs.kicked_schedule_fidelities(
+        schedule, psi, channel, np.random.default_rng(3), n_ions
+    )
+    run()  # module-level caches fill outside the measurement
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**n_ions * n_samples * 16

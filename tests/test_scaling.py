@@ -194,6 +194,23 @@ def test_fit_rejects_floored_sweeps():
         scaling.fit_power_law([(0.001, 1e-15), (0.01, 1e-7)])
 
 
+def test_fit_rejects_a_single_epsilon():
+    with pytest.raises(DegenerateFitError):
+        scaling.fit_power_law([(0.01, 1e-4), (0.01, 2e-4)])
+
+
+def test_fit_matches_polyfit_on_random_lines(rng):
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        x = np.log(np.sort(rng.uniform(1e-2, 0.5, n)))
+        y = rng.uniform(0.0, 3.0) + rng.uniform(1.0, 5.0) * x + rng.normal(0.0, 0.1, n)
+        fit = scaling.fit_power_law(list(zip(np.exp(x), np.exp(y))))
+        slope, intercept = np.polyfit(x, y, 1)
+        assert len(fit.samples) == n
+        assert abs(fit.slope - slope) < 1e-12
+        assert abs(fit.intercept - intercept) < 1e-12
+
+
 def test_single_gate_common_mode_slope():
     spec = SweepSpec(
         gate_kind="single", theta=math.pi / 4, phi=0.0,
