@@ -114,7 +114,8 @@ def make_record(command: str, config: dict, outputs: dict) -> dict:
 def write_record(record: dict, out_dir: Path, name: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    # one line: without indent, json runs its C encoder
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
     return path
 
 

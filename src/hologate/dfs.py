@@ -212,9 +212,18 @@ class DephasingChannel:
             raise ValueError("n_samples must be >= 1")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.distribution == "uniform":
-            return rng.uniform(-self.kappa, self.kappa, size=size)
-        return rng.normal(0.0, self.kappa, size=size)
+        """Kick angles; FloatingPointError if kappa is too large to draw them."""
+        failure = f"kick angles overflow at kappa={self.kappa!r} ({self.distribution} distribution)"
+        try:
+            if self.distribution == "uniform":
+                phis = rng.uniform(-self.kappa, self.kappa, size=size)
+            else:
+                phis = rng.normal(0.0, self.kappa, size=size)
+        except OverflowError as exc:
+            raise FloatingPointError(failure) from exc
+        if not np.isfinite(phis).all():
+            raise FloatingPointError(failure)
+        return phis
 
     def characteristic(self, t: float) -> float:
         """E[cos(phi t)] for one kick angle phi."""
@@ -284,19 +293,26 @@ def kicked_schedule_fidelities(
 
     One kick follows every segment of an unbatched schedule.  Fidelity is
     the phase-insensitive overlap squared with the kick-free final state.
+    Only the levels the schedule couples or psi0 occupies are evolved: the
+    others stay exactly empty, and the diagonal kicks cannot fill them.
     """
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
     psi0 = np.asarray(psi0, dtype=complex)
-    propagators = linalg.exponentials(schedule)
+    if schedule.generators.shape[-1] != 2**n_ions or psi0.shape != (2**n_ions,):
+        raise ValueError(f"schedule and psi0 must act on the {2**n_ions} levels of {n_ions} ions")
+    levels = linalg.coupled_levels(schedule.generators, psi0)
+    generators = schedule.generators[:, levels[:, None], levels]
+    propagators = linalg.exponentials(linalg.Schedule(generators, schedule.areas))
+    psi0 = psi0[levels]
 
     clean = psi0.copy()
     for u in propagators:
         clean = u @ clean
 
-    # Every kick sample is one column of a (dim, n_samples) state array; the
-    # columns evolve together and two buffers are swapped for the whole run.
-    level = _levels(n_ions)
+    # Every kick sample is one column of a (n_levels, n_samples) state array;
+    # the columns evolve together and two buffers are swapped for the whole run.
+    level = _levels(n_ions)[levels]
     phis = np.ascontiguousarray(channel.draw(rng, (channel.n_samples, len(propagators))).T)
     states = np.repeat(psi0[:, None], channel.n_samples, axis=1)
     scratch = np.empty_like(states)

@@ -22,15 +22,20 @@ from . import linalg
 class EvolutionTrace:
     """Sampled subspace evolution under a piecewise-constant schedule.
 
-    states has shape (n_basis, n_samples, dim): evolved copies of each
-    subspace basis vector.  generators has shape (n_segments, dim, dim),
-    one per segment, and segment_index[i] is the segment in force at
-    sample i (sample 0 belongs to segment 0, and a boundary sample to the
-    segment that just ended).  segment_boundaries are sample indices
-    closing each segment; the last one is the final sample.
+    levels holds the sorted register levels that some generator couples or
+    some basis vector occupies (``linalg.coupled_levels``); states and
+    generators are stored over those levels only, and the full-register
+    states are exactly zero on every other level.  states has shape
+    (n_basis, n_samples, n_levels): evolved copies of each subspace basis
+    vector.  generators has shape (n_segments, n_levels, n_levels), one per
+    segment, and segment_index[i] is the segment in force at sample i
+    (sample 0 belongs to segment 0, and a boundary sample to the segment
+    that just ended).  segment_boundaries are sample indices closing each
+    segment; the last one is the final sample.
     """
 
     times: np.ndarray
+    levels: np.ndarray
     states: np.ndarray
     generators: np.ndarray
     segment_index: np.ndarray
@@ -59,7 +64,9 @@ def trace_evolution(
     """Propagate an orthonormal subspace basis through an unbatched schedule.
 
     Each segment is subdivided into samples_per_segment equal-area slices
-    and the states are stored after every slice.
+    and the states are stored after every slice.  Only the levels the
+    schedule couples or the basis occupies are propagated; the rest stay
+    exactly as they were, zero.
     """
     n = samples_per_segment
     if n < 1:
@@ -70,16 +77,17 @@ def trace_evolution(
     gram = basis.conj() @ basis.T
     if linalg.frobenius_norm(gram - np.eye(len(basis))) > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
-    generators, areas = schedule.generators, schedule.areas
-    n_segments, dim = schedule.n_segments, generators.shape[-1]
-    if basis.shape[1] != dim:
+    n_segments, areas = schedule.n_segments, schedule.areas
+    if basis.shape[1] != schedule.generators.shape[-1]:
         raise ValueError("basis dimension does not match schedule generators")
+    levels = linalg.coupled_levels(schedule.generators, basis)
+    generators = schedule.generators[:, levels[:, None], levels]
 
     slice_steps = linalg.exponentials(linalg.Schedule(generators, areas / n))
     # one sequential sum of area / n per slice, as a running clock would add them
     times = np.cumsum(np.concatenate(([0.0], np.repeat(areas / n, n))))
-    states = np.empty((len(basis), 1 + n_segments * n, dim), dtype=complex)
-    states[:, 0, :] = basis
+    states = np.empty((len(basis), 1 + n_segments * n, len(levels)), dtype=complex)
+    states[:, 0, :] = basis[:, levels]
     for s, power in enumerate(slice_steps):
         # seg[:, j] is the state j slices into the segment, seg[:, 0] its start;
         # each round fills the next k slices from the first k by step^m
@@ -94,6 +102,7 @@ def trace_evolution(
 
     return EvolutionTrace(
         times=times,
+        levels=levels,
         states=states,
         generators=generators,
         segment_index=np.concatenate(([0], np.repeat(np.arange(n_segments), n))),
@@ -117,10 +126,10 @@ def check_holonomy(trace: EvolutionTrace, tolerance: float = 1e-8) -> HolonomyRe
     worst = 0.0
     start = 0
     for gen, stop in zip(trace.generators, trace.segment_boundaries):
-        # rows[b, i] is basis vector b at sample i of this segment's block
+        # rows[b, i] is basis vector b at sample i of this segment's block;
+        # elements[i, b, c] = <b_i| gen |c_i>
         rows = trace.states[:, start : stop + 1, :]
-        left = (rows.conj() @ gen).transpose(1, 0, 2)
-        elements = left @ rows.transpose(1, 2, 0)
+        elements = np.einsum("bix,cix->ibc", rows.conj() @ gen, rows)
         worst = max(worst, float(np.max(np.abs(elements))))
         start = stop + 1
     cond2 = worst / scale if scale > 0 else worst

@@ -110,6 +110,22 @@ class Schedule:
         return self.generators.shape[-3]
 
 
+def coupled_levels(generators: np.ndarray, vectors=()) -> np.ndarray:
+    """Sorted indices of the levels some generator couples or some vector occupies.
+
+    A level is kept when its row or its column is nonzero in any of the
+    (..., d, d) generators, or when any of the (..., d) vectors is nonzero
+    on it.  Every other level evolves by the identity and the vectors are
+    zero there, so it stays exactly empty: an evolution of the vectors
+    restricted to the kept levels is exact.
+    """
+    g = np.asarray(generators) != 0
+    d = g.shape[-1]
+    used = (g.any(axis=-1) | g.any(axis=-2)).reshape(-1, d).any(axis=0)
+    used |= (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
+    return np.flatnonzero(used)
+
+
 def exponentials(schedule: Schedule) -> np.ndarray:
     """exp(-i g_k a_k) for every segment of a schedule, unmultiplied.
 

@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hologate import cli, scaling
+from hologate import cli, scaling, two_qubit
 
 
 def write_cfg(tmp_path, name, payload):
@@ -82,6 +86,8 @@ def test_gate_record_echoes_config_untouched(tmp_path):
     assert record["config"] == payload
     assert record["command"] == "gate"
     assert "timestamp" in record and "version" in record
+    # one JSON line
+    assert (tmp_path / "gate_result.json").read_text().count("\n") == 1
 
 
 def test_gate_envelope_choice_does_not_move_the_matrix(tmp_path):
@@ -379,6 +385,7 @@ def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "kappa" in lines[0]
     assert not out.exists()
 
 
@@ -469,3 +476,75 @@ def test_matrix_payload_round_trips_losslessly(tmp_path):
         qutrit.BrightDarkFrame(0.9, 0.3), qutrit.ErrorModel(0.05, -0.02)
     )
     assert np.array_equal(payload_to_matrix(record["outputs"]["matrix"]), expected)
+
+
+# Config values a user might get wrong.  Integers stay at most 64, or far
+# above the size limit, so that no example allocates a large run.
+ODD_VALUES = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -1, -0.5, 0, True, None,
+         "", "uniform", [], [1.0], {}, {"points": 3}, 10**10, 2**63, -(10**30)]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 64),
+    st.text(max_size=4),
+)
+ANGLE = st.floats(-10.0, 10.0)
+FUZZED_KEYS = {
+    "check-holonomy": {
+        "schedule": st.sampled_from(sorted(scaling.GATES)),
+        "theta": ANGLE,
+        "phi": ANGLE,
+        "jk": st.sampled_from(two_qubit.COMPUTATIONAL_LABELS),
+        "samples_per_segment": st.integers(1, 64),
+        "tolerance": st.floats(1e-12, 1.0),
+        "truncate_segments": st.integers(1, 8),
+    },
+    "dfs": {
+        "kappa": st.floats(0.0, 3.0),
+        "distribution": st.sampled_from(["uniform", "gaussian"]),
+        "n_samples": st.integers(1, 200),
+        "seed": st.integers(0, 2**32),
+        "theta": ANGLE,
+        "phi": ANGLE,
+        "coupling_prefactor": st.floats(1e-3, 10.0),
+    },
+}
+
+
+@st.composite
+def fuzzed_config(draw, command):
+    """A valid config with up to two keys, known or not, set to odd values."""
+    keys = FUZZED_KEYS[command]
+    # check-holonomy needs a schedule; every dfs key is optional
+    required = {k: v for k, v in keys.items() if k == "schedule"}
+    optional = {k: v for k, v in keys.items() if k not in required}
+    cfg = draw(st.fixed_dictionaries(required, optional=optional))
+    odd = st.one_of(st.sampled_from(sorted(keys)), st.text(max_size=6))
+    for key in draw(st.lists(odd, max_size=2)):
+        cfg[key] = draw(ODD_VALUES)
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED_KEYS))
+def test_fuzzed_configs_exit_zero_two_or_three(command):
+    @settings(derandomize=True, max_examples=150)
+    @given(
+        cfg=st.one_of(fuzzed_config(command), fuzzed_config(command), ODD_VALUES),
+        flags=st.lists(
+            st.sampled_from([["--seed", "3"], ["--seed", "-1"], ["--tolerance", "nan"],
+                             ["--tolerance", "-1"], ["--tolerance", "1e-3"]]),
+            max_size=2,
+        ),
+    )
+    def check(cfg, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            code = cli.main([command, "--config", str(path), "--out", str(out), *sum(flags, [])])
+            assert code in (0, 2, 3)
+            # a run that fails writes no file
+            assert out.exists() == (code == 0)
+
+    check()

@@ -360,3 +360,38 @@ def test_kicked_run_holds_about_two_state_arrays(register):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**n_ions * n_samples * 16
+
+
+# A level of each register that no generator couples, with a collective-z
+# level different from the encoded one.
+UNCOUPLED_LEVEL = {"three_ion": "000", "six_ion": "111000"}
+
+
+@pytest.mark.parametrize("register", sorted(KICKED_REGISTERS))
+def test_kicked_run_carries_weight_on_uncoupled_levels(rng, register):
+    build, n_ions = KICKED_REGISTERS[register]
+    schedule = build()
+    encoding = ENC3 if n_ions == 3 else ENC6
+    psi = encoding.projector() @ random_state(rng, 2**n_ions)
+    psi[dfs.bit_index(UNCOUPLED_LEVEL[register])] = 0.6
+    psi /= np.linalg.norm(psi)
+    channel = DephasingChannel(0.7, "uniform", 200)
+    result = dfs.kicked_schedule_fidelities(
+        schedule, psi, channel, np.random.default_rng(5), n_ions
+    )
+    phis = channel.draw(np.random.default_rng(5), (200, schedule.n_segments))
+    propagators = [linalg.expm_hermitian(h, a) for h, a in zip(schedule.generators, schedule.areas)]
+    expected = kicked_fidelities_loop(propagators, psi, phis, collective_z_table(n_ions))
+    assert np.max(np.abs(result.fidelities - expected)) < 1e-13
+    # the kicks dephase the uncoupled weight against the encoded part
+    assert expected.min() < 0.99
+
+
+def test_kicked_run_rejects_a_register_size_mismatch():
+    schedule = dfs.logical_composite_schedule(0.7, 0.2)
+    channel = DephasingChannel(0.5, "uniform", 10)
+    psi = ENC3.logical_ket("0")
+    with pytest.raises(ValueError):
+        dfs.kicked_schedule_fidelities(schedule, psi[:4], channel, np.random.default_rng(0), 3)
+    with pytest.raises(ValueError):
+        dfs.kicked_schedule_fidelities(schedule, psi, channel, np.random.default_rng(0), 4)

@@ -167,6 +167,17 @@ def test_schedule_is_a_read_only_copy(rng):
         schedule.areas[0] = 1.0
 
 
+def test_coupled_levels_take_rows_columns_and_vectors():
+    gens = np.zeros((2, 5, 5), dtype=complex)
+    assert linalg.coupled_levels(gens).size == 0
+    gens[0, 1, 3] = 1e-13  # one-sided: row of level 1, column of level 3
+    gens[1, 2, 2] = -2.0  # a diagonal entry couples its level to itself
+    assert np.array_equal(linalg.coupled_levels(gens), [1, 2, 3])
+    assert np.array_equal(linalg.coupled_levels(gens.swapaxes(-1, -2)), [1, 2, 3])
+    assert np.array_equal(linalg.coupled_levels(gens, np.eye(5)[[0, 4]]), [0, 1, 2, 3, 4])
+    assert np.array_equal(linalg.coupled_levels(gens[None], [0, 0, 0, 0, 1j]), [1, 2, 3, 4])
+
+
 def eigh_expm(h, t):
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
