@@ -301,9 +301,8 @@ def kicked_schedule_fidelities(
     psi0 = np.asarray(psi0, dtype=complex)
     if schedule.generators.shape[-1] != 2**n_ions or psi0.shape != (2**n_ions,):
         raise ValueError(f"schedule and psi0 must act on the {2**n_ions} levels of {n_ions} ions")
-    levels = linalg.coupled_levels(schedule.generators, psi0)
-    generators = schedule.generators[:, levels[:, None], levels]
-    propagators = linalg.exponentials(linalg.Schedule(generators, schedule.areas))
+    levels, schedule = linalg.restrict_to_coupled(schedule, psi0)
+    propagators = linalg.exponentials(schedule)
     psi0 = psi0[levels]
 
     clean = psi0.copy()

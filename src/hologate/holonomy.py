@@ -23,7 +23,7 @@ class EvolutionTrace:
     """Sampled subspace evolution under a piecewise-constant schedule.
 
     levels holds the sorted register levels that some generator couples or
-    some basis vector occupies (``linalg.coupled_levels``); states and
+    some basis vector occupies (``linalg.restrict_to_coupled``); states and
     generators are stored over those levels only, and the full-register
     states are exactly zero on every other level.  states has shape
     (n_basis, n_samples, n_levels): evolved copies of each subspace basis
@@ -80,10 +80,9 @@ def trace_evolution(
     n_segments, areas = schedule.n_segments, schedule.areas
     if basis.shape[1] != schedule.generators.shape[-1]:
         raise ValueError("basis dimension does not match schedule generators")
-    levels = linalg.coupled_levels(schedule.generators, basis)
-    generators = schedule.generators[:, levels[:, None], levels]
+    levels, schedule = linalg.restrict_to_coupled(schedule, basis)
 
-    slice_steps = linalg.exponentials(linalg.Schedule(generators, areas / n))
+    slice_steps = linalg.exponentials(linalg.Schedule(schedule.generators, areas / n))
     # one sequential sum of area / n per slice, as a running clock would add them
     times = np.cumsum(np.concatenate(([0.0], np.repeat(areas / n, n))))
     states = np.empty((len(basis), 1 + n_segments * n, len(levels)), dtype=complex)
@@ -104,7 +103,7 @@ def trace_evolution(
         times=times,
         levels=levels,
         states=states,
-        generators=generators,
+        generators=schedule.generators,
         segment_index=np.concatenate(([0], np.repeat(np.arange(n_segments), n))),
         segment_boundaries=tuple(range(n, n_segments * n + 1, n)),
     )

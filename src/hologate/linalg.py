@@ -110,20 +110,21 @@ class Schedule:
         return self.generators.shape[-3]
 
 
-def coupled_levels(generators: np.ndarray, vectors=()) -> np.ndarray:
-    """Sorted indices of the levels some generator couples or some vector occupies.
+def restrict_to_coupled(schedule: Schedule, vectors) -> tuple[np.ndarray, Schedule]:
+    """The levels a schedule couples or some vector occupies, and the schedule on them.
 
-    A level is kept when its row or its column is nonzero in any of the
-    (..., d, d) generators, or when any of the (..., d) vectors is nonzero
-    on it.  Every other level evolves by the identity and the vectors are
-    zero there, so it stays exactly empty: an evolution of the vectors
-    restricted to the kept levels is exact.
+    A level is kept when its row or its column is nonzero in any generator,
+    or when any of the (..., d) vectors is nonzero on it; the sorted kept
+    levels come first.  Every other level evolves by the identity and the
+    vectors are zero there, so it stays exactly empty: evolving the vectors
+    restricted to the kept levels under the returned schedule is exact.
     """
-    g = np.asarray(generators) != 0
+    g = schedule.generators != 0
     d = g.shape[-1]
     used = (g.any(axis=-1) | g.any(axis=-2)).reshape(-1, d).any(axis=0)
     used |= (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
-    return np.flatnonzero(used)
+    levels = np.flatnonzero(used)
+    return levels, Schedule(schedule.generators[..., levels[:, None], levels], schedule.areas)
 
 
 def exponentials(schedule: Schedule) -> np.ndarray:

@@ -167,15 +167,26 @@ def test_schedule_is_a_read_only_copy(rng):
         schedule.areas[0] = 1.0
 
 
-def test_coupled_levels_take_rows_columns_and_vectors():
+def test_restriction_keeps_rows_columns_and_vectors():
     gens = np.zeros((2, 5, 5), dtype=complex)
-    assert linalg.coupled_levels(gens).size == 0
+    gens[0, 1, 1] = 1.0
     gens[0, 1, 3] = 1e-13  # one-sided: row of level 1, column of level 3
     gens[1, 2, 2] = -2.0  # a diagonal entry couples its level to itself
-    assert np.array_equal(linalg.coupled_levels(gens), [1, 2, 3])
-    assert np.array_equal(linalg.coupled_levels(gens.swapaxes(-1, -2)), [1, 2, 3])
-    assert np.array_equal(linalg.coupled_levels(gens, np.eye(5)[[0, 4]]), [0, 1, 2, 3, 4])
-    assert np.array_equal(linalg.coupled_levels(gens[None], [0, 0, 0, 0, 1j]), [1, 2, 3, 4])
+    none = np.zeros(5)
+    for g in (gens, gens.swapaxes(-1, -2)):
+        levels, restricted = linalg.restrict_to_coupled(linalg.Schedule(g, [0.3, 0.9]), none)
+        assert np.array_equal(levels, [1, 2, 3])
+        assert np.array_equal(restricted.generators, g[:, [1, 2, 3]][:, :, [1, 2, 3]])
+        assert np.array_equal(restricted.areas, [0.3, 0.9])
+    schedule = linalg.Schedule(gens, [0.3, 0.9])
+    levels, _ = linalg.restrict_to_coupled(schedule, np.eye(5)[[0, 4]])
+    assert np.array_equal(levels, [0, 1, 2, 3, 4])
+    batch = linalg.Schedule(gens[None], [[0.3, 0.9]])
+    levels, restricted = linalg.restrict_to_coupled(batch, [0, 0, 0, 0, 1j])
+    assert np.array_equal(levels, [1, 2, 3, 4])
+    assert restricted.generators.shape == (1, 2, 4, 4)
+    levels, _ = linalg.restrict_to_coupled(linalg.Schedule(np.zeros((1, 5, 5)), [1.0]), np.eye(5)[0])
+    assert np.array_equal(levels, [0])
 
 
 def eigh_expm(h, t):
