@@ -150,8 +150,9 @@ def parse_segments(cfg: dict, dim: int):
     steps = get_int(cfg, "steps", 1 if envelope == "square" else 32)
     if steps < 1:
         raise ConfigError("config key 'steps' must be >= 1")
-    # two error models times two segments of `steps` slices each
-    check_run_size("steps", 16 * 4 * steps * (3 * dim * dim + 32))
+    # two error models times up to two distinct loops (composite4) times two
+    # segments of `steps` slices each, all evolved in one batch
+    check_run_size("steps", 16 * 8 * steps * (3 * dim * dim + 32))
     return pulses.default_segments(envelope, steps)
 
 
@@ -207,7 +208,7 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
         points = get_int(raw, "points", 12)
         if points < 2:
             raise ConfigError("epsilon grid needs at least 2 points")
-        check_run_size("epsilons", 2560 * points)
+        check_run_size("epsilons", 4096 * points)
         return scaling.default_epsilon_grid(points)
     if isinstance(raw, list):
         if not raw:
@@ -303,7 +304,7 @@ def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
 def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> dict:
     check_keys(
         cfg,
-        {"kappa", "distribution", "n_samples", "seed", "theta", "phi", "coupling_prefactor"},
+        {"kappa", "distribution", "n_samples", "seed", "theta", "phi"},
         set(),
     )
     kappa = get_number(cfg, "kappa", 0.5)
@@ -312,19 +313,16 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
     seed = seed_override if seed_override is not None else get_int(cfg, "seed", 0)
     theta = get_number(cfg, "theta", math.pi / 4)
     phi = get_number(cfg, "phi", 0.0)
-    prefactor = get_number(cfg, "coupling_prefactor", 1.0)
     if kappa < 0:
         raise ConfigError("kappa must be nonnegative")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
-    if prefactor <= 0:
-        raise ConfigError("coupling_prefactor must be positive")
 
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
     encoding = dfs.three_ion_encoding()
-    schedule = dfs.logical_composite_schedule(theta, phi, None, prefactor)
+    schedule = dfs.logical_composite_schedule(theta, phi)
     n_kicks = schedule.n_segments
     check_run_size("n_samples", 16 * n_samples * (2 * encoding.dim + n_kicks))
 

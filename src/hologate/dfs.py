@@ -6,8 +6,9 @@ a collective phase kick exp(-i phi/2 * sum_i sz_i) multiplies every
 encoded basis state by the same phase and the encoded information is
 untouched.  Effective three-level Hamiltonians act inside the encoded
 subspace with exactly the coupling structure of the bare three-level
-system, which lets the composite-gate recipes run unchanged at the
-logical level.
+system, so each register schedule is a bare composite schedule placed
+on the encoded levels, and the composite-gate recipes run unchanged at
+the logical level.
 
 Bitstring convention: ion 1 is the leftmost character, and a bitstring
 indexes the register basis as a big-endian binary integer.
@@ -94,96 +95,36 @@ def dfs_membership_check(vector, encoding: DfsEncoding, tol: float = 1e-10) -> b
     return linalg.norm(residual) <= tol
 
 
-def h1_effective(
-    omega12_sq: float,
-    omega23_sq: float,
-    phi12: float,
-    phi23: float,
-    coupling_prefactor: float = 1.0,
-) -> np.ndarray:
-    """Effective three-ion Hamiltonian acting inside the one-qubit encoding.
+def _embedded(schedule: linalg.Schedule, encoding: DfsEncoding, blocks) -> linalg.Schedule:
+    """A bare three-level schedule copied onto each block of named levels, zero elsewhere.
 
-    Couples the logical ancilla to |0>_L with weight +|Omega12|^2 e^{i phi12}
-    and to |1>_L with weight -|Omega23|^2 e^{i phi23}, everything scaled by
-    the opaque second-order prefactor.  All other register states are
-    annihilated.
+    The copies share the areas, and no element joins two blocks.
     """
-    if coupling_prefactor <= 0:
-        raise ValueError("coupling prefactor must be positive")
-    enc = THREE_ION_LABELS
-    h = np.zeros((8, 8), dtype=complex)
-    a = bit_index(enc["a"])
-    h[a, bit_index(enc["0"])] = coupling_prefactor * omega12_sq * np.exp(1j * phi12)
-    h[a, bit_index(enc["1"])] = -coupling_prefactor * omega23_sq * np.exp(1j * phi23)
-    return h + linalg.dagger(h)
-
-
-def h2_effective(
-    omega34_sq: float,
-    omega36_sq: float,
-    phi34: float,
-    phi36: float,
-    coupling_prefactor: float = 1.0,
-) -> np.ndarray:
-    """Effective six-ion Hamiltonian: two independent three-level blocks.
-
-    One drive couples a1<->00 and a2<->11 (weight +|Omega34|^2 e^{i phi34}),
-    the other a1<->01 and a2<->10 (weight -|Omega36|^2 e^{i phi36}).  No
-    matrix element connects the two blocks.
-    """
-    if coupling_prefactor <= 0:
-        raise ValueError("coupling prefactor must be positive")
-    enc = SIX_ION_LABELS
-    h = np.zeros((64, 64), dtype=complex)
-    g34 = coupling_prefactor * omega34_sq * np.exp(1j * phi34)
-    g36 = coupling_prefactor * omega36_sq * np.exp(1j * phi36)
-    h[bit_index(enc["a1"]), bit_index(enc["00"])] = g34
-    h[bit_index(enc["a2"]), bit_index(enc["11"])] = g34
-    h[bit_index(enc["a1"]), bit_index(enc["01"])] = -g36
-    h[bit_index(enc["a2"]), bit_index(enc["10"])] = -g36
-    return h + linalg.dagger(h)
-
-
-def _register_schedule(h_effective, pulse_list, prefactor: float) -> linalg.Schedule:
-    """Two-field pulses driven through a register's effective Hamiltonian.
-
-    Sign and conjugation bookkeeping chosen so the encoded block matches
-    the bare three-level generator entry for entry.
-    """
-    gens = [
-        h_effective(p.amp0 / prefactor, p.amp1 / prefactor, -p.phase0, math.pi - p.phase1, prefactor)
-        for p in pulse_list
-    ]
-    return linalg.Schedule(np.array(gens), [p.duration for p in pulse_list])
+    g = np.zeros((schedule.n_segments, encoding.dim, encoding.dim), dtype=complex)
+    for names in blocks:
+        levels = np.array([encoding.index(name) for name in names])
+        g[:, levels[:, None], levels] = schedule.generators
+    return linalg.Schedule(g, schedule.areas)
 
 
 def logical_composite_schedule(
-    theta: float,
-    phi: float,
-    model: qutrit.ErrorModel | None = None,
-    coupling_prefactor: float = 1.0,
+    theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> linalg.Schedule:
-    """Eight-segment register schedule realizing the four-pulse composite."""
-    pulse_list = qutrit.composite_four_field_pulses(theta, phi, model)
-    return _register_schedule(h1_effective, pulse_list, coupling_prefactor)
+    """Eight-segment three-ion schedule: the four-pulse composite on levels (0, 1, a)."""
+    bare = qutrit.loop_schedule(qutrit.COMPOSITE_FOUR, theta, phi, (model,), ordered=True)
+    return _embedded(bare, three_ion_encoding(), [("0", "1", "a")])
 
 
 def two_logical_composite_schedule(
-    theta: float,
-    phi: float,
-    model: qutrit.ErrorModel | None = None,
-    coupling_prefactor: float = 1.0,
+    theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> linalg.Schedule:
-    """Four-segment six-ion schedule: the repeated elementary gate per block."""
-    pulse_list = qutrit.composite_two_field_pulses(theta, phi, model)
-    return _register_schedule(h2_effective, pulse_list, coupling_prefactor)
+    """Four-segment six-ion schedule: the repeated elementary gate on two blocks of levels."""
+    bare = qutrit.loop_schedule(qutrit.COMPOSITE_TWO, theta, phi, (model,), ordered=True)
+    return _embedded(bare, six_ion_encoding(), [("00", "01", "a1"), ("11", "10", "a2")])
 
 
 def two_logical_composite_gate(
-    theta: float,
-    phi: float,
-    model: qutrit.ErrorModel | None = None,
-    coupling_prefactor: float = 1.0,
+    theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> np.ndarray:
     """Repeated-elementary composite on the six-ion register.
 
@@ -192,7 +133,7 @@ def two_logical_composite_gate(
     to the product gate -Z x Z, while generic angles give an entangling
     diagonal-block pair.
     """
-    return linalg.evolve(two_logical_composite_schedule(theta, phi, model, coupling_prefactor))
+    return linalg.evolve(two_logical_composite_schedule(theta, phi, model))
 
 
 @dataclass(frozen=True)
@@ -211,18 +152,20 @@ class DephasingChannel:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
+    def overflow_error(self, what: str = "kick angles") -> FloatingPointError:
+        return FloatingPointError(f"{what} overflow at kappa={self.kappa!r} ({self.distribution} distribution)")
+
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Kick angles; FloatingPointError if kappa is too large to draw them."""
-        failure = f"kick angles overflow at kappa={self.kappa!r} ({self.distribution} distribution)"
         try:
             if self.distribution == "uniform":
                 phis = rng.uniform(-self.kappa, self.kappa, size=size)
             else:
                 phis = rng.normal(0.0, self.kappa, size=size)
         except OverflowError as exc:
-            raise FloatingPointError(failure) from exc
+            raise self.overflow_error() from exc
         if not np.isfinite(phis).all():
-            raise FloatingPointError(failure)
+            raise self.overflow_error()
         return phis
 
     def characteristic(self, t: float) -> float:
@@ -351,8 +294,11 @@ def idle_contrast_run(
     # |<psi0|kicked psi0>| depends on psi0 only through its population of
     # each collective-z level, and on the kicks only through their sum
     pops = np.bincount(_levels(n_ions), np.abs(np.asarray(psi0)) ** 2, minlength=n_ions + 1)
-    phis = channel.draw(rng, (channel.n_samples, n_kicks))
-    fids = np.abs(pops @ _kick_phasors(phis.sum(axis=1), n_ions)) ** 2
+    with np.errstate(over="ignore"):
+        total = channel.draw(rng, (channel.n_samples, n_kicks)).sum(axis=1)
+    if not np.isfinite(total).all():
+        raise channel.overflow_error("summed kick angles")
+    fids = np.abs(pops @ _kick_phasors(total, n_ions)) ** 2
     return DephasingResult(fidelities=fids)
 
 

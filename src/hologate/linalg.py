@@ -41,10 +41,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conjugate(m.T)
-
-
 def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 

@@ -11,6 +11,7 @@ the single-exponential result.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,42 +69,65 @@ def elementary_segments(segments) -> tuple[PulseSegment, PulseSegment]:
     return segments
 
 
-def cumulative_area_fraction(u: np.ndarray | float, envelope: str) -> np.ndarray | float:
-    """Fraction of the total area accumulated by scaled time u in [0, 1]."""
-    if envelope == "square":
-        return u
-    if envelope == "sine_squared":
-        # Omega(t) ~ sin^2(pi u); integral is u - sin(2 pi u)/(2 pi).
-        return u - np.sin(2 * np.pi * np.asarray(u)) / (2 * np.pi)
-    raise ValueError(f"unknown envelope {envelope!r}")
-
-
 def slice_areas(segment: PulseSegment) -> np.ndarray:
     """Per-slice areas for ``segment.steps`` equal-time slices.
 
     The slices sum to ``segment.area`` up to rounding; the last slice
     absorbs the closure so downstream products see the exact total.
     """
-    grid = np.linspace(0.0, 1.0, segment.steps + 1)
-    frac = np.asarray(cumulative_area_fraction(grid, segment.envelope), dtype=float)
+    # fraction of the area accumulated by scaled time u in [0, 1]
+    frac = np.linspace(0.0, 1.0, segment.steps + 1)
+    if segment.envelope == "sine_squared":
+        # Omega(t) ~ sin^2(pi u); integral is u - sin(2 pi u)/(2 pi).
+        frac = frac - np.sin(2 * np.pi * frac) / (2 * np.pi)
     areas = segment.area * np.diff(frac)
     areas[-1] += segment.area - float(np.sum(areas))
     return areas
 
 
-def slice_schedule(generators, segments, stretch=1.0) -> linalg.Schedule:
-    """Every envelope slice of a segment list, as one schedule.
+@dataclass(frozen=True)
+class Recipe:
+    """A gate as elementary loops run back to back.
 
-    ``generators`` has shape (..., n_segments, d, d), one unit-envelope
-    generator per segment, with optional leading batch axes.  Each segment
+    ``loops`` maps the gate's parameter (a bright angle, or a two-qubit
+    level label) to the parameters of its distinct loops, and ``order``
+    lists loop indices in time order, first in time first.
+    """
+
+    loops: Callable[..., tuple]
+    order: tuple[int, ...]
+
+    def fold(self, unitaries: np.ndarray) -> np.ndarray:
+        """The gate from loop unitaries (models, loops, d, d): one (d, d) per model.
+
+        Later loops multiply on the left, folded from the last in time:
+        order (0, 0, 1, 1) gives ((U1 @ U1) @ U0) @ U0.
+        """
+        gate = unitaries[:, self.order[-1]]
+        for k in reversed(self.order[:-1]):
+            gate = gate @ unitaries[:, k]
+        return gate
+
+
+def loop_schedule(generators, stretch, segments, order=None) -> linalg.Schedule:
+    """Every envelope slice of a batch of elementary loops, as one schedule.
+
+    ``generators`` (..., n_loops, n_segments, d, d) hold each loop's
+    unit-envelope segment generators, first in time first.  Each segment
     contributes ``segment.steps`` slices that repeat its generator, with
-    the areas of ``slice_areas`` times ``stretch`` (a scalar or an array
-    over the batch axes, as an envelope-strength error scales them).
+    the areas of ``slice_areas`` times the loop's ``stretch`` (..., n_loops),
+    as an envelope-strength error scales them.  The result keeps the batch
+    axes, loops included.  With ``order``, the batch holds one error model
+    and the result is its loops back to back in that order, unbatched.
     """
     segments = tuple(segments)
     gens = np.asarray(generators)
-    if gens.ndim < 3 or gens.shape[-3] != len(segments):
+    if gens.ndim < 4 or gens.shape[-3] != len(segments):
         raise ValueError(f"need one generator per segment, got {gens.shape} for {len(segments)}")
     gens = np.repeat(gens, [seg.steps for seg in segments], axis=-3)
     areas = np.concatenate([slice_areas(seg) for seg in segments])
-    return linalg.Schedule(gens, np.asarray(stretch, dtype=float)[..., None] * areas)
+    areas = np.asarray(stretch, dtype=float)[..., None] * areas
+    if order is not None:
+        gens = gens[..., list(order), :, :, :].reshape((-1,) + gens.shape[-2:])
+        areas = areas[..., list(order), :].reshape(-1)
+    return linalg.Schedule(gens, areas)

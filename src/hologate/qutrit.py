@@ -10,9 +10,9 @@ computational subspace and imprints a purely geometric unitary.
 Pulse-strength errors enter as constant fractional deviations (eps0,
 eps1) of the two field amplitudes.  They deform the evolution in two
 ways: a common stretch of the overall envelope and a tilt of the bright
-angle theta -> theta_prime.  Both the raw two-field form and the
-equivalent stretched-and-tilted single-field form are implemented so the
-reparametrization can be checked rather than assumed.
+angle theta -> theta_prime.  Every gate is built in that stretched-and-
+tilted single-field form, from its recipe: the distinct elementary loops
+and the order they run in.
 """
 
 from __future__ import annotations
@@ -74,22 +74,6 @@ class ErrorModel:
             )
 
 
-@dataclass(frozen=True)
-class FieldPulse:
-    """One drive segment in raw two-field form.
-
-    amp0/amp1 are the field amplitudes on the |0><e| and |1><e| couplings
-    (error factors included), phase0/phase1 their phases, duration the
-    nominal unit-envelope time so that area = amp * duration per field.
-    """
-
-    amp0: float
-    phase0: float
-    amp1: float
-    phase1: float
-    duration: float
-
-
 def drive_generators(theta, phi: float, phi0) -> np.ndarray:
     """Unit-envelope generators e^{i phi0} |b><e| + h.c., batched.
 
@@ -115,14 +99,6 @@ def hamiltonian(frame: BrightDarkFrame, omega: float, phi0: float) -> np.ndarray
     return omega * drive_generators(frame.theta, frame.phi, phi0)
 
 
-def field_hamiltonian(pulse: FieldPulse) -> np.ndarray:
-    """Hamiltonian with independent amplitudes on the two couplings."""
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[IDX_0, IDX_E] = pulse.amp0 * np.exp(1j * pulse.phase0)
-    h[IDX_1, IDX_E] = pulse.amp1 * np.exp(1j * pulse.phase1)
-    return h + linalg.dagger(h)
-
-
 def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, float]:
     """Map two-field deviations to (envelope stretch, tilted angle).
 
@@ -140,30 +116,43 @@ def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, floa
     return eps, theta_prime
 
 
-def error_gates(
-    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Elementary gates for a sequence of error models (None for no error).
+ELEMENTARY = pulses.Recipe(lambda theta: (theta,), (0,))
+COMPOSITE_TWO = pulses.Recipe(lambda theta: (theta,), (0, 0))
+# the mirrored-angle pair acts first, the theta pair last
+COMPOSITE_FOUR = pulses.Recipe(lambda theta: (math.pi - theta, theta), (0, 0, 1, 1))
 
-    Stretched-and-tilted form: under each model the envelope integral
-    becomes (1+eps) * pi/2 per segment and the drive couples the tilted
-    bright state at theta_prime.  All gates come from one ``linalg.evolve``
-    call.  Returns shape (len(models), 3, 3).
+
+def loop_schedule(
+    recipe: pulses.Recipe, theta: float, phi: float, models, segments=DEFAULT_SEGMENTS, ordered=False
+) -> linalg.Schedule:
+    """Every envelope slice of a recipe's loops under each error model (None for no error).
+
+    Stretched-and-tilted form: under a model the envelope integral of a
+    segment becomes (1+eps) * pi/2 and the drive couples the tilted bright
+    state at theta_prime.  Batched over (models, loops); with ``ordered``,
+    one model's loops in the recipe's time order (``pulses.loop_schedule``).
     """
     segments = pulses.elementary_segments(segments)
+    thetas = recipe.loops(theta)
     params = np.array(
-        [(0.0, frame.theta) if m is None else effective_error_params(frame.theta, m) for m in models]
-    ).reshape(-1, 2)
-    phi0 = np.array([seg.phi0 for seg in segments])
-    gens = drive_generators(params[:, 1, None], frame.phi, phi0)
-    return linalg.evolve(pulses.slice_schedule(gens, segments, 1.0 + params[:, 0]))
+        [[(0.0, t) if m is None else effective_error_params(t, m) for t in thetas] for m in models]
+    ).reshape(len(models), len(thetas), 2)
+    gens = drive_generators(params[..., 1, None], phi, [seg.phi0 for seg in segments])
+    return pulses.loop_schedule(
+        gens, 1.0 + params[..., 0], segments, recipe.order if ordered else None
+    )
+
+
+def gates(recipe: pulses.Recipe, frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
+    """One gate per error model, shape (len(models), 3, 3), from one evolution of the distinct loops."""
+    return recipe.fold(linalg.evolve(loop_schedule(recipe, frame.theta, frame.phi, models, segments)))
 
 
 def elementary_gate(
     frame: BrightDarkFrame, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Ideal elementary gate: -i|e><e| + i|b><b| + |d><d|."""
-    return error_gates(frame, (None,), segments)[0]
+    return gates(ELEMENTARY, frame, (None,), segments)[0]
 
 
 def elementary_gate_with_error(
@@ -174,44 +163,7 @@ def elementary_gate_with_error(
     The envelope integral becomes (1+eps) * pi/2 per segment and the
     drive couples the tilted bright state at theta_prime.
     """
-    return error_gates(frame, (model,), segments)[0]
-
-
-def elementary_field_pulses(
-    theta: float, phi: float, model: ErrorModel | None = None
-) -> list[FieldPulse]:
-    """The two drive segments in raw two-field form, first in time first.
-
-    Segment phases follow the fixed convention phi0 = pi/2 then phi0 = 0;
-    the |1><e| field carries the extra relative phase phi.
-    """
-    e0 = 1.0 + (model.eps0 if model else 0.0)
-    e1 = 1.0 + (model.eps1 if model else 0.0)
-    amp0 = e0 * math.cos(theta / 2)
-    amp1 = e1 * math.sin(theta / 2)
-    return [
-        FieldPulse(amp0, HALF_PI, amp1, phi + HALF_PI, HALF_PI),
-        FieldPulse(amp0, 0.0, amp1, phi, HALF_PI),
-    ]
-
-
-def elementary_gate_direct(
-    frame: BrightDarkFrame, model: ErrorModel | None = None
-) -> np.ndarray:
-    """Error-affected elementary gate evolved from the raw two-field form.
-
-    Companion route to ``elementary_gate_with_error``; the two must agree
-    because the reparametrization is an exact algebraic identity.
-    """
-    return linalg.evolve(fields_schedule(elementary_field_pulses(frame.theta, frame.phi, model)))
-
-
-def composite_two_gates(
-    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """``composite_two`` for a sequence of error models, shape (len(models), 3, 3)."""
-    u = error_gates(frame, models, segments)
-    return u @ u
+    return gates(ELEMENTARY, frame, (model,), segments)[0]
 
 
 def composite_two(
@@ -222,17 +174,7 @@ def composite_two(
     Repetition cancels the first-order envelope stretch but leaves the
     bright-angle tilt untouched.
     """
-    return composite_two_gates(frame, (model,), segments)[0]
-
-
-def composite_four_gates(
-    frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """``composite_four`` for a sequence of error models, shape (len(models), 3, 3)."""
-    mirrored = BrightDarkFrame(math.pi - frame.theta, frame.phi)
-    u_t = error_gates(frame, models, segments)
-    u_m = error_gates(mirrored, models, segments)
-    return u_t @ u_t @ u_m @ u_m
+    return gates(COMPOSITE_TWO, frame, (model,), segments)[0]
 
 
 def composite_four(
@@ -244,30 +186,7 @@ def composite_four(
     factor first in time.  The mirrored angle reverses the sign of the
     first-order tilt, so both error channels cancel to leading order.
     """
-    return composite_four_gates(frame, (model,), segments)[0]
-
-
-def composite_two_field_pulses(
-    theta: float, phi: float, model: ErrorModel | None = None
-) -> list[FieldPulse]:
-    return elementary_field_pulses(theta, phi, model) * 2
-
-
-def composite_four_field_pulses(
-    theta: float, phi: float, model: ErrorModel | None = None
-) -> list[FieldPulse]:
-    """Eight segments in time order: mirrored-angle pair first."""
-    return (
-        elementary_field_pulses(math.pi - theta, phi, model) * 2
-        + elementary_field_pulses(theta, phi, model) * 2
-    )
-
-
-def fields_schedule(pulse_list) -> linalg.Schedule:
-    """The two-field pulses in time order, ready for evolution or holonomy tracing."""
-    return linalg.Schedule(
-        np.array([field_hamiltonian(p) for p in pulse_list]), [p.duration for p in pulse_list]
-    )
+    return gates(COMPOSITE_FOUR, frame, (model,), segments)[0]
 
 
 def logical_rotation_target(theta: float, phi: float) -> np.ndarray:

@@ -51,9 +51,12 @@ def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class Gate:
     """One gate of the scheme, as the CLI and the sweeps use it.
 
-    build(theta, phi, jk, models, segments) makes one gate per error model
-    (None for ideal) in one batched evolution; schedule(theta, phi, jk) is
-    what check-holonomy certifies on the span of the ``subspace`` levels.
+    Both callables come from the gate's recipe (``pulses.Recipe``): its
+    distinct loops and the order they run in.  build(theta, phi, jk,
+    models, segments) makes one gate per error model (None for ideal) from
+    one evolution of the distinct loops; schedule(theta, phi, jk) runs the
+    ideal loops back to back in time order at ``DEFAULT_SEGMENTS``, as
+    check-holonomy certifies it on the span of the ``subspace`` levels.
     ``error_modes`` maps a sweep mode to the ``error_model`` of one eps;
     three-level gates also report the rotated (excited, bright, dark) frame.
     """
@@ -77,12 +80,14 @@ QUTRIT_MODES = {
 }
 
 
-def _qutrit_gate(build, field_pulses) -> Gate:
+def _qutrit_gate(recipe) -> Gate:
     return Gate(
-        build=lambda theta, phi, jk, models, segments: build(
-            qutrit.BrightDarkFrame(theta, phi), models, segments
+        build=lambda theta, phi, jk, models, segments: qutrit.gates(
+            recipe, qutrit.BrightDarkFrame(theta, phi), models, segments
         ),
-        schedule=lambda theta, phi, jk: qutrit.fields_schedule(field_pulses(theta, phi)),
+        schedule=lambda theta, phi, jk: qutrit.loop_schedule(
+            recipe, theta, phi, (None,), ordered=True
+        ),
         labels=qutrit.BASIS_LABELS,
         subspace=("0", "1"),
         error_model=qutrit.ErrorModel,
@@ -91,12 +96,10 @@ def _qutrit_gate(build, field_pulses) -> Gate:
     )
 
 
-def _two_qubit_gate(build, repeats: int) -> Gate:
+def _two_qubit_gate(recipe) -> Gate:
     return Gate(
-        build=lambda theta, phi, jk, models, segments: build(jk, models, segments),
-        schedule=lambda theta, phi, jk: two_qubit.gate_schedule(
-            jk, None, two_qubit.DEFAULT_SEGMENTS * repeats
-        ),
+        build=lambda theta, phi, jk, models, segments: two_qubit.gates(recipe, jk, models, segments),
+        schedule=lambda theta, phi, jk: two_qubit.loop_schedule(recipe, jk, (None,), ordered=True),
         labels=two_qubit.LABELS,
         subspace=two_qubit.COMPUTATIONAL_LABELS,
         error_model=two_qubit.TwoQubitErrorModel,
@@ -106,11 +109,11 @@ def _two_qubit_gate(build, repeats: int) -> Gate:
 
 
 GATES = {
-    "elementary": _qutrit_gate(qutrit.error_gates, qutrit.elementary_field_pulses),
-    "composite2": _qutrit_gate(qutrit.composite_two_gates, qutrit.composite_two_field_pulses),
-    "composite4": _qutrit_gate(qutrit.composite_four_gates, qutrit.composite_four_field_pulses),
-    "twoqubit_elementary": _two_qubit_gate(two_qubit.error_gates, 1),
-    "twoqubit_composite": _two_qubit_gate(two_qubit.composite_gates, 2),
+    "elementary": _qutrit_gate(qutrit.ELEMENTARY),
+    "composite2": _qutrit_gate(qutrit.COMPOSITE_TWO),
+    "composite4": _qutrit_gate(qutrit.COMPOSITE_FOUR),
+    "twoqubit_elementary": _two_qubit_gate(two_qubit.ELEMENTARY),
+    "twoqubit_composite": _two_qubit_gate(two_qubit.COMPOSITE),
 }
 # aliases: sweeps have always called the elementary gates "single"
 GATES["single"] = GATES["elementary"]
@@ -217,14 +220,3 @@ def fit_power_law(samples) -> ScalingFit:
 
 def run_sweep(spec: SweepSpec) -> ScalingFit:
     return fit_power_law(sweep_samples(spec))
-
-
-def residual_norm_ratio(frame: qutrit.BrightDarkFrame, eps: float) -> float:
-    """Norm ratio of the commutator-product residual at eps vs eps/2."""
-    if eps < 1e-7:
-        raise DegenerateFitError("eps too small for a meaningful residual ratio")
-    full = linalg.frobenius_norm(qutrit.bch_residual(frame, eps))
-    half = linalg.frobenius_norm(qutrit.bch_residual(frame, eps / 2.0))
-    if half == 0:
-        raise DegenerateFitError("residual vanished at half eps")
-    return full / half

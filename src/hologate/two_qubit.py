@@ -33,12 +33,6 @@ def label_index(label: str) -> int:
         raise ValueError(f"unknown level label {label!r}") from None
 
 
-def ket(label: str) -> np.ndarray:
-    v = np.zeros(DIM, dtype=complex)
-    v[label_index(label)] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class TwoQubitErrorModel:
     """Fractional deviation of the single active Rabi frequency."""
@@ -57,48 +51,43 @@ def segment_generator(jk: str, phi0: float) -> np.ndarray:
     a = label_index(ANCILLA_LABEL)
     h = np.zeros((DIM, DIM), dtype=complex)
     h[label_index(jk), a] = np.exp(1j * phi0)
-    return h + linalg.dagger(h)
+    return h + h.conj().T
 
 
-def gate_schedule(
-    jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
+ELEMENTARY = pulses.Recipe(lambda jk: (jk,), (0,))
+COMPOSITE = pulses.Recipe(lambda jk: (jk,), (0, 0))
+
+
+def loop_schedule(
+    recipe: pulses.Recipe, jk: str, models, segments=DEFAULT_SEGMENTS, ordered=False
 ) -> linalg.Schedule:
-    """One schedule segment per pulse segment, first in time first.
+    """Every envelope slice of a recipe's loops under each error model (None for no error).
 
-    The error model stretches every area by 1 + eps_jk.
-    """
-    stretch = 1.0 + (model.eps_jk if model else 0.0)
-    gens = np.array([segment_generator(jk, seg.phi0) for seg in segments])
-    return linalg.Schedule(gens, [stretch * seg.area for seg in segments])
-
-
-def error_gates(jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
-    """Elementary gates for a sequence of error models (None for no error).
-
-    Each model stretches every segment area by 1 + eps_jk; all gates come
-    from one ``linalg.evolve`` call.  Returns shape (len(models), 5, 5).
+    Each model stretches every segment area by 1 + eps_jk.  Batched over
+    (models, loops); with ``ordered``, one model's loops in the recipe's
+    time order (``pulses.loop_schedule``).
     """
     segments = pulses.elementary_segments(segments)
-    stretch = np.array([1.0 + (m.eps_jk if m else 0.0) for m in models])
-    gens = np.stack([segment_generator(jk, seg.phi0) for seg in segments])
-    return linalg.evolve(pulses.slice_schedule(gens, segments, stretch))
+    loops = recipe.loops(jk)
+    gens = np.array([[segment_generator(label, seg.phi0) for seg in segments] for label in loops])
+    stretch = np.array([[1.0 + (m.eps_jk if m else 0.0)] * len(loops) for m in models])
+    return pulses.loop_schedule(gens, stretch, segments, recipe.order if ordered else None)
+
+
+def gates(recipe: pulses.Recipe, jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
+    """One gate per error model, shape (len(models), 5, 5), from one evolution of the distinct loops."""
+    return recipe.fold(linalg.evolve(loop_schedule(recipe, jk, models, segments)))
 
 
 def elementary_gate(
     jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Two-segment gate; ideal value -i|a><a| + i|jk><jk| + rest unchanged."""
-    return error_gates(jk, (model,), segments)[0]
-
-
-def composite_gates(jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
-    """``composite_gate`` for a sequence of error models, shape (len(models), 5, 5)."""
-    u = error_gates(jk, models, segments)
-    return u @ u
+    return gates(ELEMENTARY, jk, (model,), segments)[0]
 
 
 def composite_gate(
     jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
 ) -> np.ndarray:
     """Repeated elementary gate; ideal value flips the sign of |jk> and |a>."""
-    return composite_gates(jk, (model,), segments)[0]
+    return gates(COMPOSITE, jk, (model,), segments)[0]

@@ -7,8 +7,12 @@ implementation is a genuine cross-check rather than the same code
 exercised twice.  The trace loops below evolve a subspace through a
 schedule one slice and one sample at a time, as a reference for the
 batched holonomy certification, and ``trace_states_mpmath`` does the same
-in 30-digit arithmetic as a reference for those loops.
+in 30-digit arithmetic as a reference for those loops.  The raw two-field
+pulses are the one-qubit loop written as independent field amplitudes,
+the reference route for the stretched-and-tilted gates.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -201,6 +205,52 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
 
 
 TWO_QUBIT_LABELS = ("00", "01", "10", "11")
+
+
+def two_qubit_ket(label: str) -> np.ndarray:
+    """Basis vector of the five-level model, ordered (00, 01, 10, 11, a)."""
+    return np.eye(5, dtype=complex)[(TWO_QUBIT_LABELS + ("a",)).index(label)]
+
+
+def two_field_pairs(theta: float, phi: float, eps0: float = 0.0, eps1: float = 0.0) -> list:
+    """The one-qubit elementary loop in raw two-field form, first in time first.
+
+    Two (generator, duration) pairs on the basis (|0>, |1>, |e>): each
+    drives |0><e| with amplitude (1 + eps0) cos(theta/2) and |1><e| with
+    (1 + eps1) sin(theta/2) for duration pi/2, at drive phase pi/2 then 0;
+    the |1><e| field carries the extra relative phase phi.
+    """
+    amp0 = (1.0 + eps0) * math.cos(theta / 2)
+    amp1 = (1.0 + eps1) * math.sin(theta / 2)
+    pairs = []
+    for phase in (math.pi / 2, 0.0):
+        h = np.zeros((3, 3), dtype=complex)
+        h[0, 2] = amp0 * np.exp(1j * phase)
+        h[1, 2] = amp1 * np.exp(1j * (phi + phase))
+        pairs.append((h + h.conj().T, math.pi / 2))
+    return pairs
+
+
+def two_field_composite_pairs(theta: float, phi: float, n_pulses: int, eps0=0.0, eps1=0.0) -> list:
+    """Raw two-field composites: the loop twice, or the pi - theta loop twice then theta twice."""
+    pairs = two_field_pairs(theta, phi, eps0, eps1) * 2
+    if n_pulses == 4:
+        pairs = two_field_pairs(math.pi - theta, phi, eps0, eps1) * 2 + pairs
+    return pairs
+
+
+def residual_norm_ratio(residual, eps: float) -> float:
+    """Frobenius norm of residual(eps) over that of residual(eps / 2).
+
+    Near 2^n for a residual of order n in eps.  Raises ``ValueError`` when
+    eps is too small to resolve or the half-eps residual vanishes.
+    """
+    if eps < 1e-7:
+        raise ValueError("eps too small for a meaningful residual ratio")
+    half = np.linalg.norm(residual(eps / 2.0))
+    if half == 0:
+        raise ValueError("residual vanished at half eps")
+    return float(np.linalg.norm(residual(eps)) / half)
 
 
 def ideal_two_qubit_elementary(jk: str) -> np.ndarray:

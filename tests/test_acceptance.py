@@ -14,6 +14,8 @@ import numpy as np
 from hologate import cli, dfs, holonomy, linalg, pulses, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame, ErrorModel
 
+from oracles import residual_norm_ratio, two_field_pairs
+
 THETA_GRID = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 PHI_GRID = (0.0, math.pi / 4, math.pi / 2)
 
@@ -56,17 +58,14 @@ def test_criterion_1_ideal_gate_exactness():
 
 
 def test_criterion_2_holonomy_certification():
-    basis1 = (qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1))
+    one, two = scaling.GATES["elementary"], scaling.GATES["twoqubit_elementary"]
     trace1 = holonomy.trace_evolution(
-        qutrit.fields_schedule(qutrit.elementary_field_pulses(math.pi / 4, 0.3)),
-        basis1,
-        samples_per_segment=128,
+        one.schedule(math.pi / 4, 0.3, "11"), one.subspace_basis(), samples_per_segment=128
     )
     rep1 = holonomy.check_holonomy(trace1, tolerance=1e-8)
 
-    basis2 = [two_qubit.ket(label) for label in two_qubit.COMPUTATIONAL_LABELS]
     trace2 = holonomy.trace_evolution(
-        two_qubit.gate_schedule("11"), basis2, samples_per_segment=128
+        two.schedule(0.0, 0.0, "11"), two.subspace_basis(), samples_per_segment=128
     )
     rep2 = holonomy.check_holonomy(trace2, tolerance=1e-8)
 
@@ -109,7 +108,8 @@ def test_criterion_3_scaling_orders():
 
 
 def test_criterion_4_commutator_residual_ratio():
-    ratio = scaling.residual_norm_ratio(BrightDarkFrame(math.pi / 3, 0.0), 0.02)
+    frame = BrightDarkFrame(math.pi / 3, 0.0)
+    ratio = residual_norm_ratio(lambda eps: qutrit.bch_residual(frame, eps), 0.02)
     ok = abs(ratio - 4.0) <= 0.3
     assert report(ok, "criterion 4: second-order commutator residual", f"ratio {ratio:.3f}")
 
@@ -120,8 +120,9 @@ def test_criterion_5_error_route_equivalence():
     for _ in range(100):
         frame = BrightDarkFrame(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         model = ErrorModel(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        raw = two_field_pairs(frame.theta, frame.phi, model.eps0, model.eps1)
         d = linalg.frobenius_distance(
-            qutrit.elementary_gate_direct(frame, model),
+            linalg.evolve(linalg.Schedule(*zip(*raw))),
             qutrit.elementary_gate_with_error(frame, model),
         )
         worst = max(worst, d)

@@ -356,7 +356,7 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
         {"kappa": -0.5},
         {"distribution": "levy"},
         {"n_samples": 0},
-        {"coupling_prefactor": 0.0},
+        {"coupling_prefactor": 1.0},
         {"unknown": 1},
         {"kappa": math.nan},
         {"kappa": math.inf},
@@ -374,7 +374,8 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload", [{"kappa": 1e308}, {"kappa": 1e308, "distribution": "gaussian"}]
+    "payload",
+    [{"kappa": 1e308}, {"kappa": 1e308, "distribution": "gaussian"}, {"kappa": 5e307}],
 )
 def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, "c.json", dict(payload, n_samples=50))
@@ -418,6 +419,34 @@ def test_run_size_limit_is_inclusive():
     cli.check_run_size("n_samples", cli.MAX_RUN_BYTES)
     with pytest.raises(cli.ConfigError):
         cli.check_run_size("n_samples", cli.MAX_RUN_BYTES + 1)
+
+
+@pytest.mark.parametrize("name", ["elementary", "composite4", "twoqubit_composite"])
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("gate", {"envelope": "sine_squared", "steps": 500}),
+        ("sweep", {"epsilons": {"points": 2000}}),
+    ],
+    ids=["gate", "sweep"],
+)
+def test_size_estimate_covers_the_measured_peak(tmp_path, monkeypatch, capsys, name, command, payload):
+    # the byte estimate each size is checked against must bound what the run allocates
+    estimates = []
+    monkeypatch.setattr(cli, "check_run_size", lambda key, n_bytes: estimates.append(n_bytes))
+    gate = scaling.GATES[name]
+    if command == "gate":
+        payload = dict(payload, gate=name)
+    else:
+        payload = dict(payload, gate_kind=name, error_mode=sorted(gate.error_modes)[0])
+    tracemalloc.start()
+    try:
+        assert run([command, "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(estimates) == 1 and peak < estimates[0]
 
 
 ALL_ERROR_MODES = {mode for gate in scaling.GATES.values() for mode in gate.error_modes}
@@ -490,7 +519,32 @@ ODD_VALUES = st.one_of(
     st.text(max_size=4),
 )
 ANGLE = st.floats(-10.0, 10.0)
+EPS = st.floats(-1.5, 1.5)
 FUZZED_KEYS = {
+    "gate": {
+        "gate": st.sampled_from(sorted(scaling.GATES)),
+        "theta": ANGLE,
+        "phi": ANGLE,
+        "jk": st.sampled_from(two_qubit.COMPUTATIONAL_LABELS),
+        "error": st.one_of(
+            st.none(),
+            st.fixed_dictionaries({"eps0": EPS, "eps1": EPS}),
+            st.fixed_dictionaries({"eps_jk": EPS}),
+        ),
+        "envelope": st.sampled_from(["square", "sine_squared"]),
+        "steps": st.integers(1, 64),
+    },
+    "sweep": {
+        "gate_kind": st.sampled_from(sorted(scaling.GATES)),
+        "error_mode": st.sampled_from(sorted(ALL_ERROR_MODES)),
+        "theta": ANGLE,
+        "phi": ANGLE,
+        "jk": st.sampled_from(two_qubit.COMPUTATIONAL_LABELS),
+        "epsilons": st.one_of(
+            st.lists(st.floats(-0.5, 1.5), max_size=6),
+            st.fixed_dictionaries({"points": st.integers(-1, 16)}),
+        ),
+    },
     "check-holonomy": {
         "schedule": st.sampled_from(sorted(scaling.GATES)),
         "theta": ANGLE,
@@ -507,17 +561,19 @@ FUZZED_KEYS = {
         "seed": st.integers(0, 2**32),
         "theta": ANGLE,
         "phi": ANGLE,
-        "coupling_prefactor": st.floats(1e-3, 10.0),
     },
 }
+
+
+REQUIRED_KEYS = {"gate", "gate_kind", "error_mode", "schedule"}
 
 
 @st.composite
 def fuzzed_config(draw, command):
     """A valid config with up to two keys, known or not, set to odd values."""
     keys = FUZZED_KEYS[command]
-    # check-holonomy needs a schedule; every dfs key is optional
-    required = {k: v for k, v in keys.items() if k == "schedule"}
+    # every dfs key is optional
+    required = {k: v for k, v in keys.items() if k in REQUIRED_KEYS}
     optional = {k: v for k, v in keys.items() if k not in required}
     cfg = draw(st.fixed_dictionaries(required, optional=optional))
     odd = st.one_of(st.sampled_from(sorted(keys)), st.text(max_size=6))

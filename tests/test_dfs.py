@@ -13,6 +13,7 @@ from oracles import (
     entangling_power_check,
     is_unitary,
     kicked_fidelities_loop,
+    two_field_composite_pairs,
 )
 
 ENC3 = dfs.three_ion_encoding()
@@ -68,56 +69,46 @@ def test_membership_verdicts():
         dfs.dfs_membership_check(np.zeros(16), ENC3)
 
 
-def test_h1_support_is_the_encoded_star():
-    h = dfs.h1_effective(1.0, 1.0, 0.3, 0.7)
-    assert np.array_equal(h, h.conj().T)
-    assert np.count_nonzero(h) == 4
-    live = {ENC3.index("0"), ENC3.index("1"), ENC3.index("a")}
-    for i in range(8):
-        for j in range(8):
-            if i not in live or j not in live:
-                assert h[i, j] == 0
+REGISTER_SCHEDULES = {
+    # bare recipe, register builder, encoding, the levels of each bare copy
+    "three_ion": (qutrit.COMPOSITE_FOUR, dfs.logical_composite_schedule, ENC3, [("0", "1", "a")]),
+    "six_ion": (
+        qutrit.COMPOSITE_TWO,
+        dfs.two_logical_composite_schedule,
+        ENC6,
+        [("00", "01", "a1"), ("11", "10", "a2")],
+    ),
+}
 
 
-def test_h1_rejects_bad_prefactor():
-    with pytest.raises(ValueError):
-        dfs.h1_effective(1.0, 1.0, 0.0, 0.0, coupling_prefactor=0.0)
-    with pytest.raises(ValueError):
-        dfs.h2_effective(1.0, 1.0, 0.0, 0.0, coupling_prefactor=-1.0)
-
-
-def test_h2_has_no_cross_block_elements():
-    h = dfs.h2_effective(1.1, 0.9, 0.2, 0.5)
-    assert np.array_equal(h, h.conj().T)
-    block_a = [ENC6.index(n) for n in ("00", "01", "a1")]
-    block_b = [ENC6.index(n) for n in ("10", "11", "a2")]
-    for i in block_a:
-        for j in block_b:
-            assert h[i, j] == 0 and h[j, i] == 0
-    live = set(block_a) | set(block_b)
-    for i in range(64):
-        for j in range(64):
-            if i not in live or j not in live:
-                assert h[i, j] == 0
+@pytest.mark.parametrize("name", sorted(REGISTER_SCHEDULES))
+@pytest.mark.parametrize("model", [None, ErrorModel(0.05, -0.02)], ids=["ideal", "error"])
+def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
+    recipe, build, encoding, blocks = REGISTER_SCHEDULES[name]
+    bare = qutrit.loop_schedule(recipe, 0.8, 1.1, (model,), ordered=True)
+    register = build(0.8, 1.1, model)
+    assert np.array_equal(register.areas, bare.areas)
+    within = np.zeros((encoding.dim, encoding.dim), dtype=bool)
+    for names in blocks:
+        # each copy is the bare generator entry for entry
+        for embedded, gen in zip(register.generators, bare.generators):
+            assert np.array_equal(encoded_block(embedded, encoding, names), gen)
+        idx = [encoding.index(n) for n in names]
+        within[np.ix_(idx, idx)] = True
+    # nothing outside the copies: no element joins two blocks or touches
+    # a level outside the encoding
+    assert not register.generators[:, ~within].any()
+    assert sum(len(names) for names in blocks) == len(encoding.logical_labels)
 
 
 def test_effective_coupling_reproduces_bare_three_level_generator():
-    # unit prefactor: entries must agree exactly, not just to tolerance
-    model = ErrorModel(0.05, -0.02)
-    bare = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 1.1, model))
-    register = dfs.logical_composite_schedule(0.8, 1.1, model)
-    assert np.array_equal(register.areas, bare.areas)
-    for embedded, gen in zip(register.generators, bare.generators):
+    # generator times area per unit time is the raw two-field drive
+    raw = two_field_composite_pairs(0.8, 1.1, 4, 0.05, -0.02)
+    register = dfs.logical_composite_schedule(0.8, 1.1, ErrorModel(0.05, -0.02))
+    assert register.n_segments == len(raw)
+    for embedded, area, (gen, duration) in zip(register.generators, register.areas, raw):
         block = encoded_block(embedded, ENC3, ("0", "1", "a"))
-        assert linalg.frobenius_distance(block, gen) < 1e-15
-
-
-def test_opaque_prefactor_cancels_in_the_block():
-    bare = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 1.1))
-    register = dfs.logical_composite_schedule(0.8, 1.1, None, 0.7)
-    for embedded, gen in zip(register.generators, bare.generators):
-        block = encoded_block(embedded, ENC3, ("0", "1", "a"))
-        assert linalg.frobenius_distance(block, gen) < 1e-12
+        assert linalg.frobenius_distance(block * (area / duration), gen) < 1e-15
 
 
 def complement_is_identity(gate, encoding):

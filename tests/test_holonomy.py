@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hologate import dfs, holonomy, linalg, qutrit, two_qubit
+from hologate import dfs, holonomy, linalg, qutrit, scaling
 from hologate.qutrit import BrightDarkFrame
 
 from oracles import (
@@ -15,13 +15,18 @@ from oracles import (
     schedule_pairs,
     trace_states_loop,
     trace_states_mpmath,
+    two_qubit_ket,
 )
 
 COMP_BASIS = (qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1))
 
 
+def gate_schedule(name, theta=math.pi / 2, phi=0.0, jk="11"):
+    return scaling.GATES[name].schedule(theta, phi, jk)
+
+
 def elementary_schedule(theta=math.pi / 2, phi=0.0):
-    return qutrit.fields_schedule(qutrit.elementary_field_pulses(theta, phi))
+    return gate_schedule("elementary", theta, phi)
 
 
 def one_segment(gen, area):
@@ -80,11 +85,8 @@ def test_elementary_schedule_is_holonomic():
 
 
 def test_composite_schedules_are_holonomic():
-    for pulses in (
-        qutrit.composite_two_field_pulses(0.8, 0.4),
-        qutrit.composite_four_field_pulses(0.8, 0.4),
-    ):
-        trace = holonomy.trace_evolution(qutrit.fields_schedule(pulses), COMP_BASIS)
+    for name in ("composite2", "composite4"):
+        trace = holonomy.trace_evolution(gate_schedule(name, 0.8, 0.4), COMP_BASIS)
         report = holonomy.check_holonomy(trace, tolerance=1e-8)
         assert report.passed
 
@@ -171,7 +173,7 @@ def test_midpoint_requires_two_segments():
 def test_four_pulse_schedule_closes_after_every_gate():
     # each back-to-back segment pair is itself a closed loop, so the
     # projector returns to its origin at every second boundary
-    schedule = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.9, 0.5))
+    schedule = gate_schedule("composite4", 0.9, 0.5)
     trace = holonomy.trace_evolution(schedule, COMP_BASIS)
     assert trace.n_segments == 8
     p0 = trace.projector(0)
@@ -204,7 +206,7 @@ def test_trace_input_validation():
 
 def oracle_cases() -> dict:
     """name -> (schedule, basis) on 3-, 5-, 8- and 64-dim registers."""
-    composite4 = qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4))
+    composite4 = gate_schedule("composite4", 0.8, 0.4)
     truncated = linalg.Schedule(composite4.generators[:-1], composite4.areas[:-1])
     three = dfs.three_ion_encoding()
     six = dfs.six_ion_encoding()
@@ -214,8 +216,8 @@ def oracle_cases() -> dict:
         "qutrit_truncated": (truncated, COMP_BASIS),
         "qutrit_detuned": (detuned(composite4), COMP_BASIS),
         "twoqubit_composite": (
-            two_qubit.gate_schedule("01", None, two_qubit.DEFAULT_SEGMENTS * 2),
-            [two_qubit.ket(label) for label in two_qubit.COMPUTATIONAL_LABELS],
+            gate_schedule("twoqubit_composite", jk="01"),
+            [two_qubit_ket(label) for label in ("00", "01", "10", "11")],
         ),
         "three_ion": (
             dfs.logical_composite_schedule(0.7, 0.2),
@@ -293,7 +295,7 @@ def test_trace_oracle_matches_high_precision_evolution(name):
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_segment_index_layout(n):
-    schedule = qutrit.fields_schedule(qutrit.composite_two_field_pulses(0.8, 0.4))
+    schedule = gate_schedule("composite2", 0.8, 0.4)
     trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=n)
     assert trace.generators.shape == (schedule.n_segments, 3, 3)
     assert trace.segment_index.shape == (trace.states.shape[1],)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hologate import dfs, linalg, qutrit, two_qubit
 
-from oracles import is_unitary, random_hermitian, rk4_propagator
+from oracles import is_unitary, random_hermitian, rk4_propagator, two_field_composite_pairs
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -200,15 +200,13 @@ def package_generators():
     frame = qutrit.BrightDarkFrame(0.8, 0.3)
     return {
         "qutrit": [qutrit.hamiltonian(frame, 1.3, phi0) for phi0 in (0.0, math.pi / 2, 2.1)],
-        "two_field": [
-            *qutrit.fields_schedule(qutrit.composite_four_field_pulses(0.8, 0.4, model)).generators
-        ],
+        "two_field": [h for h, _ in two_field_composite_pairs(0.8, 0.4, 4, 0.05, -0.03)],
         "five_level": [
             two_qubit.segment_generator(jk, phi0) for jk in ("00", "11") for phi0 in (0.0, 1.0)
         ],
-        "three_ion": list(dfs.logical_composite_schedule(0.8, 0.4, model, 0.7).generators),
+        "three_ion": list(dfs.logical_composite_schedule(0.8, 0.4, model).generators),
         # +-W has multiplicity two here, where W^2 = tr(H^2)/2 would be wrong
-        "six_ion": list(dfs.two_logical_composite_schedule(0.8, 0.4, model, 0.7).generators),
+        "six_ion": list(dfs.two_logical_composite_schedule(0.8, 0.4, model).generators),
     }
 
 

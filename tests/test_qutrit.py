@@ -10,7 +10,7 @@ from hologate import linalg, pulses, qutrit
 from hologate.pulses import PulseSegment
 from hologate.qutrit import BrightDarkFrame, ErrorModel
 
-from oracles import projector, rk4_propagator, schedule_pairs
+from oracles import projector, rk4_propagator, two_field_composite_pairs, two_field_pairs
 
 angles = st.floats(0.0, math.pi)
 phases = st.floats(0.0, 2 * math.pi)
@@ -100,8 +100,7 @@ def test_effective_params_match_spectrum_of_raw_hamiltonian(theta, e0, e1):
     # {1+eps, 0} and its null ground-space vector is the tilted dark state
     model = ErrorModel(e0, e1)
     eps, theta_prime = qutrit.effective_error_params(theta, model)
-    pulse = qutrit.elementary_field_pulses(theta, 0.0, model)[1]
-    h = qutrit.field_hamiltonian(pulse)
+    h = two_field_pairs(theta, 0.0, e0, e1)[1][0]
     evals = np.sort(np.abs(np.linalg.eigvalsh(h)))
     assert abs(evals[-1] - (1 + eps)) < 1e-10
     tilted_dark = BrightDarkFrame(theta_prime, 0.0).dark
@@ -127,8 +126,7 @@ def test_elementary_gate_is_fourth_root_of_identity():
 
 def test_elementary_gate_against_integrator():
     f = BrightDarkFrame(math.pi / 2, 0.0)
-    schedule = qutrit.fields_schedule(qutrit.elementary_field_pulses(f.theta, f.phi))
-    ref = rk4_propagator(schedule_pairs(schedule))
+    ref = rk4_propagator(two_field_pairs(f.theta, f.phi))
     assert linalg.frobenius_distance(qutrit.elementary_gate(f), ref) < 1e-10
 
 
@@ -178,19 +176,18 @@ def test_error_gate_matches_raw_two_field_evolution():
     f = BrightDarkFrame(math.pi / 4, math.pi / 3)
     model = ErrorModel(0.02, -0.01)
     reparam = qutrit.elementary_gate_with_error(f, model)
-    raw = qutrit.elementary_gate_direct(f, model)
+    pairs = two_field_pairs(f.theta, f.phi, model.eps0, model.eps1)
+    raw = linalg.evolve(linalg.Schedule(*zip(*pairs)))
     assert linalg.frobenius_distance(reparam, raw) < 1e-9
-    schedule = qutrit.fields_schedule(qutrit.elementary_field_pulses(f.theta, f.phi, model))
-    assert linalg.frobenius_distance(reparam, rk4_propagator(schedule_pairs(schedule))) < 1e-9
+    assert linalg.frobenius_distance(reparam, rk4_propagator(pairs)) < 1e-9
 
 
 @given(theta=angles, phi=phases, e0=small_eps, e1=small_eps)
 def test_reparametrized_route_equals_raw_route(theta, phi, e0, e1):
     f = BrightDarkFrame(theta, phi)
     model = ErrorModel(e0, e1)
-    d = linalg.frobenius_distance(
-        qutrit.elementary_gate_with_error(f, model), qutrit.elementary_gate_direct(f, model)
-    )
+    raw = linalg.evolve(linalg.Schedule(*zip(*two_field_pairs(theta, phi, e0, e1))))
+    d = linalg.frobenius_distance(qutrit.elementary_gate_with_error(f, model), raw)
     assert d < 1e-9
 
 
@@ -241,22 +238,22 @@ def test_composite_two_error_factorizes_into_tilted_loop_times_commutators():
 
 
 @pytest.mark.parametrize(
-    "batched,field_pulses",
-    [
-        (qutrit.composite_two_gates, qutrit.composite_two_field_pulses),
-        (qutrit.composite_four_gates, qutrit.composite_four_field_pulses),
-    ],
+    "recipe,n_pulses",
+    [(qutrit.COMPOSITE_TWO, 2), (qutrit.COMPOSITE_FOUR, 4)],
+    ids=["composite2", "composite4"],
 )
-def test_batched_composites_follow_field_pulse_order(batched, field_pulses):
-    # The pulse order of the raw two-field schedules is written out
-    # separately from the batched builders, which the single-gate ones call.
+def test_composites_follow_raw_two_field_order(recipe, n_pulses):
+    # The pulse order of the raw two-field route is written out in the
+    # oracle, independently of the recipe's loops and order.
     f = BrightDarkFrame(0.7, 0.3)
     models = (None, ErrorModel(0.03, -0.02), ErrorModel(0.01, 0.01))
-    gates = batched(f, models)
+    gates = qutrit.gates(recipe, f, models)
     assert gates.shape == (len(models), 3, 3)
     for model, gate in zip(models, gates):
-        schedule = qutrit.fields_schedule(field_pulses(f.theta, f.phi, model))
-        assert linalg.frobenius_distance(gate, linalg.evolve(schedule)) < 1e-12
+        eps = (model.eps0, model.eps1) if model else ()
+        pairs = two_field_composite_pairs(f.theta, f.phi, n_pulses, *eps)
+        assert linalg.frobenius_distance(gate, linalg.evolve(linalg.Schedule(*zip(*pairs)))) < 1e-12
+        assert linalg.frobenius_distance(gate, rk4_propagator(pairs)) < 1e-10
 
 
 def test_composite_four_trivial_angle_is_logical_identity():

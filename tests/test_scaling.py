@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg, qutrit, scaling, two_qubit
+from hologate import holonomy, linalg, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError, SweepSpec
 
-from oracles import haar_unitary, order_ratio
+from oracles import haar_unitary, order_ratio, residual_norm_ratio
 
 
 def test_fidelity_of_identical_gates_is_one():
@@ -261,7 +261,24 @@ def test_order_ratio_guards():
 
 
 def test_residual_norm_ratio_is_quadratic():
-    ratio = scaling.residual_norm_ratio(BrightDarkFrame(math.pi / 3, 0.0), 0.02)
+    frame = BrightDarkFrame(math.pi / 3, 0.0)
+    ratio = residual_norm_ratio(lambda eps: qutrit.bch_residual(frame, eps), 0.02)
     assert abs(ratio - 4.0) < 0.3
-    with pytest.raises(DegenerateFitError):
-        scaling.residual_norm_ratio(BrightDarkFrame(math.pi / 3, 0.0), 1e-9)
+    with pytest.raises(ValueError):
+        residual_norm_ratio(lambda eps: qutrit.bch_residual(frame, eps), 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(scaling.GATES))
+def test_recipe_schedule_evolves_to_built_gate(name, rng):
+    # the certified schedule and the batched build come from one recipe
+    gate = scaling.GATES[name]
+    for _ in range(5):
+        theta, phi = rng.uniform(0, math.pi), rng.uniform(-7, 7)
+        jk = two_qubit.COMPUTATIONAL_LABELS[rng.integers(4)]
+        schedule = gate.schedule(theta, phi, jk)
+        built = gate.build(theta, phi, jk, [None], qutrit.DEFAULT_SEGMENTS)[0]
+        assert np.max(np.abs(linalg.evolve(schedule) - built)) < 1e-13
+        report = holonomy.check_holonomy(
+            holonomy.trace_evolution(schedule, gate.subspace_basis(), 32), tolerance=1e-8
+        )
+        assert report.passed

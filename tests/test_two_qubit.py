@@ -13,15 +13,20 @@ from oracles import (
     operator_schmidt_values,
     rk4_propagator,
     schedule_pairs,
+    two_qubit_ket,
 )
 
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
+def elementary_schedule(jk, model=None):
+    return two_qubit.loop_schedule(two_qubit.ELEMENTARY, jk, (model,), ordered=True)
+
+
 def test_labels_and_kets():
     assert two_qubit.label_index("00") == 0
     assert two_qubit.label_index("a") == 4
-    assert two_qubit.ket("10")[2] == 1.0
+    assert two_qubit.LABELS[two_qubit.label_index("10")] == "10"
     with pytest.raises(ValueError):
         two_qubit.label_index("02")
 
@@ -59,7 +64,7 @@ def test_elementary_gate_is_fourth_root_of_identity():
 def test_elementary_gate_matches_integrator():
     model = TwoQubitErrorModel(0.05)
     u = two_qubit.elementary_gate("11", model)
-    ref = rk4_propagator(schedule_pairs(two_qubit.gate_schedule("11", model)))
+    ref = rk4_propagator(schedule_pairs(elementary_schedule("11", model)))
     assert linalg.frobenius_distance(u, ref) < 1e-10
 
 
@@ -75,13 +80,13 @@ def test_composite_gate_hits_ideal(jk):
 def test_composite_gate_matches_integrator():
     model = TwoQubitErrorModel(0.1)
     u = two_qubit.composite_gate("01", model)
-    schedule = schedule_pairs(two_qubit.gate_schedule("01", model)) * 2
+    schedule = schedule_pairs(elementary_schedule("01", model)) * 2
     assert linalg.frobenius_distance(u, rk4_propagator(schedule)) < 1e-10
     models = (None, model, TwoQubitErrorModel(-0.05))
-    gates = two_qubit.composite_gates("01", models)
+    gates = two_qubit.gates(two_qubit.COMPOSITE, "01", models)
     assert gates.shape == (len(models), 5, 5)
     for model, gate in zip(models, gates):
-        schedule = schedule_pairs(two_qubit.gate_schedule("01", model)) * 2
+        schedule = schedule_pairs(elementary_schedule("01", model)) * 2
         assert linalg.frobenius_distance(gate, rk4_propagator(schedule)) < 1e-10
 
 
@@ -100,8 +105,8 @@ def test_elementary_deviation_is_first_order():
 
 
 def test_error_scales_areas_but_not_generators():
-    clean = two_qubit.gate_schedule("10")
-    dirty = two_qubit.gate_schedule("10", TwoQubitErrorModel(0.2))
+    clean = elementary_schedule("10")
+    dirty = elementary_schedule("10", TwoQubitErrorModel(0.2))
     assert np.array_equal(clean.generators, dirty.generators)
     assert np.max(np.abs(dirty.areas - 1.2 * clean.areas)) < 1e-15
 
@@ -149,8 +154,8 @@ def test_entangling_power_rejects_non_unitary():
 
 
 def test_gate_schedule_is_holonomic():
-    basis = [two_qubit.ket(label) for label in two_qubit.COMPUTATIONAL_LABELS]
-    trace = holonomy.trace_evolution(two_qubit.gate_schedule("11"), basis)
+    basis = [two_qubit_ket(label) for label in two_qubit.COMPUTATIONAL_LABELS]
+    trace = holonomy.trace_evolution(elementary_schedule("11"), basis)
     report = holonomy.check_holonomy(trace, tolerance=1e-8)
     assert report.passed
     assert report.cond1_residual < 1e-10
