@@ -54,13 +54,9 @@ def main():
         rows.append((kappa, encoded.mean, bare.mean, exact))
         print(f"{kappa:6.2f} {encoded.mean:12.9f} {bare.mean:12.9f} {exact:13.9f}")
 
-    path = cli.write_csv(
-        rows,
-        ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form"),
-        out_dir,
-        "dfs_protection.csv",
-    )
-    print(f"\nwrote {path}")
+    header = ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
+    cli.write_files(out_dir, {"dfs_protection.csv": cli.csv_text(rows, header)})
+    print(f"\nwrote {out_dir / 'dfs_protection.csv'}")
 
 
 if __name__ == "__main__":

@@ -37,10 +37,10 @@ def parse_args():
 def main():
     args = parse_args()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = scaling.default_epsilon_grid(args.points)
 
     print(f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}")
+    csvs = {}
     for kind, mode in CASES:
         spec = scaling.SweepSpec(
             gate_kind=kind,
@@ -50,7 +50,7 @@ def main():
             epsilons=grid,
         )
         samples = scaling.sweep_samples(spec)
-        cli.write_csv(samples, ("epsilon", "infidelity"), out_dir, f"{kind}_{mode}.csv")
+        csvs[f"{kind}_{mode}.csv"] = cli.csv_text(samples, ("epsilon", "infidelity"))
         try:
             fit = scaling.fit_power_law(samples)
         except scaling.DegenerateFitError as exc:
@@ -60,6 +60,7 @@ def main():
             f"{kind:<20} {mode:<14} {fit.slope:8.3f} {fit.r_squared:10.6f}"
             f" {len(fit.samples):7d}"
         )
+    cli.write_files(out_dir, csvs)
     print(f"\nCSV files in {out_dir}/")
 
 

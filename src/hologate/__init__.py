@@ -4,23 +4,13 @@ Gates on a three-level Lambda system (and a five-level two-qubit model)
 are built from two-segment holonomic loops, concatenated into composite
 sequences that cancel systematic pulse-strength errors, certified
 against the holonomy conditions, and optionally embedded in
-decoherence-free ion-register encodings.
+decoherence-free ion-register encodings.  ``scaling.GATES`` is the one
+table of gates.
 """
 
 from .linalg import Schedule, evolve, expm_hermitian, frobenius_distance
-from .pulses import PulseSegment
-from .qutrit import (
-    BrightDarkFrame,
-    ErrorModel,
-    bch_residual,
-    composite_four,
-    composite_two,
-    effective_error_params,
-    elementary_gate,
-    elementary_gate_with_error,
-    logical_rotation_target,
-)
-from .scaling import FidelityResult, ScalingFit, SweepSpec, gate_fidelity, run_sweep
+from .qutrit import BrightDarkFrame, ErrorModel, effective_error_params
+from .scaling import FidelityResult, ScalingFit, SweepSpec, gate_fidelity
 
 __version__ = "0.1.0"
 
@@ -28,20 +18,12 @@ __all__ = [
     "BrightDarkFrame",
     "ErrorModel",
     "FidelityResult",
-    "PulseSegment",
     "ScalingFit",
     "Schedule",
     "SweepSpec",
-    "bch_residual",
-    "composite_four",
-    "composite_two",
     "effective_error_params",
-    "elementary_gate",
-    "elementary_gate_with_error",
     "evolve",
     "expm_hermitian",
     "frobenius_distance",
     "gate_fidelity",
-    "logical_rotation_target",
-    "run_sweep",
 ]

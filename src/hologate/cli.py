@@ -7,7 +7,9 @@ a fixed config and seed) plus a JSON result record per run.
 
 Exit codes: 0 success, 2 config or validation problem, 3 numerical
 failure during an otherwise valid run, including any non-finite output;
-a run that fails writes no file.
+2 also for an output file that cannot be written.  A run that fails
+writes no file: every output is written in full before any is renamed
+into place.
 """
 
 from __future__ import annotations
@@ -15,15 +17,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
+import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dfs, holonomy, linalg, pulses, qutrit, scaling, two_qubit
+from . import __version__, dfs, holonomy, linalg, qutrit, scaling, two_qubit
 from .scaling import DegenerateFitError
 
 EXIT_OK = 0
@@ -111,24 +116,38 @@ def make_record(command: str, config: dict, outputs: dict) -> dict:
     }
 
 
-def write_record(record: dict, out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    # one line: without indent, json runs its C encoder
-    path.write_text(json.dumps(record, sort_keys=True) + "\n")
-    return path
+def csv_text(rows, header) -> str:
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        # repr of a builtin float is the shortest lossless form
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return fh.getvalue()
 
 
-def write_csv(rows, header, out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            # repr of a builtin float is the shortest lossless form
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    return path
+def write_files(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write every named text into ``out_dir``: all of them, or none.
+
+    Each text goes to a temporary file next to its target first; they are
+    renamed onto their names only once every write has succeeded, and a
+    failure removes the temporary files before the ``OSError`` propagates.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name in texts:
+        if os.path.isdir(os.path.join(out_dir, name)):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", name)
+    temps = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in texts}
+    try:
+        for name, text in texts.items():
+            with open(temps[name], "w", newline="") as fh:
+                fh.write(text)
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(out_dir, name))
+    finally:
+        for temp in temps.values():
+            if os.path.lexists(temp):
+                os.remove(temp)
 
 
 def parse_error_model(cfg: dict, gate: scaling.Gate):
@@ -145,7 +164,17 @@ def parse_error_model(cfg: dict, gate: scaling.Gate):
         raise ConfigError(str(exc)) from exc
 
 
-def parse_segments(cfg: dict, dim: int):
+def parse_gate(cfg: dict, key: str):
+    """The gate named by ``cfg[key]`` and its (theta, phi, jk) parameters."""
+    gate = scaling.GATES[get_choice(cfg, key, scaling.GATES)]
+    theta = get_number(cfg, "theta", math.pi / 2)
+    phi = get_number(cfg, "phi", 0.0)
+    jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
+    return gate, theta, phi, jk
+
+
+def parse_segments(cfg: dict, dim: int) -> tuple[str, int]:
+    """The pulse shape (envelope, steps) of each area-pi/2 segment."""
     envelope = get_choice(cfg, "envelope", ("square", "sine_squared"), "square")
     steps = get_int(cfg, "steps", 1 if envelope == "square" else 32)
     if steps < 1:
@@ -153,7 +182,7 @@ def parse_segments(cfg: dict, dim: int):
     # two error models times up to two distinct loops (composite4) times two
     # segments of `steps` slices each, all evolved in one batch
     check_run_size("steps", 16 * 8 * steps * (3 * dim * dim + 32))
-    return pulses.default_segments(envelope, steps)
+    return envelope, steps
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -161,20 +190,17 @@ def check_tolerance(tolerance: float) -> None:
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance!r}")
 
 
-def cmd_gate(cfg: dict, out_dir: Path, tolerance: float) -> dict:
+def cmd_gate(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
     check_keys(
         cfg,
         {"gate", "theta", "phi", "jk", "error", "envelope", "steps"},
         {"gate"},
     )
     check_tolerance(tolerance)
-    gate = scaling.GATES[get_choice(cfg, "gate", scaling.GATES)]
-    theta = get_number(cfg, "theta", math.pi / 2)
-    phi = get_number(cfg, "phi", 0.0)
-    jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
+    gate, theta, phi, jk = parse_gate(cfg, "gate")
     model = parse_error_model(cfg, gate)
-    segments = parse_segments(cfg, len(gate.labels))
-    ideal, actual = gate.build(theta, phi, jk, [None, model], segments)
+    envelope, steps = parse_segments(cfg, len(gate.labels))
+    ideal, actual = gate.build(theta, phi, jk, [None, model], envelope, steps)
 
     fid = scaling.gate_fidelity(ideal, actual)
     distance = float(np.linalg.norm(actual - ideal))
@@ -196,9 +222,7 @@ def cmd_gate(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         outputs["matrix_frame_basis"] = matrix_payload(
             change.conj().T @ actual @ change
         )
-    record = make_record("gate", cfg, outputs)
-    write_record(record, out_dir, "gate_result.json")
-    return record
+    return outputs, {}
 
 
 def parse_epsilons(cfg: dict) -> tuple[float, ...]:
@@ -222,7 +246,7 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
     raise ConfigError("config key 'epsilons' must be a list or a {points: N} object")
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, tolerance: float) -> dict:
+def cmd_sweep(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
     check_keys(cfg, {"gate_kind", "theta", "phi", "jk", "error_mode", "epsilons"}, {"gate_kind", "error_mode"})
     gate_kind = get_choice(cfg, "gate_kind", scaling.GATES)
     try:
@@ -246,29 +270,10 @@ def cmd_sweep(cfg: dict, out_dir: Path, tolerance: float) -> dict:
         "n_samples_fit": len(fit.samples),
         "n_samples_total": len(samples),
     }
-    record = make_record("sweep", cfg, outputs)
-    write_csv(samples, ("epsilon", "infidelity"), out_dir, "sweep.csv")
-    write_record(record, out_dir, "sweep_result.json")
-    return record
+    return outputs, {"sweep.csv": csv_text(samples, ("epsilon", "infidelity"))}
 
 
-def holonomy_schedule(cfg: dict):
-    gate = scaling.GATES[get_choice(cfg, "schedule", scaling.GATES)]
-    theta = get_number(cfg, "theta", math.pi / 2)
-    phi = get_number(cfg, "phi", 0.0)
-    jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
-    schedule = gate.schedule(theta, phi, jk)
-
-    truncate = cfg.get("truncate_segments")
-    if truncate is not None:
-        truncate = get_int(cfg, "truncate_segments")
-        if not 1 <= truncate <= schedule.n_segments:
-            raise ConfigError("truncate_segments out of range for this schedule")
-        schedule = linalg.Schedule(schedule.generators[:truncate], schedule.areas[:truncate])
-    return schedule, gate.subspace_basis()
-
-
-def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
+def cmd_check_holonomy(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
     check_keys(
         cfg,
         {"schedule", "theta", "phi", "jk", "samples_per_segment", "tolerance", "truncate_segments"},
@@ -280,7 +285,15 @@ def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
     if "tolerance" in cfg:
         tolerance = get_number(cfg, "tolerance")
     check_tolerance(tolerance)
-    schedule, basis = holonomy_schedule(cfg)
+    gate, theta, phi, jk = parse_gate(cfg, "schedule")
+    schedule = gate.schedule(theta, phi, jk)
+    truncate = cfg.get("truncate_segments")
+    if truncate is not None:
+        truncate = get_int(cfg, "truncate_segments")
+        if not 1 <= truncate <= schedule.n_segments:
+            raise ConfigError("truncate_segments out of range for this schedule")
+        schedule = linalg.Schedule(schedule.generators[:truncate], schedule.areas[:truncate])
+    basis = gate.subspace_basis()
     n_basis, dim = basis.shape
     n_samples = 1 + schedule.n_segments * samples
     check_run_size("samples_per_segment", 16 * n_basis * dim * (n_samples + 3 * samples))
@@ -296,12 +309,10 @@ def cmd_check_holonomy(cfg: dict, out_dir: Path, tolerance: float) -> dict:
     }
     if trace.n_segments == 2:
         outputs["midpoint_displacement"] = holonomy.grassmannian_midpoint_check(trace)
-    record = make_record("check-holonomy", cfg, outputs)
-    write_record(record, out_dir, "holonomy_result.json")
-    return record
+    return outputs, {}
 
 
-def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> dict:
+def cmd_dfs(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
     check_keys(
         cfg,
         {"kappa", "distribution", "n_samples", "seed", "theta", "phi"},
@@ -342,15 +353,8 @@ def cmd_dfs(cfg: dict, out_dir: Path, tolerance: float, seed_override=None) -> d
         "n_kicks": n_kicks,
         "seed": seed,
     }
-    record = make_record("dfs", cfg, outputs)
-    write_csv(
-        [(kappa, encoded.mean, unencoded.mean)],
-        ("kappa", "encoded_fidelity", "unencoded_fidelity"),
-        out_dir,
-        "dfs.csv",
-    )
-    write_record(record, out_dir, "dfs_result.json")
-    return record
+    rows = [(kappa, encoded.mean, unencoded.mean)]
+    return outputs, {"dfs.csv": csv_text(rows, ("kappa", "encoded_fidelity", "unencoded_fidelity"))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,11 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command returns its outputs and the CSV texts it writes beside its record
 COMMANDS = {
-    "gate": lambda cfg, out, tol, seed: cmd_gate(cfg, out, tol),
-    "sweep": lambda cfg, out, tol, seed: cmd_sweep(cfg, out, tol),
-    "check-holonomy": lambda cfg, out, tol, seed: cmd_check_holonomy(cfg, out, tol),
-    "dfs": cmd_dfs,
+    "gate": (cmd_gate, "gate_result.json"),
+    "sweep": (cmd_sweep, "sweep_result.json"),
+    "check-holonomy": (cmd_check_holonomy, "holonomy_result.json"),
+    "dfs": (cmd_dfs, "dfs_result.json"),
 }
 
 
@@ -392,16 +397,24 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = Path(args.out)
+        command, record_name = COMMANDS[args.command]
         # an overflow or NaN becomes the FloatingPointError below, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            record = COMMANDS[args.command](cfg, out_dir, args.tolerance, args.seed)
+            outputs, files = command(cfg, args.tolerance, args.seed)
+        record = make_record(args.command, cfg, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateFitError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # one line: without indent, json runs its C encoder
+    files[record_name] = json.dumps(record, sort_keys=True) + "\n"
+    try:
+        write_files(Path(args.out), files)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     summary = {k: v for k, v in record["outputs"].items() if not isinstance(v, list)}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

@@ -10,9 +10,10 @@ computational subspace and imprints a purely geometric unitary.
 Pulse-strength errors enter as constant fractional deviations (eps0,
 eps1) of the two field amplitudes.  They deform the evolution in two
 ways: a common stretch of the overall envelope and a tilt of the bright
-angle theta -> theta_prime.  Every gate is built in that stretched-and-
-tilted single-field form, from its recipe: the distinct elementary loops
-and the order they run in.
+angle theta -> theta_prime.  ``loop_schedule`` writes every gate's loops
+in that stretched-and-tilted single-field form, from its recipe: the
+distinct elementary loops and the order they run in.  ``scaling.GATES``
+evolves them into gates.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pulses
-from .pulses import DEFAULT_SEGMENTS
 
 DIM = 3
 IDX_0, IDX_1, IDX_E = 0, 1, 2
 BASIS_LABELS = ("0", "1", "e")
-
-HALF_PI = math.pi / 2
 
 
 def ket(index: int) -> np.ndarray:
@@ -92,13 +90,6 @@ def drive_generators(theta, phi: float, phi0) -> np.ndarray:
     return h
 
 
-def hamiltonian(frame: BrightDarkFrame, omega: float, phi0: float) -> np.ndarray:
-    """Drive Hamiltonian Omega * (e^{i phi0} |b><e| + h.c.)."""
-    if omega < 0:
-        raise ValueError("Rabi envelope value must be nonnegative")
-    return omega * drive_generators(frame.theta, frame.phi, phi0)
-
-
 def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, float]:
     """Map two-field deviations to (envelope stretch, tilted angle).
 
@@ -116,14 +107,19 @@ def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, floa
     return eps, theta_prime
 
 
+# Ideal values: the elementary gate is -i|e><e| + i|b><b| + |d><d|, and
+# composite2, its square, -|e><e| - |b><b| + |d><d|; repetition cancels the
+# first-order stretch but not the tilt.  composite4 runs the mirrored-angle
+# pair first and the theta pair last: the mirrored angle reverses the sign of
+# the first-order tilt, so both error channels cancel to leading order.
 ELEMENTARY = pulses.Recipe(lambda theta: (theta,), (0,))
 COMPOSITE_TWO = pulses.Recipe(lambda theta: (theta,), (0, 0))
-# the mirrored-angle pair acts first, the theta pair last
 COMPOSITE_FOUR = pulses.Recipe(lambda theta: (math.pi - theta, theta), (0, 0, 1, 1))
 
 
 def loop_schedule(
-    recipe: pulses.Recipe, theta: float, phi: float, models, segments=DEFAULT_SEGMENTS, ordered=False
+    recipe: pulses.Recipe, theta: float, phi: float, models, envelope="square", steps=1,
+    ordered=False,
 ) -> linalg.Schedule:
     """Every envelope slice of a recipe's loops under each error model (None for no error).
 
@@ -132,103 +128,11 @@ def loop_schedule(
     state at theta_prime.  Batched over (models, loops); with ``ordered``,
     one model's loops in the recipe's time order (``pulses.loop_schedule``).
     """
-    segments = pulses.elementary_segments(segments)
     thetas = recipe.loops(theta)
     params = np.array(
         [[(0.0, t) if m is None else effective_error_params(t, m) for t in thetas] for m in models]
     ).reshape(len(models), len(thetas), 2)
-    gens = drive_generators(params[..., 1, None], phi, [seg.phi0 for seg in segments])
+    gens = drive_generators(params[..., 1, None], phi, pulses.DRIVE_PHASES)
     return pulses.loop_schedule(
-        gens, 1.0 + params[..., 0], segments, recipe.order if ordered else None
+        gens, 1.0 + params[..., 0], envelope, steps, recipe.order if ordered else None
     )
-
-
-def gates(recipe: pulses.Recipe, frame: BrightDarkFrame, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
-    """One gate per error model, shape (len(models), 3, 3), from one evolution of the distinct loops."""
-    return recipe.fold(linalg.evolve(loop_schedule(recipe, frame.theta, frame.phi, models, segments)))
-
-
-def elementary_gate(
-    frame: BrightDarkFrame, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Ideal elementary gate: -i|e><e| + i|b><b| + |d><d|."""
-    return gates(ELEMENTARY, frame, (None,), segments)[0]
-
-
-def elementary_gate_with_error(
-    frame: BrightDarkFrame, model: ErrorModel | None, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Error-affected elementary gate in stretched-and-tilted form.
-
-    The envelope integral becomes (1+eps) * pi/2 per segment and the
-    drive couples the tilted bright state at theta_prime.
-    """
-    return gates(ELEMENTARY, frame, (model,), segments)[0]
-
-
-def composite_two(
-    frame: BrightDarkFrame, model: ErrorModel | None = None, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Two repeated elementary gates; ideal value -|e><e| - |b><b| + |d><d|.
-
-    Repetition cancels the first-order envelope stretch but leaves the
-    bright-angle tilt untouched.
-    """
-    return gates(COMPOSITE_TWO, frame, (model,), segments)[0]
-
-
-def composite_four(
-    frame: BrightDarkFrame, model: ErrorModel | None = None, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Four-pulse composite: the pi-theta pair acts first, the theta pair last.
-
-    Written as a product it is U_t U_t U_{pi-t} U_{pi-t} with the rightmost
-    factor first in time.  The mirrored angle reverses the sign of the
-    first-order tilt, so both error channels cancel to leading order.
-    """
-    return gates(COMPOSITE_FOUR, frame, (model,), segments)[0]
-
-
-def logical_rotation_target(theta: float, phi: float) -> np.ndarray:
-    """Ideal four-pulse composite: |e><e| plus a rotation on span{|0>,|1>}.
-
-    The logical block is exp[i (pi - 2 theta) sigma_alpha] with
-    alpha = phi + pi/2 and sigma_alpha = cos(alpha) sx + sin(alpha) sy.
-    """
-    alpha = phi + HALF_PI
-    sigma = np.array(
-        [
-            [0.0, math.cos(alpha) - 1j * math.sin(alpha)],
-            [math.cos(alpha) + 1j * math.sin(alpha), 0.0],
-        ],
-        dtype=complex,
-    )
-    angle = math.pi - 2.0 * theta
-    block = math.cos(angle) * np.eye(2) + 1j * math.sin(angle) * sigma
-    target = np.zeros((DIM, DIM), dtype=complex)
-    target[:2, :2] = block
-    target[IDX_E, IDX_E] = 1.0
-    return target
-
-
-def bch_residual(frame: BrightDarkFrame, eps: float) -> np.ndarray:
-    """Residual of the four-factor envelope-error commutator product.
-
-    Isolates the pure envelope stretch (the tilt is switched off) in the
-    repeated gate: the deviation collapses to
-    e^{-i d B} e^{+i d A} e^{+i d B} e^{-i d A} with d = eps * pi / 2,
-    A and B the two segment generators.  First-order terms cancel, so
-    the returned matrix (product minus identity) shrinks quadratically.
-    """
-    if not abs(eps) < 1:
-        raise ValueError("|eps| must be < 1")
-    delta = eps * HALF_PI
-    gen_a = hamiltonian(frame, 1.0, HALF_PI)
-    gen_b = hamiltonian(frame, 1.0, 0.0)
-    u_omega = (
-        linalg.expm_hermitian(gen_b, delta)
-        @ linalg.expm_hermitian(gen_a, -delta)
-        @ linalg.expm_hermitian(gen_b, -delta)
-        @ linalg.expm_hermitian(gen_a, delta)
-    )
-    return u_omega - np.eye(DIM)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, qutrit, two_qubit
+from . import linalg, pulses, qutrit, two_qubit
 
 # Below this the infidelity is double-precision noise, not physics.
 INFIDELITY_FLOOR = 1e-14
@@ -49,25 +49,40 @@ def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate of the scheme, as the CLI and the sweeps use it.
+    """One gate of the scheme: the only way the package builds a gate.
 
-    Both callables come from the gate's recipe (``pulses.Recipe``): its
-    distinct loops and the order they run in.  build(theta, phi, jk,
-    models, segments) makes one gate per error model (None for ideal) from
-    one evolution of the distinct loops; schedule(theta, phi, jk) runs the
-    ideal loops back to back in time order at ``DEFAULT_SEGMENTS``, as
-    check-holonomy certifies it on the span of the ``subspace`` levels.
-    ``error_modes`` maps a sweep mode to the ``error_model`` of one eps;
-    three-level gates also report the rotated (excited, bright, dark) frame.
+    ``recipe`` (``pulses.Recipe``) lists the gate's distinct loops and the
+    order they run in, and ``loop_schedule(recipe, theta, phi, jk, models,
+    envelope, steps, ordered=False)`` is its family's loop builder
+    (``qutrit.loop_schedule`` or ``two_qubit.loop_schedule``).  The
+    holonomy subspace is spanned by the ``subspace`` levels; ``error_modes``
+    maps a sweep mode to the ``error_model`` of one eps, and three-level
+    gates also report the rotated (excited, bright, dark) frame.
     """
 
-    build: Callable[..., np.ndarray]
-    schedule: Callable[[float, float, str], linalg.Schedule]
+    recipe: pulses.Recipe
+    loop_schedule: Callable[..., linalg.Schedule]
     labels: tuple[str, ...]
     subspace: tuple[str, ...]
     error_model: type
     error_modes: dict[str, Callable[[float], object]]
     rotated_frame: bool
+
+    def build(self, theta, phi, jk, models, envelope="square", steps=1) -> np.ndarray:
+        """One gate per error model (None for ideal), shape (len(models), d, d).
+
+        The distinct loops of every model evolve in one call and fold in
+        the recipe's order, so no loop is evolved twice.
+        """
+        schedule = self.loop_schedule(self.recipe, theta, phi, jk, models, envelope, steps)
+        return self.recipe.fold(linalg.evolve(schedule))
+
+    def schedule(self, theta, phi, jk) -> linalg.Schedule:
+        """The ideal loops back to back in time order, square pulses.
+
+        This is the schedule check-holonomy certifies.
+        """
+        return self.loop_schedule(self.recipe, theta, phi, jk, (None,), ordered=True)
 
     def subspace_basis(self) -> np.ndarray:
         return np.eye(len(self.labels), dtype=complex)[[self.labels.index(s) for s in self.subspace]]
@@ -82,11 +97,9 @@ QUTRIT_MODES = {
 
 def _qutrit_gate(recipe) -> Gate:
     return Gate(
-        build=lambda theta, phi, jk, models, segments: qutrit.gates(
-            recipe, qutrit.BrightDarkFrame(theta, phi), models, segments
-        ),
-        schedule=lambda theta, phi, jk: qutrit.loop_schedule(
-            recipe, theta, phi, (None,), ordered=True
+        recipe=recipe,
+        loop_schedule=lambda recipe, theta, phi, jk, *args, **kwargs: qutrit.loop_schedule(
+            recipe, theta, phi, *args, **kwargs
         ),
         labels=qutrit.BASIS_LABELS,
         subspace=("0", "1"),
@@ -98,8 +111,10 @@ def _qutrit_gate(recipe) -> Gate:
 
 def _two_qubit_gate(recipe) -> Gate:
     return Gate(
-        build=lambda theta, phi, jk, models, segments: two_qubit.gates(recipe, jk, models, segments),
-        schedule=lambda theta, phi, jk: two_qubit.loop_schedule(recipe, jk, (None,), ordered=True),
+        recipe=recipe,
+        loop_schedule=lambda recipe, theta, phi, jk, *args, **kwargs: two_qubit.loop_schedule(
+            recipe, jk, *args, **kwargs
+        ),
         labels=two_qubit.LABELS,
         subspace=two_qubit.COMPUTATIONAL_LABELS,
         error_model=two_qubit.TwoQubitErrorModel,
@@ -177,7 +192,7 @@ def sweep_gates(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     gate = GATES[spec.gate_kind]
     mode = gate.error_modes[spec.error_mode]
     models = [None] + [mode(eps) for eps in spec.epsilons]
-    gates = gate.build(spec.theta, spec.phi, spec.jk, models, qutrit.DEFAULT_SEGMENTS)
+    gates = gate.build(spec.theta, spec.phi, spec.jk, models)
     return gates[0], gates[1:]
 
 
@@ -217,6 +232,3 @@ def fit_power_law(samples) -> ScalingFit:
         r_squared=r_squared,
     )
 
-
-def run_sweep(spec: SweepSpec) -> ScalingFit:
-    return fit_power_law(sweep_samples(spec))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pulses
-from .pulses import DEFAULT_SEGMENTS
 
 DIM = 5
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
@@ -54,12 +53,14 @@ def segment_generator(jk: str, phi0: float) -> np.ndarray:
     return h + h.conj().T
 
 
+# ideal values: the elementary gate is -i|a><a| + i|jk><jk| + rest unchanged,
+# and its square flips the sign of |jk> and |a>
 ELEMENTARY = pulses.Recipe(lambda jk: (jk,), (0,))
 COMPOSITE = pulses.Recipe(lambda jk: (jk,), (0, 0))
 
 
 def loop_schedule(
-    recipe: pulses.Recipe, jk: str, models, segments=DEFAULT_SEGMENTS, ordered=False
+    recipe: pulses.Recipe, jk: str, models, envelope="square", steps=1, ordered=False
 ) -> linalg.Schedule:
     """Every envelope slice of a recipe's loops under each error model (None for no error).
 
@@ -67,27 +68,8 @@ def loop_schedule(
     (models, loops); with ``ordered``, one model's loops in the recipe's
     time order (``pulses.loop_schedule``).
     """
-    segments = pulses.elementary_segments(segments)
     loops = recipe.loops(jk)
-    gens = np.array([[segment_generator(label, seg.phi0) for seg in segments] for label in loops])
+    phases = pulses.DRIVE_PHASES
+    gens = np.array([[segment_generator(label, phi0) for phi0 in phases] for label in loops])
     stretch = np.array([[1.0 + (m.eps_jk if m else 0.0)] * len(loops) for m in models])
-    return pulses.loop_schedule(gens, stretch, segments, recipe.order if ordered else None)
-
-
-def gates(recipe: pulses.Recipe, jk: str, models, segments=DEFAULT_SEGMENTS) -> np.ndarray:
-    """One gate per error model, shape (len(models), 5, 5), from one evolution of the distinct loops."""
-    return recipe.fold(linalg.evolve(loop_schedule(recipe, jk, models, segments)))
-
-
-def elementary_gate(
-    jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Two-segment gate; ideal value -i|a><a| + i|jk><jk| + rest unchanged."""
-    return gates(ELEMENTARY, jk, (model,), segments)[0]
-
-
-def composite_gate(
-    jk: str, model: TwoQubitErrorModel | None = None, segments=DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Repeated elementary gate; ideal value flips the sign of |jk> and |a>."""
-    return gates(COMPOSITE, jk, (model,), segments)[0]
+    return pulses.loop_schedule(gens, stretch, envelope, steps, recipe.order if ordered else None)

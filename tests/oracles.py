@@ -9,7 +9,9 @@ schedule one slice and one sample at a time, as a reference for the
 batched holonomy certification, and ``trace_states_mpmath`` does the same
 in 30-digit arithmetic as a reference for those loops.  The raw two-field
 pulses are the one-qubit loop written as independent field amplitudes,
-the reference route for the stretched-and-tilted gates.
+the reference route for the stretched-and-tilted gates; the ideal
+four-pulse rotation and the commutator-product residual are closed-form
+references for the composites.
 """
 
 import math
@@ -237,6 +239,56 @@ def two_field_composite_pairs(theta: float, phi: float, n_pulses: int, eps0=0.0,
     if n_pulses == 4:
         pairs = two_field_pairs(math.pi - theta, phi, eps0, eps1) * 2 + pairs
     return pairs
+
+
+def eigh_expm(h, t: float) -> np.ndarray:
+    """exp(-i h t) for a Hermitian ``h``, from one ``eigh``."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def logical_rotation_target(theta: float, phi: float) -> np.ndarray:
+    """Ideal four-pulse composite: |e><e| plus a rotation on span{|0>,|1>}.
+
+    The logical block is exp[i (pi - 2 theta) sigma_alpha] with
+    alpha = phi + pi/2 and sigma_alpha = cos(alpha) sx + sin(alpha) sy.
+    """
+    alpha = phi + math.pi / 2
+    sigma = np.array(
+        [
+            [0.0, math.cos(alpha) - 1j * math.sin(alpha)],
+            [math.cos(alpha) + 1j * math.sin(alpha), 0.0],
+        ],
+        dtype=complex,
+    )
+    angle = math.pi - 2.0 * theta
+    target = np.zeros((3, 3), dtype=complex)
+    target[:2, :2] = math.cos(angle) * np.eye(2) + 1j * math.sin(angle) * sigma
+    target[2, 2] = 1.0
+    return target
+
+
+def bch_residual(theta: float, phi: float, eps: float) -> np.ndarray:
+    """Residual of the four-factor envelope-error commutator product.
+
+    Isolates the pure envelope stretch (the tilt is switched off) in the
+    repeated gate: the deviation collapses to
+    e^{-i d B} e^{+i d A} e^{+i d B} e^{-i d A} with d = eps * pi / 2,
+    A and B the two segment generators of ``two_field_pairs`` (drive phase
+    pi/2, then 0).  First-order terms cancel, so the returned matrix
+    (product minus identity) shrinks quadratically.
+    """
+    if not abs(eps) < 1:
+        raise ValueError("|eps| must be < 1")
+    delta = eps * math.pi / 2
+    (gen_a, _), (gen_b, _) = two_field_pairs(theta, phi)
+    u_omega = (
+        eigh_expm(gen_b, delta)
+        @ eigh_expm(gen_a, -delta)
+        @ eigh_expm(gen_b, -delta)
+        @ eigh_expm(gen_a, delta)
+    )
+    return u_omega - np.eye(3)
 
 
 def residual_norm_ratio(residual, eps: float) -> float:

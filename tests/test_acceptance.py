@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from hologate import cli, dfs, holonomy, linalg, pulses, qutrit, scaling, two_qubit
+from hologate import cli, dfs, holonomy, linalg, qutrit, scaling
 from hologate.qutrit import BrightDarkFrame, ErrorModel
 
-from oracles import residual_norm_ratio, two_field_pairs
+from oracles import bch_residual, logical_rotation_target, residual_norm_ratio, two_field_pairs
 
 THETA_GRID = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 PHI_GRID = (0.0, math.pi / 4, math.pi / 2)
@@ -28,6 +28,10 @@ def report(ok: bool, label: str, detail: str = "") -> bool:
     return ok
 
 
+def gate(name, frame, model=None, envelope="square", steps=1):
+    return scaling.GATES[name].build(frame.theta, frame.phi, "11", [model], envelope, steps)[0]
+
+
 def frame_basis_matrix(u, frame):
     change = np.column_stack([qutrit.ket(qutrit.IDX_E), frame.bright, frame.dark])
     return change.conj().T @ u @ change
@@ -39,19 +43,19 @@ def test_criterion_1_ideal_gate_exactness():
         for phi in PHI_GRID:
             frame = BrightDarkFrame(theta, phi)
             worst = max(worst, linalg.frobenius_distance(
-                frame_basis_matrix(qutrit.elementary_gate(frame), frame),
+                frame_basis_matrix(gate("elementary", frame), frame),
                 np.diag([-1j, 1j, 1.0]),
             ))
             worst = max(worst, linalg.frobenius_distance(
-                frame_basis_matrix(qutrit.composite_two(frame), frame),
+                frame_basis_matrix(gate("composite2", frame), frame),
                 np.diag([-1.0, -1.0, 1.0]).astype(complex),
             ))
             worst = max(worst, linalg.frobenius_distance(
-                qutrit.composite_four(frame),
-                qutrit.logical_rotation_target(theta, phi),
+                gate("composite4", frame),
+                logical_rotation_target(theta, phi),
             ))
     worst = max(worst, linalg.frobenius_distance(
-        two_qubit.composite_gate("11"), np.diag([1, 1, 1, -1, -1]).astype(complex)
+        gate("twoqubit_composite", frame), np.diag([1, 1, 1, -1, -1]).astype(complex)
     ))
     ok = worst <= 1e-10
     assert report(ok, "criterion 1: ideal gates exact", f"worst distance {worst:.2e}")
@@ -100,7 +104,7 @@ def test_criterion_3_scaling_orders():
             error_mode=mode,
             epsilons=scaling.default_epsilon_grid(),
         )
-        fit = scaling.run_sweep(spec)
+        fit = scaling.fit_power_law(scaling.sweep_samples(spec))
         case_ok = abs(fit.slope - target) <= width and fit.r_squared >= 0.999
         ok = ok and case_ok
         details.append(f"{kind}/{mode} {fit.slope:.3f}")
@@ -109,7 +113,7 @@ def test_criterion_3_scaling_orders():
 
 def test_criterion_4_commutator_residual_ratio():
     frame = BrightDarkFrame(math.pi / 3, 0.0)
-    ratio = residual_norm_ratio(lambda eps: qutrit.bch_residual(frame, eps), 0.02)
+    ratio = residual_norm_ratio(lambda eps: bch_residual(frame.theta, frame.phi, eps), 0.02)
     ok = abs(ratio - 4.0) <= 0.3
     assert report(ok, "criterion 4: second-order commutator residual", f"ratio {ratio:.3f}")
 
@@ -123,7 +127,7 @@ def test_criterion_5_error_route_equivalence():
         raw = two_field_pairs(frame.theta, frame.phi, model.eps0, model.eps1)
         d = linalg.frobenius_distance(
             linalg.evolve(linalg.Schedule(*zip(*raw))),
-            qutrit.elementary_gate_with_error(frame, model),
+            gate("elementary", frame, model),
         )
         worst = max(worst, d)
     ok = worst <= 1e-9
@@ -131,18 +135,12 @@ def test_criterion_5_error_route_equivalence():
 
 
 def test_criterion_6_pulse_shape_independence():
-    shaped_1q = pulses.default_segments("sine_squared")
     worst = 0.0
     frame = BrightDarkFrame(0.8, 1.1)
-    for build in (qutrit.elementary_gate,):
-        worst = max(worst, linalg.frobenius_distance(build(frame), build(frame, shaped_1q)))
-    for build in (qutrit.composite_two, qutrit.composite_four):
+    names = ("elementary", "composite2", "composite4", "twoqubit_elementary", "twoqubit_composite")
+    for name in names:
         worst = max(worst, linalg.frobenius_distance(
-            build(frame), build(frame, None, shaped_1q)
-        ))
-    for build in (two_qubit.elementary_gate, two_qubit.composite_gate):
-        worst = max(worst, linalg.frobenius_distance(
-            build("11"), build("11", None, shaped_1q)
+            gate(name, frame), gate(name, frame, envelope="sine_squared", steps=32)
         ))
     ok = worst <= 1e-9
     assert report(ok, "criterion 6: envelope independence", f"worst {worst:.2e}")
@@ -179,10 +177,10 @@ def test_criterion_8_register_vs_bare_composite():
         theta = rng.uniform(0, math.pi)
         phi = rng.uniform(0, 2 * math.pi)
         model = ErrorModel(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        gate = linalg.evolve(dfs.logical_composite_schedule(theta, phi, model))
+        register = linalg.evolve(dfs.logical_composite_schedule(theta, phi, model))
         idx = [encoding.index(name) for name in ("0", "1", "a")]
-        block = gate[np.ix_(idx, idx)]
-        bare = qutrit.composite_four(BrightDarkFrame(theta, phi), model)
+        block = register[np.ix_(idx, idx)]
+        bare = gate("composite4", BrightDarkFrame(theta, phi), model)
         worst = max(worst, linalg.frobenius_distance(block, bare))
     ok = worst <= 1e-9
     assert report(ok, "criterion 8: register gate matches bare composite", f"worst {worst:.2e}")

@@ -165,6 +165,50 @@ def test_unreadable_and_malformed_configs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def assert_one_output_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error:")
+
+
+def test_out_naming_a_file_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"gate": "elementary"})
+    blocker = tmp_path / "out"
+    blocker.write_text("keep")
+    assert run(["gate", "--config", cfg, "--out", str(blocker)]) == 2
+    assert_one_output_error(capsys)
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
+
+
+SWEEP_CFG = {"gate_kind": "composite4", "error_mode": "common", "epsilons": {"points": 4}}
+
+
+def test_output_blocked_by_a_directory_writes_no_file(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", SWEEP_CFG)
+    out = tmp_path / "out"
+    (out / "sweep_result.json").mkdir(parents=True)
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert_one_output_error(capsys)
+    assert [p.name for p in out.iterdir()] == ["sweep_result.json"]
+    assert not any((out / "sweep_result.json").iterdir())
+
+
+def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, "c.json", SWEEP_CFG)
+    out = tmp_path / "out"
+
+    def full_disk(path, *args, **kwargs):
+        if "sweep_result" in str(path):
+            raise OSError(28, "No space left on device")
+        return open(path, *args, **kwargs)
+
+    # the name shadows the builtin inside the module under test only
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert_one_output_error(capsys)
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_writes_csv_and_fit(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, "c.json",
@@ -501,9 +545,8 @@ def test_matrix_payload_round_trips_losslessly(tmp_path):
     record = load_record(tmp_path, "gate_result.json")
     from hologate import qutrit
 
-    expected = qutrit.elementary_gate_with_error(
-        qutrit.BrightDarkFrame(0.9, 0.3), qutrit.ErrorModel(0.05, -0.02)
-    )
+    model = qutrit.ErrorModel(0.05, -0.02)
+    expected = scaling.GATES["elementary"].build(0.9, 0.3, "11", [model])[0]
     assert np.array_equal(payload_to_matrix(record["outputs"]["matrix"]), expected)
 
 

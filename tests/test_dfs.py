@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hologate import dfs, linalg, qutrit
+from hologate import dfs, linalg, qutrit, scaling
 from hologate.dfs import DephasingChannel, DfsEncoding
-from hologate.qutrit import BrightDarkFrame, ErrorModel
+from hologate.qutrit import ErrorModel
 
 from oracles import (
     CONTRAST_UNIFORM_HALF_8_KICKS,
     entangling_power_check,
     is_unitary,
     kicked_fidelities_loop,
+    logical_rotation_target,
     two_field_composite_pairs,
 )
 
@@ -28,6 +29,10 @@ def encoded_block(gate, encoding, names):
 
 def logical_composite_gate(*args):
     return linalg.evolve(dfs.logical_composite_schedule(*args))
+
+
+def bare_composite_four(theta, phi, model=None):
+    return scaling.GATES["composite4"].build(theta, phi, "11", [model])[0]
 
 
 def plus_state(encoding, a, b):
@@ -132,11 +137,9 @@ def test_logical_composite_block_matches_bare_composite():
     theta, phi = math.pi / 4, 0.0
     gate = logical_composite_gate(theta, phi)
     block = encoded_block(gate, ENC3, ("0", "1", "a"))
-    bare = qutrit.composite_four(BrightDarkFrame(theta, phi))
+    bare = bare_composite_four(theta, phi)
     assert linalg.frobenius_distance(block, bare) < 1e-10
-    assert linalg.frobenius_distance(
-        block, qutrit.logical_rotation_target(theta, phi)
-    ) < 1e-10
+    assert linalg.frobenius_distance(block, logical_rotation_target(theta, phi)) < 1e-10
 
 
 def test_logical_composite_block_tracks_error_model(rng):
@@ -146,7 +149,7 @@ def test_logical_composite_block_tracks_error_model(rng):
         model = ErrorModel(rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15))
         gate = logical_composite_gate(theta, phi, model)
         block = encoded_block(gate, ENC3, ("0", "1", "a"))
-        bare = qutrit.composite_four(BrightDarkFrame(theta, phi), model)
+        bare = bare_composite_four(theta, phi, model)
         assert linalg.frobenius_distance(block, bare) < 1e-9
 
 

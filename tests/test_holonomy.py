@@ -49,7 +49,7 @@ def test_zero_generator_trace_is_static_and_passes():
 
 def test_half_pi_segment_rotates_bright_into_excited():
     f = BrightDarkFrame(0.9, 0.3)
-    gen = qutrit.hamiltonian(f, 1.0, 0.0)
+    gen = qutrit.drive_generators(f.theta, f.phi, 0.0)
     trace = holonomy.trace_evolution(one_segment(gen, math.pi / 2), [f.bright])
     final = trace.states[0, -1, :]
     assert linalg.norm(final - (-1j) * qutrit.ket(qutrit.IDX_E)) < 1e-12
@@ -95,7 +95,7 @@ def test_open_loop_fails_closure_but_not_phase():
     # half a segment leaves the subspace displaced; the dynamical phase
     # still vanishes pointwise, so only the closure condition trips
     f = BrightDarkFrame(math.pi / 2, 0.0)
-    gen = qutrit.hamiltonian(f, 1.0, 0.0)
+    gen = qutrit.drive_generators(f.theta, f.phi, 0.0)
     trace = holonomy.trace_evolution(one_segment(gen, math.pi / 4), COMP_BASIS)
     report = holonomy.check_holonomy(trace, tolerance=1e-8)
     assert not report.passed
@@ -164,7 +164,7 @@ def test_midpoint_of_idle_schedule_is_zero():
 
 def test_midpoint_requires_two_segments():
     f = BrightDarkFrame(1.0, 0.0)
-    gen = qutrit.hamiltonian(f, 1.0, 0.0)
+    gen = qutrit.drive_generators(f.theta, f.phi, 0.0)
     trace = holonomy.trace_evolution(one_segment(gen, math.pi / 2), COMP_BASIS)
     with pytest.raises(ValueError):
         holonomy.grassmannian_midpoint_check(trace)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from hologate import dfs, linalg, qutrit, two_qubit
 
-from oracles import is_unitary, random_hermitian, rk4_propagator, two_field_composite_pairs
+from oracles import (
+    eigh_expm,
+    is_unitary,
+    random_hermitian,
+    rk4_propagator,
+    two_field_composite_pairs,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -189,17 +195,12 @@ def test_restriction_keeps_rows_columns_and_vectors():
     assert np.array_equal(levels, [0])
 
 
-def eigh_expm(h, t):
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def package_generators():
     """name -> generators from every builder family, at generic angles and errors."""
     model = qutrit.ErrorModel(0.05, -0.03)
     frame = qutrit.BrightDarkFrame(0.8, 0.3)
     return {
-        "qutrit": [qutrit.hamiltonian(frame, 1.3, phi0) for phi0 in (0.0, math.pi / 2, 2.1)],
+        "qutrit": list(1.3 * qutrit.drive_generators(frame.theta, frame.phi, [0.0, math.pi / 2, 2.1])),
         "two_field": [h for h, _ in two_field_composite_pairs(0.8, 0.4, 4, 0.05, -0.03)],
         "five_level": [
             two_qubit.segment_generator(jk, phi0) for jk in ("00", "11") for phi0 in (0.0, 1.0)
@@ -262,7 +263,7 @@ def test_generators_off_the_cube_identity_take_the_eigh_fallback(make, rng, monk
 def test_exponential_is_exact_at_extreme_generator_scales(scale, closed_form, rng):
     # squared norms of H^2 and H^3 would underflow or overflow at these scales
     if closed_form:
-        g = qutrit.hamiltonian(qutrit.BrightDarkFrame(0.8, 0.3), 1.0, 0.4)
+        g = qutrit.drive_generators(0.8, 0.3, 0.4)
     else:
         g = random_hermitian(rng, 4)
     u = linalg.expm_hermitian(g * scale, 0.9 / scale)
@@ -281,7 +282,11 @@ def test_batched_evolution_matches_one_matrix_at_a_time(rng):
     # a batch mixing closed-form and fallback generators, broadcast areas
     frame = qutrit.BrightDarkFrame(0.6, 1.1)
     gens = np.array(
-        [qutrit.hamiltonian(frame, 1.0, 0.4), random_hermitian(rng, 3), np.diag([1.0, 2.0, 3.0])]
+        [
+            qutrit.drive_generators(frame.theta, frame.phi, 0.4),
+            random_hermitian(rng, 3),
+            np.diag([1.0, 2.0, 3.0]),
+        ]
     )
     areas = rng.uniform(-2.0, 2.0, size=(4, 3))
     schedule = linalg.Schedule(gens, areas)

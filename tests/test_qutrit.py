@@ -6,15 +6,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg, pulses, qutrit
-from hologate.pulses import PulseSegment
+from hologate import linalg, qutrit
 from hologate.qutrit import BrightDarkFrame, ErrorModel
+from hologate.scaling import GATES
 
-from oracles import projector, rk4_propagator, two_field_composite_pairs, two_field_pairs
+from oracles import (
+    bch_residual,
+    logical_rotation_target,
+    projector,
+    rk4_propagator,
+    two_field_composite_pairs,
+    two_field_pairs,
+)
 
 angles = st.floats(0.0, math.pi)
 phases = st.floats(0.0, 2 * math.pi)
 small_eps = st.floats(-0.2, 0.2)
+
+
+def gate(name, frame, model=None, envelope="square", steps=1):
+    return GATES[name].build(frame.theta, frame.phi, "11", [model], envelope, steps)[0]
+
+
+def hamiltonian(frame, omega, phi0):
+    return omega * qutrit.drive_generators(frame.theta, frame.phi, phi0)
 
 
 def analytic_elementary(frame):
@@ -42,27 +57,22 @@ def test_error_model_bounds():
 
 
 def test_hamiltonian_zero_envelope():
-    h = qutrit.hamiltonian(BrightDarkFrame(0.3, 0.4), 0.0, 0.1)
+    h = hamiltonian(BrightDarkFrame(0.3, 0.4), 0.0, 0.1)
     assert np.all(h == 0)
 
 
 def test_hamiltonian_theta_zero_couples_ground_zero():
-    h = qutrit.hamiltonian(BrightDarkFrame(0.0, 0.0), 1.0, 0.0)
+    h = hamiltonian(BrightDarkFrame(0.0, 0.0), 1.0, 0.0)
     expected = np.zeros((3, 3), dtype=complex)
     expected[qutrit.IDX_0, qutrit.IDX_E] = 1.0
     expected[qutrit.IDX_E, qutrit.IDX_0] = 1.0
     assert linalg.frobenius_distance(h, expected) < 1e-15
 
 
-def test_hamiltonian_rejects_negative_envelope():
-    with pytest.raises(ValueError):
-        qutrit.hamiltonian(BrightDarkFrame(0.3, 0.0), -1.0, 0.0)
-
-
 @given(theta=angles, phi=phases, phi0=phases, omega=st.floats(0.0, 5.0))
 def test_hamiltonian_annihilates_dark_state(theta, phi, phi0, omega):
     f = BrightDarkFrame(theta, phi)
-    h = qutrit.hamiltonian(f, omega, phi0)
+    h = hamiltonian(f, omega, phi0)
     assert linalg.norm(h @ f.dark) < 1e-12 * max(omega, 1.0)
 
 
@@ -116,44 +126,35 @@ def test_tilted_angle_stays_in_principal_branch(theta, e0, e1):
 def test_elementary_gate_closed_form(rng):
     for _ in range(10):
         f = BrightDarkFrame(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert linalg.frobenius_distance(qutrit.elementary_gate(f), analytic_elementary(f)) < 1e-10
+        assert linalg.frobenius_distance(gate("elementary", f), analytic_elementary(f)) < 1e-10
 
 
 def test_elementary_gate_is_fourth_root_of_identity():
-    u = qutrit.elementary_gate(BrightDarkFrame(0.8, 1.3))
+    u = gate("elementary", BrightDarkFrame(0.8, 1.3))
     assert linalg.frobenius_distance(np.linalg.matrix_power(u, 4), np.eye(3)) < 1e-12
 
 
 def test_elementary_gate_against_integrator():
     f = BrightDarkFrame(math.pi / 2, 0.0)
     ref = rk4_propagator(two_field_pairs(f.theta, f.phi))
-    assert linalg.frobenius_distance(qutrit.elementary_gate(f), ref) < 1e-10
+    assert linalg.frobenius_distance(gate("elementary", f), ref) < 1e-10
 
 
 @given(theta=angles, phi=phases)
 def test_elementary_gate_fixes_dark_state(theta, phi):
     f = BrightDarkFrame(theta, phi)
-    assert linalg.norm(qutrit.elementary_gate(f) @ f.dark - f.dark) < 1e-10
-
-
-def test_elementary_gate_segment_validation():
-    f = BrightDarkFrame(0.5, 0.0)
-    bad = (PulseSegment(area=math.pi / 3, phi0=math.pi / 2), PulseSegment(area=math.pi / 2, phi0=0.0))
-    with pytest.raises(ValueError):
-        qutrit.elementary_gate(f, bad)
-    with pytest.raises(ValueError):
-        qutrit.elementary_gate(f, (PulseSegment(area=math.pi / 2, phi0=0.0),))
+    assert linalg.norm(gate("elementary", f) @ f.dark - f.dark) < 1e-10
 
 
 def test_error_gate_without_model_is_ideal():
     f = BrightDarkFrame(1.0, 0.2)
     assert np.array_equal(
-        qutrit.elementary_gate_with_error(f, None), qutrit.elementary_gate(f)
+        gate("elementary", f, None), gate("elementary", f)
     )
     assert (
         linalg.frobenius_distance(
-            qutrit.elementary_gate_with_error(f, ErrorModel(0.0, 0.0)),
-            qutrit.elementary_gate(f),
+            gate("elementary", f, ErrorModel(0.0, 0.0)),
+            gate("elementary", f),
         )
         < 1e-14
     )
@@ -162,10 +163,10 @@ def test_error_gate_without_model_is_ideal():
 def test_common_mode_gate_is_area_stretched_ideal():
     f = BrightDarkFrame(0.9, 0.4)
     eps = 0.07
-    direct = qutrit.elementary_gate_with_error(f, ErrorModel(eps, eps))
+    direct = gate("elementary", f, ErrorModel(eps, eps))
     stretched = linalg.evolve(
         linalg.Schedule(
-            [qutrit.hamiltonian(f, 1.0, math.pi / 2), qutrit.hamiltonian(f, 1.0, 0.0)],
+            [hamiltonian(f, 1.0, math.pi / 2), hamiltonian(f, 1.0, 0.0)],
             [(1 + eps) * math.pi / 2] * 2,
         )
     )
@@ -175,7 +176,7 @@ def test_common_mode_gate_is_area_stretched_ideal():
 def test_error_gate_matches_raw_two_field_evolution():
     f = BrightDarkFrame(math.pi / 4, math.pi / 3)
     model = ErrorModel(0.02, -0.01)
-    reparam = qutrit.elementary_gate_with_error(f, model)
+    reparam = gate("elementary", f, model)
     pairs = two_field_pairs(f.theta, f.phi, model.eps0, model.eps1)
     raw = linalg.evolve(linalg.Schedule(*zip(*pairs)))
     assert linalg.frobenius_distance(reparam, raw) < 1e-9
@@ -187,28 +188,28 @@ def test_reparametrized_route_equals_raw_route(theta, phi, e0, e1):
     f = BrightDarkFrame(theta, phi)
     model = ErrorModel(e0, e1)
     raw = linalg.evolve(linalg.Schedule(*zip(*two_field_pairs(theta, phi, e0, e1))))
-    d = linalg.frobenius_distance(qutrit.elementary_gate_with_error(f, model), raw)
+    d = linalg.frobenius_distance(gate("elementary", f, model), raw)
     assert d < 1e-9
 
 
 def test_composite_two_is_elementary_squared():
     f = BrightDarkFrame(0.7, 1.9)
-    u = qutrit.elementary_gate_with_error(f, None)
-    assert np.array_equal(qutrit.composite_two(f), u @ u)
+    u = gate("elementary", f, None)
+    assert np.array_equal(gate("composite2", f), u @ u)
 
 
 def test_composite_two_ideal_value():
     f = BrightDarkFrame(1.2, 0.3)
     e = qutrit.ket(qutrit.IDX_E)
     target = -projector(e) - projector(f.bright) + projector(f.dark)
-    assert linalg.frobenius_distance(qutrit.composite_two(f), target) < 1e-10
+    assert linalg.frobenius_distance(gate("composite2", f), target) < 1e-10
 
 
 def test_composite_two_common_mode_residual_is_second_order():
     f = BrightDarkFrame(0.9, 0.0)
-    ideal = qutrit.composite_two(f)
-    d1 = linalg.frobenius_distance(qutrit.composite_two(f, ErrorModel(0.02, 0.02)), ideal)
-    d2 = linalg.frobenius_distance(qutrit.composite_two(f, ErrorModel(0.01, 0.01)), ideal)
+    ideal = gate("composite2", f)
+    d1 = linalg.frobenius_distance(gate("composite2", f, ErrorModel(0.02, 0.02)), ideal)
+    d2 = linalg.frobenius_distance(gate("composite2", f, ErrorModel(0.01, 0.01)), ideal)
     assert 3.5 < d1 / d2 < 4.5
 
 
@@ -216,9 +217,9 @@ def test_composite_two_differential_mode_residual_is_first_order():
     # the tilted bright angle survives repetition, so the distance is
     # linear in the differential error
     f = BrightDarkFrame(0.9, 0.0)
-    ideal = qutrit.composite_two(f)
-    d1 = linalg.frobenius_distance(qutrit.composite_two(f, ErrorModel(0.01, -0.01)), ideal)
-    d2 = linalg.frobenius_distance(qutrit.composite_two(f, ErrorModel(0.005, -0.005)), ideal)
+    ideal = gate("composite2", f)
+    d1 = linalg.frobenius_distance(gate("composite2", f, ErrorModel(0.01, -0.01)), ideal)
+    d2 = linalg.frobenius_distance(gate("composite2", f, ErrorModel(0.005, -0.005)), ideal)
     assert 1.8 < d1 / d2 < 2.2
 
 
@@ -231,39 +232,37 @@ def test_composite_two_error_factorizes_into_tilted_loop_times_commutators():
     tilted = BrightDarkFrame(theta_prime, f.phi)
     e = qutrit.ket(qutrit.IDX_E)
     u_theta = -projector(e) - projector(tilted.bright) + projector(tilted.dark)
-    u_omega = qutrit.bch_residual(tilted, eps) + np.eye(3)
-    actual = qutrit.composite_two(f, model)
+    u_omega = bch_residual(tilted.theta, tilted.phi, eps) + np.eye(3)
+    actual = gate("composite2", f, model)
     assert linalg.frobenius_distance(actual, u_theta @ u_omega) < 1e-12
     assert linalg.frobenius_distance(actual, u_omega @ u_theta) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "recipe,n_pulses",
-    [(qutrit.COMPOSITE_TWO, 2), (qutrit.COMPOSITE_FOUR, 4)],
-    ids=["composite2", "composite4"],
+    "name,n_pulses", [("composite2", 2), ("composite4", 4)], ids=["composite2", "composite4"]
 )
-def test_composites_follow_raw_two_field_order(recipe, n_pulses):
+def test_composites_follow_raw_two_field_order(name, n_pulses):
     # The pulse order of the raw two-field route is written out in the
     # oracle, independently of the recipe's loops and order.
     f = BrightDarkFrame(0.7, 0.3)
     models = (None, ErrorModel(0.03, -0.02), ErrorModel(0.01, 0.01))
-    gates = qutrit.gates(recipe, f, models)
+    gates = GATES[name].build(f.theta, f.phi, "11", models)
     assert gates.shape == (len(models), 3, 3)
-    for model, gate in zip(models, gates):
+    for model, built in zip(models, gates):
         eps = (model.eps0, model.eps1) if model else ()
         pairs = two_field_composite_pairs(f.theta, f.phi, n_pulses, *eps)
-        assert linalg.frobenius_distance(gate, linalg.evolve(linalg.Schedule(*zip(*pairs)))) < 1e-12
-        assert linalg.frobenius_distance(gate, rk4_propagator(pairs)) < 1e-10
+        assert linalg.frobenius_distance(built, linalg.evolve(linalg.Schedule(*zip(*pairs)))) < 1e-12
+        assert linalg.frobenius_distance(built, rk4_propagator(pairs)) < 1e-10
 
 
 def test_composite_four_trivial_angle_is_logical_identity():
     f = BrightDarkFrame(math.pi / 2, 0.7)
-    u = qutrit.composite_four(f)
+    u = gate("composite4", f)
     assert linalg.frobenius_distance(u, np.eye(3)) < 1e-10
 
 
 def test_composite_four_quarter_angle_gives_sigma_y_rotation():
-    u = qutrit.composite_four(BrightDarkFrame(math.pi / 4, 0.0))
+    u = gate("composite4", BrightDarkFrame(math.pi / 4, 0.0))
     sy = np.array([[0, -1j], [1j, 0]])
     target = np.zeros((3, 3), dtype=complex)
     target[:2, :2] = 1j * sy
@@ -273,10 +272,10 @@ def test_composite_four_quarter_angle_gives_sigma_y_rotation():
 
 def test_composite_four_halving_error_cuts_infidelity_sixteenfold():
     f = BrightDarkFrame(math.pi / 4, 0.0)
-    ideal = qutrit.composite_four(f)
+    ideal = gate("composite4", f)
 
     def infid(model):
-        u = qutrit.composite_four(f, model)
+        u = gate("composite4", f, model)
         d = linalg.as_complex_matrix(ideal)
         val = abs(np.trace(d.conj().T @ u)) / 3.0
         return 1.0 - val
@@ -287,16 +286,16 @@ def test_composite_four_halving_error_cuts_infidelity_sixteenfold():
 
 def test_logical_rotation_target_trivial_cases():
     assert linalg.frobenius_distance(
-        qutrit.logical_rotation_target(math.pi / 2, 0.9), np.eye(3)
+        logical_rotation_target(math.pi / 2, 0.9), np.eye(3)
     ) < 1e-15
-    t = qutrit.logical_rotation_target(0.0, 0.0)
+    t = logical_rotation_target(0.0, 0.0)
     expected = np.diag([-1.0, -1.0, 1.0]).astype(complex)
     assert linalg.frobenius_distance(t, expected) < 1e-12
 
 
 def test_logical_rotation_target_explicit_angle():
     theta, phi = math.pi / 3, math.pi / 4
-    t = qutrit.logical_rotation_target(theta, phi)
+    t = logical_rotation_target(theta, phi)
     alpha = phi + math.pi / 2
     sigma = np.array(
         [[0, math.cos(alpha) - 1j * math.sin(alpha)], [math.cos(alpha) + 1j * math.sin(alpha), 0]]
@@ -311,7 +310,7 @@ def test_logical_rotation_target_explicit_angle():
 def test_composite_four_reaches_its_target(theta, phi):
     f = BrightDarkFrame(theta, phi)
     d = linalg.frobenius_distance(
-        qutrit.composite_four(f), qutrit.logical_rotation_target(theta, phi)
+        gate("composite4", f), logical_rotation_target(theta, phi)
     )
     assert d < 1e-10
 
@@ -331,10 +330,10 @@ def test_composite_four_has_no_first_order_error_term():
     # fit distance(eps) = c1 eps + c2 eps^2 over a small grid; the linear
     # coefficient must be noise next to the quadratic one
     f = BrightDarkFrame(math.pi / 3, 0.2)
-    ideal = qutrit.composite_four(f)
+    ideal = gate("composite4", f)
     eps_grid = np.linspace(2e-4, 1e-3, 6)
     dists = [
-        linalg.frobenius_distance(qutrit.composite_four(f, ErrorModel(e, -e)), ideal)
+        linalg.frobenius_distance(gate("composite4", f, ErrorModel(e, -e)), ideal)
         for e in eps_grid
     ]
     design = np.column_stack([eps_grid, eps_grid**2])
@@ -343,14 +342,14 @@ def test_composite_four_has_no_first_order_error_term():
 
 
 def test_bch_residual_zero_error_vanishes():
-    r = qutrit.bch_residual(BrightDarkFrame(0.9, 0.1), 0.0)
+    r = bch_residual(0.9, 0.1, 0.0)
     assert linalg.frobenius_norm(r) < 1e-13
 
 
 def test_bch_residual_quadratic_shrinkage():
     f = BrightDarkFrame(math.pi / 3, 0.0)
-    r1 = linalg.frobenius_norm(qutrit.bch_residual(f, 0.01))
-    r2 = linalg.frobenius_norm(qutrit.bch_residual(f, 0.005))
+    r1 = linalg.frobenius_norm(bch_residual(f.theta, f.phi, 0.01))
+    r2 = linalg.frobenius_norm(bch_residual(f.theta, f.phi, 0.005))
     assert 3.8 < r1 / r2 < 4.2
 
 
@@ -358,26 +357,24 @@ def test_bch_residual_matches_direct_factor_product():
     f = BrightDarkFrame(math.pi / 3, 0.0)
     eps = 0.05
     delta = eps * math.pi / 2
-    gen_a = qutrit.hamiltonian(f, 1.0, math.pi / 2)
-    gen_b = qutrit.hamiltonian(f, 1.0, 0.0)
+    gen_a = hamiltonian(f, 1.0, math.pi / 2)
+    gen_b = hamiltonian(f, 1.0, 0.0)
     # time order: rightmost factor first
     ref = rk4_propagator(
         [(gen_a, delta), (gen_b, -delta), (gen_a, -delta), (gen_b, delta)],
         steps_per_segment=512,
     )
-    assert linalg.frobenius_distance(qutrit.bch_residual(f, eps) + np.eye(3), ref) < 1e-10
+    assert linalg.frobenius_distance(bch_residual(f.theta, f.phi, eps) + np.eye(3), ref) < 1e-10
 
 
 def test_bch_residual_rejects_large_eps():
     with pytest.raises(ValueError):
-        qutrit.bch_residual(BrightDarkFrame(0.5, 0.0), 1.0)
+        bch_residual(0.5, 0.0, 1.0)
 
 
 @given(theta=angles, phi=phases, envelope_steps=st.integers(4, 40))
 def test_gates_do_not_depend_on_envelope(theta, phi, envelope_steps):
     f = BrightDarkFrame(theta, phi)
-    square = qutrit.composite_four(f, None, pulses.default_segments("square"))
-    shaped = qutrit.composite_four(
-        f, None, pulses.default_segments("sine_squared", envelope_steps)
-    )
+    square = gate("composite4", f)
+    shaped = gate("composite4", f, None, "sine_squared", envelope_steps)
     assert linalg.frobenius_distance(square, shaped) < 1e-9

@@ -9,17 +9,21 @@ from hologate import holonomy, linalg, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError, SweepSpec
 
-from oracles import haar_unitary, order_ratio, residual_norm_ratio
+from oracles import bch_residual, haar_unitary, order_ratio, residual_norm_ratio
+
+
+def gate(name, frame, model=None):
+    return scaling.GATES[name].build(frame.theta, frame.phi, "11", [model])[0]
 
 
 def test_fidelity_of_identical_gates_is_one():
-    u = qutrit.elementary_gate(BrightDarkFrame(0.7, 0.2))
+    u = gate("elementary", BrightDarkFrame(0.7, 0.2))
     assert abs(scaling.gate_fidelity(u, u).value - 1.0) < 1e-14
 
 
 @given(alpha=st.floats(0.0, 2 * math.pi))
 def test_fidelity_ignores_global_phase(alpha):
-    u = qutrit.composite_four(BrightDarkFrame(0.9, 0.3))
+    u = gate("composite4", BrightDarkFrame(0.9, 0.3))
     f = scaling.gate_fidelity(u, np.exp(1j * alpha) * u)
     assert abs(f.value - 1.0) < 1e-12
 
@@ -31,10 +35,8 @@ def test_fidelity_known_value():
 
 
 def test_fidelity_is_invariant_under_a_common_rotation(rng):
-    u = qutrit.elementary_gate(BrightDarkFrame(1.0, 0.5))
-    v = qutrit.elementary_gate_with_error(
-        BrightDarkFrame(1.0, 0.5), qutrit.ErrorModel(0.05, -0.05)
-    )
+    u = gate("elementary", BrightDarkFrame(1.0, 0.5))
+    v = gate("elementary", BrightDarkFrame(1.0, 0.5), qutrit.ErrorModel(0.05, -0.05))
     w = haar_unitary(rng, 3)
     before = scaling.gate_fidelity(u, v).value
     after = scaling.gate_fidelity(w @ u, w @ v).value
@@ -137,19 +139,9 @@ SWEEP_CASES = (
 
 
 def single_gate(kind, mode, eps, theta, phi, jk):
-    """One sweep point's gate from the public single-gate builders."""
-    if kind.startswith("twoqubit"):
-        model = two_qubit.TwoQubitErrorModel(eps) if eps else None
-        build = two_qubit.elementary_gate if kind == "twoqubit_single" else two_qubit.composite_gate
-        return build(jk, model)
-    frame = BrightDarkFrame(theta, phi)
+    """One sweep point's gate, built on its own from the gate table."""
     model = scaling.GATES[kind].error_modes[mode](eps) if eps else None
-    build = {
-        "single": qutrit.elementary_gate_with_error,
-        "composite2": qutrit.composite_two,
-        "composite4": qutrit.composite_four,
-    }[kind]
-    return build(frame, model)
+    return scaling.GATES[kind].build(theta, phi, jk, [model])[0]
 
 
 @pytest.mark.parametrize("kind,mode", SWEEP_CASES)
@@ -216,7 +208,7 @@ def test_single_gate_common_mode_slope():
         gate_kind="single", theta=math.pi / 4, phi=0.0,
         error_mode="common", epsilons=scaling.default_epsilon_grid(),
     )
-    fit = scaling.run_sweep(spec)
+    fit = scaling.fit_power_law(scaling.sweep_samples(spec))
     assert abs(fit.slope - 2.0) < 0.1
     assert fit.r_squared > 0.999
 
@@ -226,7 +218,7 @@ def test_composite_four_differential_mode_slope():
         gate_kind="composite4", theta=math.pi / 4, phi=0.0,
         error_mode="differential", epsilons=scaling.default_epsilon_grid(),
     )
-    fit = scaling.run_sweep(spec)
+    fit = scaling.fit_power_law(scaling.sweep_samples(spec))
     assert abs(fit.slope - 4.0) < 0.2
     assert fit.r_squared > 0.999
 
@@ -235,7 +227,7 @@ def test_order_ratio_for_fourth_order_gate():
     frame = BrightDarkFrame(math.pi / 4, 0.0)
 
     def builder(eps):
-        return qutrit.composite_four(frame, qutrit.ErrorModel(eps, eps) if eps else None)
+        return gate("composite4", frame, qutrit.ErrorModel(eps, eps) if eps else None)
 
     assert abs(order_ratio(builder, 0.02) - 16.0) < 2.0
 
@@ -244,16 +236,14 @@ def test_order_ratio_for_second_order_gate():
     frame = BrightDarkFrame(math.pi / 4, 0.0)
 
     def builder(eps):
-        return qutrit.elementary_gate_with_error(
-            frame, qutrit.ErrorModel(eps, eps) if eps else None
-        )
+        return gate("elementary", frame, qutrit.ErrorModel(eps, eps) if eps else None)
 
     assert abs(order_ratio(builder, 0.02) - 4.0) < 0.5
 
 
 def test_order_ratio_guards():
     frame = BrightDarkFrame(0.8, 0.0)
-    ideal = qutrit.composite_four(frame)
+    ideal = gate("composite4", frame)
     with pytest.raises(ValueError):
         order_ratio(lambda e: ideal, 0.02)
     with pytest.raises(ValueError):
@@ -262,10 +252,10 @@ def test_order_ratio_guards():
 
 def test_residual_norm_ratio_is_quadratic():
     frame = BrightDarkFrame(math.pi / 3, 0.0)
-    ratio = residual_norm_ratio(lambda eps: qutrit.bch_residual(frame, eps), 0.02)
+    ratio = residual_norm_ratio(lambda eps: bch_residual(frame.theta, frame.phi, eps), 0.02)
     assert abs(ratio - 4.0) < 0.3
     with pytest.raises(ValueError):
-        residual_norm_ratio(lambda eps: qutrit.bch_residual(frame, eps), 1e-9)
+        residual_norm_ratio(lambda eps: bch_residual(frame.theta, frame.phi, eps), 1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(scaling.GATES))
@@ -276,7 +266,7 @@ def test_recipe_schedule_evolves_to_built_gate(name, rng):
         theta, phi = rng.uniform(0, math.pi), rng.uniform(-7, 7)
         jk = two_qubit.COMPUTATIONAL_LABELS[rng.integers(4)]
         schedule = gate.schedule(theta, phi, jk)
-        built = gate.build(theta, phi, jk, [None], qutrit.DEFAULT_SEGMENTS)[0]
+        built = gate.build(theta, phi, jk, [None])[0]
         assert np.max(np.abs(linalg.evolve(schedule) - built)) < 1e-13
         report = holonomy.check_holonomy(
             holonomy.trace_evolution(schedule, gate.subspace_basis(), 32), tolerance=1e-8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hologate import holonomy, linalg, two_qubit
+from hologate.scaling import GATES
 from hologate.two_qubit import TwoQubitErrorModel
 
 from oracles import (
@@ -17,6 +18,10 @@ from oracles import (
 )
 
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+def gate(name, jk, model=None):
+    return GATES[name].build(0.0, 0.0, jk, [model])[0]
 
 
 def elementary_schedule(jk, model=None):
@@ -47,7 +52,7 @@ def test_segment_generator_touches_one_coupling():
 
 @pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
 def test_elementary_gate_hits_ideal(jk):
-    u = two_qubit.elementary_gate(jk)
+    u = gate("twoqubit_elementary", jk)
     assert linalg.frobenius_distance(u, ideal_two_qubit_elementary(jk)) < 1e-12
 
 
@@ -57,20 +62,20 @@ def test_ideal_elementary_values():
 
 
 def test_elementary_gate_is_fourth_root_of_identity():
-    u = two_qubit.elementary_gate("11")
+    u = gate("twoqubit_elementary", "11")
     assert linalg.frobenius_distance(np.linalg.matrix_power(u, 4), np.eye(5)) < 1e-12
 
 
 def test_elementary_gate_matches_integrator():
     model = TwoQubitErrorModel(0.05)
-    u = two_qubit.elementary_gate("11", model)
+    u = gate("twoqubit_elementary", "11", model)
     ref = rk4_propagator(schedule_pairs(elementary_schedule("11", model)))
     assert linalg.frobenius_distance(u, ref) < 1e-10
 
 
 @pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
 def test_composite_gate_hits_ideal(jk):
-    u = two_qubit.composite_gate(jk)
+    u = gate("twoqubit_composite", jk)
     ideal = ideal_two_qubit_composite(jk)
     assert linalg.frobenius_distance(u, ideal) < 1e-12
     assert ideal[two_qubit.label_index(jk), two_qubit.label_index(jk)] == -1.0
@@ -79,28 +84,28 @@ def test_composite_gate_hits_ideal(jk):
 
 def test_composite_gate_matches_integrator():
     model = TwoQubitErrorModel(0.1)
-    u = two_qubit.composite_gate("01", model)
+    u = gate("twoqubit_composite", "01", model)
     schedule = schedule_pairs(elementary_schedule("01", model)) * 2
     assert linalg.frobenius_distance(u, rk4_propagator(schedule)) < 1e-10
     models = (None, model, TwoQubitErrorModel(-0.05))
-    gates = two_qubit.gates(two_qubit.COMPOSITE, "01", models)
+    gates = GATES["twoqubit_composite"].build(0.0, 0.0, "01", models)
     assert gates.shape == (len(models), 5, 5)
-    for model, gate in zip(models, gates):
+    for model, built in zip(models, gates):
         schedule = schedule_pairs(elementary_schedule("01", model)) * 2
-        assert linalg.frobenius_distance(gate, rk4_propagator(schedule)) < 1e-10
+        assert linalg.frobenius_distance(built, rk4_propagator(schedule)) < 1e-10
 
 
 def test_composite_deviation_is_second_order():
     ideal = ideal_two_qubit_composite("11")
-    d1 = linalg.frobenius_distance(two_qubit.composite_gate("11", TwoQubitErrorModel(0.02)), ideal)
-    d2 = linalg.frobenius_distance(two_qubit.composite_gate("11", TwoQubitErrorModel(0.01)), ideal)
+    d1 = linalg.frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.02)), ideal)
+    d2 = linalg.frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.01)), ideal)
     assert 3.8 < d1 / d2 < 4.2
 
 
 def test_elementary_deviation_is_first_order():
     ideal = ideal_two_qubit_elementary("11")
-    d1 = linalg.frobenius_distance(two_qubit.elementary_gate("11", TwoQubitErrorModel(0.02)), ideal)
-    d2 = linalg.frobenius_distance(two_qubit.elementary_gate("11", TwoQubitErrorModel(0.01)), ideal)
+    d1 = linalg.frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.02)), ideal)
+    d2 = linalg.frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.01)), ideal)
     assert 1.9 < d1 / d2 < 2.1
 
 
@@ -109,18 +114,6 @@ def test_error_scales_areas_but_not_generators():
     dirty = elementary_schedule("10", TwoQubitErrorModel(0.2))
     assert np.array_equal(clean.generators, dirty.generators)
     assert np.max(np.abs(dirty.areas - 1.2 * clean.areas)) < 1e-15
-
-
-def test_elementary_gate_segment_validation():
-    from hologate.pulses import PulseSegment
-
-    with pytest.raises(ValueError):
-        two_qubit.elementary_gate("11", segments=(PulseSegment(math.pi / 2, 0.0),))
-    with pytest.raises(ValueError):
-        two_qubit.elementary_gate(
-            "11",
-            segments=(PulseSegment(math.pi / 4, 0.0), PulseSegment(math.pi / 2, 0.0)),
-        )
 
 
 def test_schmidt_values_of_known_gates():
@@ -143,7 +136,7 @@ def test_entangling_power_verdicts():
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[1, 0], [0, 1j]], dtype=complex),
     ))
-    assert entangling_power_check(two_qubit.composite_gate("11")[:4, :4])
+    assert entangling_power_check(gate("twoqubit_composite", "11")[:4, :4])
 
 
 def test_entangling_power_rejects_non_unitary():
@@ -164,5 +157,5 @@ def test_gate_schedule_is_holonomic():
 
 def test_composite_is_elementary_squared():
     model = TwoQubitErrorModel(0.07)
-    u = two_qubit.elementary_gate("00", model)
-    assert np.array_equal(two_qubit.composite_gate("00", model), u @ u)
+    u = gate("twoqubit_elementary", "00", model)
+    assert np.array_equal(gate("twoqubit_composite", "00", model), u @ u)
