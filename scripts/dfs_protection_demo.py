@@ -47,10 +47,8 @@ def main():
         encoded = dfs.apply_collective_dephasing(
             schedule, psi_enc, channel, encoding, seed=args.seed + 2 * i
         )
-        bare = dfs.idle_contrast_run(
-            psi_raw, channel, n_kicks, encoding.n_ions, seed=args.seed + 2 * i + 1
-        )
-        exact = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks, encoding.n_ions)
+        bare = dfs.idle_contrast_run(psi_raw, channel, n_kicks, seed=args.seed + 2 * i + 1)
+        exact = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks)
         rows.append((kappa, encoded.mean, bare.mean, exact))
         print(f"{kappa:6.2f} {encoded.mean:12.9f} {bare.mean:12.9f} {exact:13.9f}")
 

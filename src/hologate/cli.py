@@ -213,7 +213,7 @@ def cmd_gate(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dic
         "distance_to_ideal": distance,
         "within_tolerance": distance <= tolerance,
     }
-    if gate.rotated_frame:
+    if len(gate.labels) == qutrit.DIM:
         # same gate viewed in the rotated (excited, bright, dark) basis,
         # where the ideal forms are diagonal
         frame = qutrit.BrightDarkFrame(theta, phi)
@@ -341,8 +341,8 @@ def cmd_dfs(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict
     encoded = dfs.apply_collective_dephasing(schedule, psi_enc, channel, encoding, seed)
 
     psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    unencoded = dfs.idle_contrast_run(psi_raw, channel, n_kicks, 3, seed + 1)
-    closed_form = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks, 3)
+    unencoded = dfs.idle_contrast_run(psi_raw, channel, n_kicks, seed + 1)
+    closed_form = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks)
 
     outputs = {
         "encoded_mean_fidelity": encoded.mean,

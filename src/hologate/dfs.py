@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, qutrit
+from . import linalg, pulses, qutrit
 
 THREE_ION_LABELS = {"0": "100", "1": "001", "a": "010"}
 SIX_ION_LABELS = {
@@ -107,11 +107,17 @@ def _embedded(schedule: linalg.Schedule, encoding: DfsEncoding, blocks) -> linal
     return linalg.Schedule(g, schedule.areas)
 
 
+def _bare_schedule(recipe, theta: float, phi: float, model) -> linalg.Schedule:
+    """A three-level recipe's loops back to back in time order, square pulses."""
+    stretch, bright = qutrit.loops(recipe, theta, phi, None, (model,))
+    return pulses.loop_schedule(stretch, bright, "square", 1, order=recipe.order)
+
+
 def logical_composite_schedule(
     theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> linalg.Schedule:
     """Eight-segment three-ion schedule: the four-pulse composite on levels (0, 1, a)."""
-    bare = qutrit.loop_schedule(qutrit.COMPOSITE_FOUR, theta, phi, (model,), ordered=True)
+    bare = _bare_schedule(qutrit.COMPOSITE_FOUR, theta, phi, model)
     return _embedded(bare, three_ion_encoding(), [("0", "1", "a")])
 
 
@@ -119,7 +125,7 @@ def two_logical_composite_schedule(
     theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> linalg.Schedule:
     """Four-segment six-ion schedule: the repeated elementary gate on two blocks of levels."""
-    bare = qutrit.loop_schedule(qutrit.COMPOSITE_TWO, theta, phi, (model,), ordered=True)
+    bare = _bare_schedule(qutrit.COMPOSITE_TWO, theta, phi, model)
     return _embedded(bare, six_ion_encoding(), [("00", "01", "a1"), ("11", "10", "a2")])
 
 
@@ -225,12 +231,16 @@ class DephasingResult:
         return float(np.std(self.fidelities, ddof=1) / math.sqrt(n))
 
 
+def _n_ions(psi0: np.ndarray) -> int:
+    """Ions in a register from the length 2**n_ions of its state vector."""
+    n_ions = psi0.size.bit_length() - 1
+    if psi0.ndim != 1 or n_ions < 1 or psi0.size != 2**n_ions:
+        raise ValueError(f"a register state has 2**n_ions entries, got shape {psi0.shape}")
+    return n_ions
+
+
 def kicked_schedule_fidelities(
-    schedule: linalg.Schedule,
-    psi0,
-    channel: DephasingChannel,
-    rng: np.random.Generator,
-    n_ions: int,
+    schedule: linalg.Schedule, psi0, channel: DephasingChannel, rng: np.random.Generator
 ) -> DephasingResult:
     """State fidelities of kick-interleaved runs against the clean run.
 
@@ -242,8 +252,9 @@ def kicked_schedule_fidelities(
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
     psi0 = np.asarray(psi0, dtype=complex)
-    if schedule.generators.shape[-1] != 2**n_ions or psi0.shape != (2**n_ions,):
-        raise ValueError(f"schedule and psi0 must act on the {2**n_ions} levels of {n_ions} ions")
+    n_ions = _n_ions(psi0)
+    if schedule.generators.shape[-1] != psi0.size:
+        raise ValueError(f"schedule and psi0 must act on the {psi0.size} levels of {n_ions} ions")
     levels, schedule = linalg.restrict_to_coupled(schedule, psi0)
     propagators = linalg.exponentials(schedule)
     psi0 = psi0[levels]
@@ -283,17 +294,17 @@ def apply_collective_dephasing(
     if not dfs_membership_check(psi0, encoding, 1e-10):
         raise ValueError("initial state is not inside the encoded subspace")
     rng = np.random.default_rng(seed)
-    return kicked_schedule_fidelities(schedule, psi0, channel, rng, encoding.n_ions)
+    return kicked_schedule_fidelities(schedule, psi0, channel, rng)
 
 
-def idle_contrast_run(
-    psi0, channel: DephasingChannel, n_kicks: int, n_ions: int, seed: int
-) -> DephasingResult:
+def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
     """Kicks only, no drive: the bare-register reference experiment."""
     rng = np.random.default_rng(seed)
     # |<psi0|kicked psi0>| depends on psi0 only through its population of
     # each collective-z level, and on the kicks only through their sum
-    pops = np.bincount(_levels(n_ions), np.abs(np.asarray(psi0)) ** 2, minlength=n_ions + 1)
+    psi0 = np.asarray(psi0)
+    n_ions = _n_ions(psi0)
+    pops = np.bincount(_levels(n_ions), np.abs(psi0) ** 2, minlength=n_ions + 1)
     with np.errstate(over="ignore"):
         total = channel.draw(rng, (channel.n_samples, n_kicks)).sum(axis=1)
     if not np.isfinite(total).all():
@@ -302,16 +313,15 @@ def idle_contrast_run(
     return DephasingResult(fidelities=fids)
 
 
-def idle_contrast_closed_form(
-    psi0, channel: DephasingChannel, n_kicks: int, n_ions: int
-) -> float:
+def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> float:
     """Exact kick-averaged fidelity of an idle register.
 
     With population p_j on collective-z level j (eigenvalue 2j - n_ions),
     the average over independent kicks factorizes into characteristic
     functions: F = sum_jk p_j p_k E[cos(phi (j - k))]^K.
     """
-    pops = np.bincount(_levels(n_ions), np.abs(np.asarray(psi0)) ** 2)
+    psi0 = np.asarray(psi0)
+    pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
     occupied = np.flatnonzero(pops)
     return float(sum(
         pops[j] * pops[k] * channel.characteristic(j - k) ** n_kicks

@@ -28,17 +28,13 @@ class EvolutionTrace:
     states are exactly zero on every other level.  states has shape
     (n_basis, n_samples, n_levels): evolved copies of each subspace basis
     vector.  generators has shape (n_segments, n_levels, n_levels), one per
-    segment, and segment_index[i] is the segment in force at sample i
-    (sample 0 belongs to segment 0, and a boundary sample to the segment
-    that just ended).  segment_boundaries are sample indices closing each
-    segment; the last one is the final sample.
+    segment.  segment_boundaries are sample indices closing each segment;
+    sample 0 is the start and the last boundary the final sample.
     """
 
-    times: np.ndarray
     levels: np.ndarray
     states: np.ndarray
     generators: np.ndarray
-    segment_index: np.ndarray
     segment_boundaries: tuple[int, ...]
 
     @property
@@ -83,8 +79,6 @@ def trace_evolution(
     levels, schedule = linalg.restrict_to_coupled(schedule, basis)
 
     slice_steps = linalg.exponentials(linalg.Schedule(schedule.generators, areas / n))
-    # one sequential sum of area / n per slice, as a running clock would add them
-    times = np.cumsum(np.concatenate(([0.0], np.repeat(areas / n, n))))
     states = np.empty((len(basis), 1 + n_segments * n, len(levels)), dtype=complex)
     states[:, 0, :] = basis[:, levels]
     for s, power in enumerate(slice_steps):
@@ -100,11 +94,9 @@ def trace_evolution(
                 power = power @ power
 
     return EvolutionTrace(
-        times=times,
         levels=levels,
         states=states,
         generators=schedule.generators,
-        segment_index=np.concatenate(([0], np.repeat(np.arange(n_segments), n))),
         segment_boundaries=tuple(range(n, n_segments * n + 1, n)),
     )
 

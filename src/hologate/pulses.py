@@ -70,23 +70,31 @@ class Recipe:
         return gate
 
 
-def loop_schedule(generators, stretch, envelope: str, steps: int, order=None) -> linalg.Schedule:
+def loop_schedule(stretch, bright, envelope: str, steps: int, order=None) -> linalg.Schedule:
     """Every envelope slice of a batch of elementary loops, as one schedule.
 
-    ``generators`` (..., n_loops, n_segments, d, d) hold each loop's
-    unit-envelope segment generators, first in time first.  Each segment
-    contributes ``steps`` slices that repeat its generator, with the areas
-    of ``slice_areas`` times the loop's ``stretch`` (..., n_loops), as an
-    envelope-strength error scales them.  The result keeps the batch axes,
-    loops included.  With ``order``, the batch holds one error model and
-    the result is its loops back to back in that order, unbatched.
+    Loop k drives its unit bright vector ``bright[..., k, :]`` (..., n_loops,
+    d) to the last level, the auxiliary one, which the vector leaves empty:
+    its segments run the generators e^{i phi0} |b><last| + h.c. at the
+    drive phases ``DRIVE_PHASES``.  Each segment contributes ``steps``
+    slices that repeat its generator, with the areas of ``slice_areas``
+    times the loop's ``stretch`` (..., n_loops), as an envelope-strength
+    error scales them.  The result keeps the batch axes, loops included.
+    With ``order``, the batch holds one error model and the result is its
+    loops back to back in that order, unbatched.
     """
-    gens = np.asarray(generators)
-    if gens.ndim < 4:
-        raise ValueError(f"need (..., loops, segments, d, d) generators, got {gens.shape}")
-    areas = np.tile(slice_areas(envelope, steps), gens.shape[-3])
-    gens = np.repeat(gens, steps, axis=-3)
+    areas = np.tile(slice_areas(envelope, steps), len(DRIVE_PHASES))
     areas = np.asarray(stretch, dtype=float)[..., None] * areas
+    bright = np.asarray(bright, dtype=complex)
+    if bright.ndim < 2:
+        raise ValueError(f"need (..., loops, d) bright vectors, got {bright.shape}")
+    d = bright.shape[-1]
+    # e^{i phi0} b_i (..., loops, segments, 1, d - 1), on every level but the last
+    column = np.exp(1j * np.array(DRIVE_PHASES))[:, None, None] * bright[..., None, None, :-1]
+    gens = np.zeros(column.shape[:-2] + (steps, d, d), dtype=complex)
+    gens[..., :-1, -1] = column
+    gens[..., -1, :-1] = column.conj()
+    gens = gens.reshape(bright.shape[:-1] + (areas.shape[-1], d, d))
     if order is not None:
         gens = gens[..., list(order), :, :, :].reshape((-1,) + gens.shape[-2:])
         areas = areas[..., list(order), :].reshape(-1)

@@ -10,10 +10,10 @@ computational subspace and imprints a purely geometric unitary.
 Pulse-strength errors enter as constant fractional deviations (eps0,
 eps1) of the two field amplitudes.  They deform the evolution in two
 ways: a common stretch of the overall envelope and a tilt of the bright
-angle theta -> theta_prime.  ``loop_schedule`` writes every gate's loops
-in that stretched-and-tilted single-field form, from its recipe: the
-distinct elementary loops and the order they run in.  ``scaling.GATES``
-evolves them into gates.
+angle theta -> theta_prime.  ``loops`` gives every loop of a recipe in
+that stretched-and-tilted single-field form, as the (stretch, bright
+vector) that ``pulses.loop_schedule`` drives; ``scaling.GATES`` evolves
+them into gates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, pulses
+from . import pulses
 
 DIM = 3
 IDX_0, IDX_1, IDX_E = 0, 1, 2
@@ -72,24 +72,6 @@ class ErrorModel:
             )
 
 
-def drive_generators(theta, phi: float, phi0) -> np.ndarray:
-    """Unit-envelope generators e^{i phi0} |b><e| + h.c., batched.
-
-    ``theta`` (bright angle) and ``phi0`` (drive phase) broadcast against
-    each other; the result has their broadcast shape + (3, 3).
-    """
-    half = 0.5 * np.asarray(theta, dtype=float)
-    coupling = np.exp(1j * np.asarray(phi0, dtype=float))
-    to_0 = coupling * np.cos(half)
-    to_1 = coupling * (np.sin(half) * np.exp(1j * phi))
-    h = np.zeros(to_0.shape + (DIM, DIM), dtype=complex)
-    h[..., IDX_0, IDX_E] = to_0
-    h[..., IDX_1, IDX_E] = to_1
-    h[..., IDX_E, IDX_0] = to_0.conj()
-    h[..., IDX_E, IDX_1] = to_1.conj()
-    return h
-
-
 def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, float]:
     """Map two-field deviations to (envelope stretch, tilted angle).
 
@@ -117,22 +99,20 @@ COMPOSITE_TWO = pulses.Recipe(lambda theta: (theta,), (0, 0))
 COMPOSITE_FOUR = pulses.Recipe(lambda theta: (math.pi - theta, theta), (0, 0, 1, 1))
 
 
-def loop_schedule(
-    recipe: pulses.Recipe, theta: float, phi: float, models, envelope="square", steps=1,
-    ordered=False,
-) -> linalg.Schedule:
-    """Every envelope slice of a recipe's loops under each error model (None for no error).
+def loops(recipe: pulses.Recipe, theta: float, phi: float, jk, models):
+    """Each loop's (stretch, bright vector) under each error model (None for no error).
 
     Stretched-and-tilted form: under a model the envelope integral of a
     segment becomes (1+eps) * pi/2 and the drive couples the tilted bright
-    state at theta_prime.  Batched over (models, loops); with ``ordered``,
-    one model's loops in the recipe's time order (``pulses.loop_schedule``).
+    state at theta_prime.  Returns stretch (models, loops) and bright
+    (models, loops, 3); ``jk`` is unused.
     """
     thetas = recipe.loops(theta)
     params = np.array(
         [[(0.0, t) if m is None else effective_error_params(t, m) for t in thetas] for m in models]
     ).reshape(len(models), len(thetas), 2)
-    gens = drive_generators(params[..., 1, None], phi, pulses.DRIVE_PHASES)
-    return pulses.loop_schedule(
-        gens, 1.0 + params[..., 0], envelope, steps, recipe.order if ordered else None
-    )
+    half = 0.5 * params[..., 1]
+    bright = np.zeros(half.shape + (DIM,), dtype=complex)
+    bright[..., IDX_0] = np.cos(half)
+    bright[..., IDX_1] = np.sin(half) * np.exp(1j * phi)
+    return 1.0 + params[..., 0], bright

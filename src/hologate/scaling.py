@@ -52,21 +52,19 @@ class Gate:
     """One gate of the scheme: the only way the package builds a gate.
 
     ``recipe`` (``pulses.Recipe``) lists the gate's distinct loops and the
-    order they run in, and ``loop_schedule(recipe, theta, phi, jk, models,
-    envelope, steps, ordered=False)`` is its family's loop builder
-    (``qutrit.loop_schedule`` or ``two_qubit.loop_schedule``).  The
-    holonomy subspace is spanned by the ``subspace`` levels; ``error_modes``
-    maps a sweep mode to the ``error_model`` of one eps, and three-level
-    gates also report the rotated (excited, bright, dark) frame.
+    order they run in, and ``loops(recipe, theta, phi, jk, models)`` is its
+    family's map from error models to each loop's (stretch, bright vector)
+    (``qutrit.loops`` or ``two_qubit.loops``), which ``pulses.loop_schedule``
+    drives.  The last of the ``labels`` is the auxiliary level and the
+    others span the holonomy subspace; ``error_modes`` maps a sweep mode to
+    the ``error_model`` of one eps.
     """
 
     recipe: pulses.Recipe
-    loop_schedule: Callable[..., linalg.Schedule]
+    loops: Callable[..., tuple[np.ndarray, np.ndarray]]
     labels: tuple[str, ...]
-    subspace: tuple[str, ...]
     error_model: type
     error_modes: dict[str, Callable[[float], object]]
-    rotated_frame: bool
 
     def build(self, theta, phi, jk, models, envelope="square", steps=1) -> np.ndarray:
         """One gate per error model (None for ideal), shape (len(models), d, d).
@@ -74,7 +72,8 @@ class Gate:
         The distinct loops of every model evolve in one call and fold in
         the recipe's order, so no loop is evolved twice.
         """
-        schedule = self.loop_schedule(self.recipe, theta, phi, jk, models, envelope, steps)
+        stretch, bright = self.loops(self.recipe, theta, phi, jk, models)
+        schedule = pulses.loop_schedule(stretch, bright, envelope, steps)
         return self.recipe.fold(linalg.evolve(schedule))
 
     def schedule(self, theta, phi, jk) -> linalg.Schedule:
@@ -82,10 +81,11 @@ class Gate:
 
         This is the schedule check-holonomy certifies.
         """
-        return self.loop_schedule(self.recipe, theta, phi, jk, (None,), ordered=True)
+        stretch, bright = self.loops(self.recipe, theta, phi, jk, (None,))
+        return pulses.loop_schedule(stretch, bright, "square", 1, self.recipe.order)
 
     def subspace_basis(self) -> np.ndarray:
-        return np.eye(len(self.labels), dtype=complex)[[self.labels.index(s) for s in self.subspace]]
+        return np.eye(len(self.labels), dtype=complex)[:-1]
 
 
 QUTRIT_MODES = {
@@ -96,31 +96,12 @@ QUTRIT_MODES = {
 
 
 def _qutrit_gate(recipe) -> Gate:
-    return Gate(
-        recipe=recipe,
-        loop_schedule=lambda recipe, theta, phi, jk, *args, **kwargs: qutrit.loop_schedule(
-            recipe, theta, phi, *args, **kwargs
-        ),
-        labels=qutrit.BASIS_LABELS,
-        subspace=("0", "1"),
-        error_model=qutrit.ErrorModel,
-        error_modes=QUTRIT_MODES,
-        rotated_frame=True,
-    )
+    return Gate(recipe, qutrit.loops, qutrit.BASIS_LABELS, qutrit.ErrorModel, QUTRIT_MODES)
 
 
 def _two_qubit_gate(recipe) -> Gate:
-    return Gate(
-        recipe=recipe,
-        loop_schedule=lambda recipe, theta, phi, jk, *args, **kwargs: two_qubit.loop_schedule(
-            recipe, jk, *args, **kwargs
-        ),
-        labels=two_qubit.LABELS,
-        subspace=two_qubit.COMPUTATIONAL_LABELS,
-        error_model=two_qubit.TwoQubitErrorModel,
-        error_modes={"two_qubit": two_qubit.TwoQubitErrorModel},
-        rotated_frame=False,
-    )
+    error_modes = {"two_qubit": two_qubit.TwoQubitErrorModel}
+    return Gate(recipe, two_qubit.loops, two_qubit.LABELS, two_qubit.TwoQubitErrorModel, error_modes)
 
 
 GATES = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, pulses
+from . import pulses
 
 DIM = 5
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
@@ -43,33 +43,21 @@ class TwoQubitErrorModel:
             raise ValueError(f"|eps_jk| must be < 1, got {self.eps_jk}")
 
 
-def segment_generator(jk: str, phi0: float) -> np.ndarray:
-    """Single-field generator e^{i phi0}|jk><a| + h.c. at unit envelope."""
-    if jk not in COMPUTATIONAL_LABELS:
-        raise ValueError(f"{jk!r} is not a computational label")
-    a = label_index(ANCILLA_LABEL)
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[label_index(jk), a] = np.exp(1j * phi0)
-    return h + h.conj().T
-
-
 # ideal values: the elementary gate is -i|a><a| + i|jk><jk| + rest unchanged,
 # and its square flips the sign of |jk> and |a>
 ELEMENTARY = pulses.Recipe(lambda jk: (jk,), (0,))
 COMPOSITE = pulses.Recipe(lambda jk: (jk,), (0, 0))
 
 
-def loop_schedule(
-    recipe: pulses.Recipe, jk: str, models, envelope="square", steps=1, ordered=False
-) -> linalg.Schedule:
-    """Every envelope slice of a recipe's loops under each error model (None for no error).
+def loops(recipe: pulses.Recipe, theta, phi, jk: str, models):
+    """Each loop's (stretch, bright vector) under each error model (None for no error).
 
-    Each model stretches every segment area by 1 + eps_jk.  Batched over
-    (models, loops); with ``ordered``, one model's loops in the recipe's
-    time order (``pulses.loop_schedule``).
+    A loop's bright vector is its level |jk>, under every model; a model
+    stretches every segment area by 1 + eps_jk.  Returns stretch (models,
+    loops) and the |jk> rows (loops, 5); ``theta`` and ``phi`` are unused.
     """
-    loops = recipe.loops(jk)
-    phases = pulses.DRIVE_PHASES
-    gens = np.array([[segment_generator(label, phi0) for phi0 in phases] for label in loops])
-    stretch = np.array([[1.0 + (m.eps_jk if m else 0.0)] * len(loops) for m in models])
-    return pulses.loop_schedule(gens, stretch, envelope, steps, recipe.order if ordered else None)
+    if jk not in COMPUTATIONAL_LABELS:
+        raise ValueError(f"{jk!r} is not a computational label")
+    labels = recipe.loops(jk)
+    stretch = np.array([[1.0 + (m.eps_jk if m else 0.0)] * len(labels) for m in models])
+    return stretch, np.eye(DIM, dtype=complex)[[label_index(label) for label in labels]]

@@ -156,8 +156,8 @@ def test_criterion_7_dfs_protection():
     per_realization = float(np.max(np.abs(encoded.fidelities - 1.0)))
 
     psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    contrast = dfs.idle_contrast_run(psi_raw, channel, n_kicks=8, n_ions=3, seed=12)
-    exact = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks=8, n_ions=3)
+    contrast = dfs.idle_contrast_run(psi_raw, channel, n_kicks=8, seed=12)
+    exact = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks=8)
     gap = abs(contrast.mean - exact)
 
     ok = per_realization <= 1e-12 and gap <= 3 * contrast.std_error

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -22,6 +25,19 @@ def write_cfg(tmp_path, name, payload):
 
 def run(args):
     return cli.main(args)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_process(cwd, args):
+    """``python -m hologate.cli`` in a child process, warnings as errors: (exit code, stderr)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hologate.cli", *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+    return proc.returncode, proc.stderr
 
 
 def payload_to_matrix(payload):
@@ -512,7 +528,7 @@ def test_every_gate_name_runs_through_the_cli(tmp_path, capsys, name):
             outputs = load_record(out, "gate_result.json")["outputs"]
             assert outputs["basis"] == list(gate.labels)
             assert outputs["within_tolerance"] is not with_error
-            assert ("matrix_frame_basis" in outputs) is gate.rotated_frame
+            assert ("matrix_frame_basis" in outputs) is not name.startswith("twoqubit")
             matrices[with_error, envelope] = payload_to_matrix(outputs["matrix"])
         gap = matrices[with_error, "square"] - matrices[with_error, "sine_squared"]
         assert np.max(np.abs(gap)) < 1e-9
@@ -647,3 +663,29 @@ def test_fuzzed_configs_exit_zero_two_or_three(command):
             assert out.exists() == (code == 0)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags, code",
+    [
+        ("gate", {"gate": "composite4", "theta": 0.7}, [], 0),
+        ("gate", {"gate": "composite8"}, [], 2),
+        ("dfs", {"kappa": 0.5}, ["--seed", "x"], 2),
+        ("dfs", {"kappa": 1e308, "distribution": "gaussian"}, [], 3),
+    ],
+    ids=["ok", "unknown_gate", "seed_not_an_integer", "kick_overflow"],
+)
+def test_holgate_process_exit_codes(tmp_path, command, payload, flags, code):
+    out = tmp_path / "out"
+    args = [command, "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out), *flags]
+    returncode, stderr = run_process(tmp_path, args)
+    assert returncode == code, stderr
+    assert "Traceback" not in stderr
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == ([f"{command}_result.json"] if code == 0 else [])
+
+
+def test_holgate_entry_point_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["holgate"] == "hologate.cli:main"

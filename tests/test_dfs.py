@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hologate import dfs, linalg, qutrit, scaling
+from hologate import dfs, linalg, pulses, qutrit, scaling
 from hologate.dfs import DephasingChannel, DfsEncoding
 from hologate.qutrit import ErrorModel
 
@@ -90,7 +90,8 @@ REGISTER_SCHEDULES = {
 @pytest.mark.parametrize("model", [None, ErrorModel(0.05, -0.02)], ids=["ideal", "error"])
 def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
     recipe, build, encoding, blocks = REGISTER_SCHEDULES[name]
-    bare = qutrit.loop_schedule(recipe, 0.8, 1.1, (model,), ordered=True)
+    stretch, bright = qutrit.loops(recipe, 0.8, 1.1, None, (model,))
+    bare = pulses.loop_schedule(stretch, bright, "square", 1, order=recipe.order)
     register = build(0.8, 1.1, model)
     assert np.array_equal(register.areas, bare.areas)
     within = np.zeros((encoding.dim, encoding.dim), dtype=bool)
@@ -236,14 +237,14 @@ def test_dephasing_is_seed_deterministic():
 
 def test_idle_contrast_closed_form_trivia():
     channel = DephasingChannel(0.7)
-    assert abs(dfs.idle_contrast_closed_form(dfs.register_ket("101"), channel, 5, 3) - 1.0) < 1e-14
+    assert abs(dfs.idle_contrast_closed_form(dfs.register_ket("101"), channel, 5) - 1.0) < 1e-14
     psi = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    assert abs(dfs.idle_contrast_closed_form(psi, channel, 0, 3) - 1.0) < 1e-14
+    assert abs(dfs.idle_contrast_closed_form(psi, channel, 0) - 1.0) < 1e-14
 
 
 def test_idle_contrast_matches_frozen_reference():
     psi = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    value = dfs.idle_contrast_closed_form(psi, DephasingChannel(0.5, "uniform"), 8, 3)
+    value = dfs.idle_contrast_closed_form(psi, DephasingChannel(0.5, "uniform"), 8)
     assert abs(value - CONTRAST_UNIFORM_HALF_8_KICKS) < 1e-12
 
 
@@ -251,8 +252,8 @@ def test_idle_contrast_matches_frozen_reference():
 def test_idle_contrast_monte_carlo_agrees_with_closed_form(distribution):
     psi = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
     channel = DephasingChannel(0.5, distribution, n_samples=4000)
-    result = dfs.idle_contrast_run(psi, channel, n_kicks=8, n_ions=3, seed=11)
-    exact = dfs.idle_contrast_closed_form(psi, channel, n_kicks=8, n_ions=3)
+    result = dfs.idle_contrast_run(psi, channel, n_kicks=8, seed=11)
+    exact = dfs.idle_contrast_closed_form(psi, channel, n_kicks=8)
     assert abs(result.mean - exact) < 4 * result.std_error
     assert result.mean < 0.95
 
@@ -292,9 +293,7 @@ def test_batched_kicked_run_matches_per_sample_loop(rng, register, distribution,
     schedule = build()
     psi = random_state(rng, 2**n_ions)
     channel = DephasingChannel(kappa, distribution, n_samples)
-    result = dfs.kicked_schedule_fidelities(
-        schedule, psi, channel, np.random.default_rng(17), n_ions
-    )
+    result = dfs.kicked_schedule_fidelities(schedule, psi, channel, np.random.default_rng(17))
     phis = channel.draw(np.random.default_rng(17), (n_samples, schedule.n_segments))
     propagators = [linalg.expm_hermitian(h, a) for h, a in zip(schedule.generators, schedule.areas)]
     expected = kicked_fidelities_loop(propagators, psi, phis, collective_z_table(n_ions))
@@ -318,7 +317,7 @@ def test_batched_kicked_run_matches_per_sample_loop(rng, register, distribution,
 def test_batched_idle_run_matches_per_sample_loop(rng, n_ions, distribution, kappa, n_kicks, n_samples):
     psi = random_state(rng, 2**n_ions)
     channel = DephasingChannel(kappa, distribution, n_samples)
-    result = dfs.idle_contrast_run(psi, channel, n_kicks, n_ions, seed=23)
+    result = dfs.idle_contrast_run(psi, channel, n_kicks, seed=23)
     phis = channel.draw(np.random.default_rng(23), (n_samples, n_kicks))
     expected = kicked_fidelities_loop([], psi, phis, collective_z_table(n_ions))
     assert result.fidelities.shape == (n_samples,)
@@ -343,9 +342,7 @@ def test_kicked_run_holds_about_two_state_arrays(register):
     schedule, n_samples = build(), 4000
     psi = np.full(2**n_ions, 2 ** (-n_ions / 2), dtype=complex)
     channel = DephasingChannel(0.8, "gaussian", n_samples)
-    run = lambda: dfs.kicked_schedule_fidelities(
-        schedule, psi, channel, np.random.default_rng(3), n_ions
-    )
+    run = lambda: dfs.kicked_schedule_fidelities(schedule, psi, channel, np.random.default_rng(3))
     run()  # module-level caches fill outside the measurement
     tracemalloc.start()
     try:
@@ -370,9 +367,7 @@ def test_kicked_run_carries_weight_on_uncoupled_levels(rng, register):
     psi[dfs.bit_index(UNCOUPLED_LEVEL[register])] = 0.6
     psi /= np.linalg.norm(psi)
     channel = DephasingChannel(0.7, "uniform", 200)
-    result = dfs.kicked_schedule_fidelities(
-        schedule, psi, channel, np.random.default_rng(5), n_ions
-    )
+    result = dfs.kicked_schedule_fidelities(schedule, psi, channel, np.random.default_rng(5))
     phis = channel.draw(np.random.default_rng(5), (200, schedule.n_segments))
     propagators = [linalg.expm_hermitian(h, a) for h, a in zip(schedule.generators, schedule.areas)]
     expected = kicked_fidelities_loop(propagators, psi, phis, collective_z_table(n_ions))
@@ -385,7 +380,21 @@ def test_kicked_run_rejects_a_register_size_mismatch():
     schedule = dfs.logical_composite_schedule(0.7, 0.2)
     channel = DephasingChannel(0.5, "uniform", 10)
     psi = ENC3.logical_ket("0")
-    with pytest.raises(ValueError):
-        dfs.kicked_schedule_fidelities(schedule, psi[:4], channel, np.random.default_rng(0), 3)
-    with pytest.raises(ValueError):
-        dfs.kicked_schedule_fidelities(schedule, psi, channel, np.random.default_rng(0), 4)
+    # a two-ion and a four-ion state under a three-ion schedule
+    with pytest.raises(ValueError, match="schedule and psi0"):
+        dfs.kicked_schedule_fidelities(schedule, psi[:4], channel, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="schedule and psi0"):
+        dfs.kicked_schedule_fidelities(schedule, np.ones(16) / 4, channel, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("psi", [np.ones(6) / math.sqrt(6), np.ones(1), np.ones((2, 4)) / math.sqrt(8)])
+def test_register_size_comes_from_a_power_of_two_state_length(psi):
+    # the ion count is log2 of the state length; anything else is not a register state
+    channel = DephasingChannel(0.5, "uniform", 10)
+    schedule = linalg.Schedule(np.zeros((1,) + (psi.size,) * 2), [1.0])
+    with pytest.raises(ValueError, match="2\\*\\*n_ions"):
+        dfs.kicked_schedule_fidelities(schedule, psi, channel, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="2\\*\\*n_ions"):
+        dfs.idle_contrast_run(psi, channel, 3, seed=0)
+    with pytest.raises(ValueError, match="2\\*\\*n_ions"):
+        dfs.idle_contrast_closed_form(psi, channel, 3)

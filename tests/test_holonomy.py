@@ -15,6 +15,7 @@ from oracles import (
     schedule_pairs,
     trace_states_loop,
     trace_states_mpmath,
+    two_field_pairs,
     two_qubit_ket,
 )
 
@@ -27,6 +28,11 @@ def gate_schedule(name, theta=math.pi / 2, phi=0.0, jk="11"):
 
 def elementary_schedule(theta=math.pi / 2, phi=0.0):
     return gate_schedule("elementary", theta, phi)
+
+
+def drive(frame):
+    """The phase-0 (second) segment generator of the elementary loop."""
+    return two_field_pairs(frame.theta, frame.phi)[1][0]
 
 
 def one_segment(gen, area):
@@ -49,8 +55,7 @@ def test_zero_generator_trace_is_static_and_passes():
 
 def test_half_pi_segment_rotates_bright_into_excited():
     f = BrightDarkFrame(0.9, 0.3)
-    gen = qutrit.drive_generators(f.theta, f.phi, 0.0)
-    trace = holonomy.trace_evolution(one_segment(gen, math.pi / 2), [f.bright])
+    trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 2), [f.bright])
     final = trace.states[0, -1, :]
     assert linalg.norm(final - (-1j) * qutrit.ket(qutrit.IDX_E)) < 1e-12
 
@@ -66,7 +71,6 @@ def test_trace_endpoint_matches_time_ordered_product(rng):
 def test_trace_starts_at_the_given_basis():
     trace = holonomy.trace_evolution(elementary_schedule(), COMP_BASIS)
     assert np.array_equal(trace.states[:, 0, :], np.array(COMP_BASIS))
-    assert trace.times[0] == 0.0
     assert trace.segment_boundaries[-1] == trace.states.shape[1] - 1
 
 
@@ -95,8 +99,7 @@ def test_open_loop_fails_closure_but_not_phase():
     # half a segment leaves the subspace displaced; the dynamical phase
     # still vanishes pointwise, so only the closure condition trips
     f = BrightDarkFrame(math.pi / 2, 0.0)
-    gen = qutrit.drive_generators(f.theta, f.phi, 0.0)
-    trace = holonomy.trace_evolution(one_segment(gen, math.pi / 4), COMP_BASIS)
+    trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 4), COMP_BASIS)
     report = holonomy.check_holonomy(trace, tolerance=1e-8)
     assert not report.passed
     assert report.cond1_residual > 0.1
@@ -164,8 +167,7 @@ def test_midpoint_of_idle_schedule_is_zero():
 
 def test_midpoint_requires_two_segments():
     f = BrightDarkFrame(1.0, 0.0)
-    gen = qutrit.drive_generators(f.theta, f.phi, 0.0)
-    trace = holonomy.trace_evolution(one_segment(gen, math.pi / 2), COMP_BASIS)
+    trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 2), COMP_BASIS)
     with pytest.raises(ValueError):
         holonomy.grassmannian_midpoint_check(trace)
 
@@ -255,14 +257,7 @@ def test_batched_trace_matches_per_sample_loop(name, n):
     off = np.setdiff1d(np.arange(dim), trace.levels)
     assert np.max(np.abs(ref_states[:, :, off]), initial=0.0) < 1e-15
 
-    t, ref_times, ref_boundaries = 0.0, [0.0], []
-    for _, area in schedule:
-        for _ in range(n):
-            t += area / n
-            ref_times.append(t)
-        ref_boundaries.append(len(ref_times) - 1)
-    assert np.array_equal(trace.times, np.array(ref_times))
-    assert trace.segment_boundaries == tuple(ref_boundaries)
+    assert trace.segment_boundaries == tuple(n * (k + 1) for k in range(len(schedule)))
 
     gens = sample_generators(schedule, n)
     block = np.ix_(trace.levels, trace.levels)
@@ -295,19 +290,15 @@ def test_trace_oracle_matches_high_precision_evolution(name):
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_segment_index_layout(n):
+    # sample i runs in the first segment whose boundary is at or after it:
+    # sample 0 in segment 0, and a boundary sample in the segment that just ended
     schedule = gate_schedule("composite2", 0.8, 0.4)
     trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=n)
-    assert trace.generators.shape == (schedule.n_segments, 3, 3)
-    assert trace.segment_index.shape == (trace.states.shape[1],)
-    assert trace.segment_index[0] == 0
-    for k, boundary in enumerate(trace.segment_boundaries):
-        # a boundary sample belongs to the segment that just ended
-        assert trace.segment_index[boundary] == k
-        assert np.array_equal(trace.generators[k], schedule.generators[k])
-        block = trace.segment_index[boundary - n + 1 : boundary + 1]
-        assert np.all(block == k)
+    assert np.array_equal(trace.generators, schedule.generators)
+    segment_index = np.searchsorted(trace.segment_boundaries, np.arange(trace.states.shape[1]))
     gens = sample_generators(schedule_pairs(schedule), n)
-    for i, seg in enumerate(trace.segment_index):
+    assert len(gens) == len(segment_index)
+    for i, seg in enumerate(segment_index):
         assert np.array_equal(trace.generators[seg], gens[i])
 
 

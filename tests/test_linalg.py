@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import dfs, linalg, qutrit, two_qubit
+from hologate import dfs, linalg, qutrit
+from hologate.scaling import GATES
 
 from oracles import (
     eigh_expm,
@@ -198,12 +199,11 @@ def test_restriction_keeps_rows_columns_and_vectors():
 def package_generators():
     """name -> generators from every builder family, at generic angles and errors."""
     model = qutrit.ErrorModel(0.05, -0.03)
-    frame = qutrit.BrightDarkFrame(0.8, 0.3)
     return {
-        "qutrit": list(1.3 * qutrit.drive_generators(frame.theta, frame.phi, [0.0, math.pi / 2, 2.1])),
+        "qutrit": list(1.3 * GATES["composite4"].schedule(0.8, 0.3, "11").generators),
         "two_field": [h for h, _ in two_field_composite_pairs(0.8, 0.4, 4, 0.05, -0.03)],
         "five_level": [
-            two_qubit.segment_generator(jk, phi0) for jk in ("00", "11") for phi0 in (0.0, 1.0)
+            h for jk in ("00", "11") for h in GATES["twoqubit_composite"].schedule(0.0, 0.0, jk).generators
         ],
         "three_ion": list(dfs.logical_composite_schedule(0.8, 0.4, model).generators),
         # +-W has multiplicity two here, where W^2 = tr(H^2)/2 would be wrong
@@ -263,7 +263,7 @@ def test_generators_off_the_cube_identity_take_the_eigh_fallback(make, rng, monk
 def test_exponential_is_exact_at_extreme_generator_scales(scale, closed_form, rng):
     # squared norms of H^2 and H^3 would underflow or overflow at these scales
     if closed_form:
-        g = qutrit.drive_generators(0.8, 0.3, 0.4)
+        g = GATES["elementary"].schedule(0.8, 0.3, "11").generators[0]
     else:
         g = random_hermitian(rng, 4)
     u = linalg.expm_hermitian(g * scale, 0.9 / scale)
@@ -280,10 +280,9 @@ def test_zero_generator_gives_exact_identity(monkeypatch):
 
 def test_batched_evolution_matches_one_matrix_at_a_time(rng):
     # a batch mixing closed-form and fallback generators, broadcast areas
-    frame = qutrit.BrightDarkFrame(0.6, 1.1)
     gens = np.array(
         [
-            qutrit.drive_generators(frame.theta, frame.phi, 0.4),
+            GATES["elementary"].schedule(0.6, 1.1, "11").generators[0],
             random_hermitian(rng, 3),
             np.diag([1.0, 2.0, 3.0]),
         ]

@@ -5,9 +5,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg, pulses
+from hologate import linalg, pulses, qutrit, two_qubit
+from hologate.scaling import GATES
 
-from oracles import random_hermitian
+from oracles import two_qubit_ket
+
+
+def random_bright(rng, loops, d):
+    """Unit bright vectors (loops, d) on every level but the last."""
+    b = np.zeros((loops, d), dtype=complex)
+    b[:, :-1] = rng.normal(size=(loops, d - 1)) + 1j * rng.normal(size=(loops, d - 1))
+    return b / np.linalg.norm(b, axis=1, keepdims=True)
+
+
+def drive(bright, phase):
+    """e^{i phase} |b><last| + h.c., written out independently of pulses.loop_schedule."""
+    h = np.outer(np.exp(1j * phase) * bright, np.eye(len(bright))[-1])
+    return h + h.conj().T
+
+
+def loop_unitary(bright, area):
+    """The elementary loop at segment area ``area``: phase pi/2 first, then 0."""
+    first, second = (linalg.expm_hermitian(drive(bright, p), area) for p in (math.pi / 2, 0.0))
+    return second @ first
 
 
 def test_segment_validation():
@@ -19,7 +39,7 @@ def test_segment_validation():
     with pytest.raises(ValueError):
         pulses.slice_areas("sine_squared", -1)
     with pytest.raises(ValueError):
-        pulses.loop_schedule(np.zeros((1, 2, 3, 3)), 1.0, "square", 0)
+        pulses.loop_schedule(1.0, np.eye(3)[:1], "square", 0)
 
 
 def test_square_slices_are_equal():
@@ -43,32 +63,60 @@ def test_slices_sum_to_total_area(steps, envelope):
     assert abs(float(np.sum(areas)) - math.pi / 2) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 48))
-def test_envelope_only_redistributes_area(seed, steps):
-    # constant generator direction: sliced product == one exponential,
-    # at an area other than pi/2 through the stretch
-    gen = random_hermitian(np.random.default_rng(seed), 3)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 48), d=st.integers(2, 5))
+def test_envelope_only_redistributes_area(seed, steps, d):
+    # constant generator direction per segment: sliced product == one
+    # exponential each, at an area other than pi/2 through the stretch
+    bright = random_bright(np.random.default_rng(seed), 1, d)
     stretch = 1.3 / (math.pi / 2)
     for envelope in pulses.ENVELOPES:
-        u = linalg.evolve(pulses.loop_schedule(gen[None, None], stretch, envelope, steps))[0]
-        assert linalg.frobenius_distance(u, linalg.expm_hermitian(gen, 1.3)) < 1e-9
+        u = linalg.evolve(pulses.loop_schedule(stretch, bright, envelope, steps))[0]
+        assert linalg.frobenius_distance(u, loop_unitary(bright[0], 1.3)) < 1e-9
 
 
 def test_schedule_unitary_orders_left(rng):
-    # two one-segment loops of areas 0.4 then 1.1, run in order (0, 1)
-    g1, g2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    # two loops of segment areas 0.4 then 1.1, run in order (0, 1)
+    bright = random_bright(rng, 2, 3)
     stretch = np.array([[0.4, 1.1]]) / (math.pi / 2)
-    schedule = pulses.loop_schedule(
-        np.array([[[g1], [g2]]]), stretch, "sine_squared", 5, order=(0, 1)
-    )
-    assert schedule.n_segments == 10
+    schedule = pulses.loop_schedule(stretch, bright[None], "sine_squared", 5, order=(0, 1))
+    assert schedule.n_segments == 20
     u = linalg.evolve(schedule)
-    expected = linalg.expm_hermitian(g2, 1.1) @ linalg.expm_hermitian(g1, 0.4)
+    expected = loop_unitary(bright[1], 1.1) @ loop_unitary(bright[0], 0.4)
     assert linalg.frobenius_distance(u, expected) < 1e-12
 
 
 def test_schedule_unitary_rejects_empty():
     with pytest.raises(ValueError):
-        pulses.loop_schedule(np.zeros((1, 0, 3, 3)), 1.0, "square", 1)
+        pulses.loop_schedule(np.ones((1, 0)), np.zeros((1, 0, 3)), "square", 1, order=())
     with pytest.raises(ValueError):
-        pulses.loop_schedule(np.zeros((2, 3, 3)), 1.0, "square", 1)
+        pulses.loop_schedule(1.0, np.eye(3)[0], "square", 1)
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+@pytest.mark.parametrize("theta, phi, jk", [(0.0, 0.0, "00"), (0.8, 1.1, "01"), (2.3, -0.4, "11")])
+def test_every_gate_generator_drives_its_bright_vector(name, theta, phi, jk):
+    gate = GATES[name]
+    gens = gate.schedule(theta, phi, jk).generators
+    d = len(gate.labels)
+    assert gens.shape == (2 * len(gate.recipe.order), d, d)
+    assert np.array_equal(gens, gens.conj().swapaxes(-1, -2))
+    # nonzero only between the last (auxiliary) level and the others
+    drive_block = np.zeros((d, d), dtype=bool)
+    drive_block[:-1, -1] = drive_block[-1, :-1] = True
+    assert not gens[:, ~drive_block].any()
+    for i, loop in enumerate(gate.recipe.order):
+        for s, phase in enumerate(pulses.DRIVE_PHASES):
+            g = gens[2 * i + s]
+            if gate.loops is qutrit.loops:
+                frame = qutrit.BrightDarkFrame(gate.recipe.loops(theta)[loop], phi)
+                assert np.max(np.abs(g[:, -1] - np.exp(1j * phase) * frame.bright)) < 1e-15
+                assert np.max(np.abs(g @ frame.dark)) < 1e-15
+                if frame.theta == 0.0:
+                    # a loop at bright angle 0 couples only |0>
+                    assert not g[qutrit.IDX_1].any() and not g[:, qutrit.IDX_1].any()
+            else:
+                assert np.array_equal(g[:, -1], np.exp(1j * phase) * two_qubit_ket(jk))
+                assert np.count_nonzero(g) == 2
+    if gate.loops is two_qubit.loops:
+        with pytest.raises(ValueError):
+            gate.schedule(theta, phi, "a")

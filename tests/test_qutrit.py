@@ -28,8 +28,9 @@ def gate(name, frame, model=None, envelope="square", steps=1):
     return GATES[name].build(frame.theta, frame.phi, "11", [model], envelope, steps)[0]
 
 
-def hamiltonian(frame, omega, phi0):
-    return omega * qutrit.drive_generators(frame.theta, frame.phi, phi0)
+def drive_pair(frame):
+    """The elementary loop's two unit-envelope generators, first in time first."""
+    return [h for h, _ in two_field_pairs(frame.theta, frame.phi)]
 
 
 def analytic_elementary(frame):
@@ -54,26 +55,6 @@ def test_error_model_bounds():
         ErrorModel(1.0, 0.0)
     with pytest.raises(ValueError):
         ErrorModel(0.0, -1.0)
-
-
-def test_hamiltonian_zero_envelope():
-    h = hamiltonian(BrightDarkFrame(0.3, 0.4), 0.0, 0.1)
-    assert np.all(h == 0)
-
-
-def test_hamiltonian_theta_zero_couples_ground_zero():
-    h = hamiltonian(BrightDarkFrame(0.0, 0.0), 1.0, 0.0)
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[qutrit.IDX_0, qutrit.IDX_E] = 1.0
-    expected[qutrit.IDX_E, qutrit.IDX_0] = 1.0
-    assert linalg.frobenius_distance(h, expected) < 1e-15
-
-
-@given(theta=angles, phi=phases, phi0=phases, omega=st.floats(0.0, 5.0))
-def test_hamiltonian_annihilates_dark_state(theta, phi, phi0, omega):
-    f = BrightDarkFrame(theta, phi)
-    h = hamiltonian(f, omega, phi0)
-    assert linalg.norm(h @ f.dark) < 1e-12 * max(omega, 1.0)
 
 
 @given(theta=angles, delta=st.floats(-0.5, 0.5))
@@ -166,7 +147,7 @@ def test_common_mode_gate_is_area_stretched_ideal():
     direct = gate("elementary", f, ErrorModel(eps, eps))
     stretched = linalg.evolve(
         linalg.Schedule(
-            [hamiltonian(f, 1.0, math.pi / 2), hamiltonian(f, 1.0, 0.0)],
+            drive_pair(f),
             [(1 + eps) * math.pi / 2] * 2,
         )
     )
@@ -357,8 +338,7 @@ def test_bch_residual_matches_direct_factor_product():
     f = BrightDarkFrame(math.pi / 3, 0.0)
     eps = 0.05
     delta = eps * math.pi / 2
-    gen_a = hamiltonian(f, 1.0, math.pi / 2)
-    gen_b = hamiltonian(f, 1.0, 0.0)
+    gen_a, gen_b = drive_pair(f)
     # time order: rightmost factor first
     ref = rk4_propagator(
         [(gen_a, delta), (gen_b, -delta), (gen_a, -delta), (gen_b, delta)],

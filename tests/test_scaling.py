@@ -99,10 +99,10 @@ def test_gate_table_aliases_share_entries():
     assert scaling.GATES["single"] is scaling.GATES["elementary"]
     assert scaling.GATES["twoqubit_single"] is scaling.GATES["twoqubit_elementary"]
     for gate in scaling.GATES.values():
-        basis = gate.subspace_basis()
-        assert basis.shape == (len(gate.subspace), len(gate.labels))
-        assert np.array_equal(basis @ basis.conj().T, np.eye(len(gate.subspace)))
-        assert gate.rotated_frame == (gate.error_model is qutrit.ErrorModel)
+        # the holonomy subspace is every level but the last, the auxiliary one
+        d = len(gate.labels)
+        assert np.array_equal(gate.subspace_basis(), np.eye(d)[: d - 1])
+        assert gate.labels[-1] in ("e", "a")
 
 
 def test_sweep_gates_dispatch():

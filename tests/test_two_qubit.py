@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hologate import holonomy, linalg, two_qubit
+from hologate import holonomy, linalg, pulses, two_qubit
 from hologate.scaling import GATES
 from hologate.two_qubit import TwoQubitErrorModel
 
@@ -25,7 +25,8 @@ def gate(name, jk, model=None):
 
 
 def elementary_schedule(jk, model=None):
-    return two_qubit.loop_schedule(two_qubit.ELEMENTARY, jk, (model,), ordered=True)
+    stretch, bright = two_qubit.loops(two_qubit.ELEMENTARY, 0.0, 0.0, jk, (model,))
+    return pulses.loop_schedule(stretch, bright, "square", 1, order=two_qubit.ELEMENTARY.order)
 
 
 def test_labels_and_kets():
@@ -40,14 +41,6 @@ def test_error_model_bound():
     TwoQubitErrorModel(-0.5)
     with pytest.raises(ValueError):
         TwoQubitErrorModel(1.0)
-
-
-def test_segment_generator_touches_one_coupling():
-    g = two_qubit.segment_generator("01", 0.3)
-    assert np.count_nonzero(g) == 2
-    assert abs(g[1, 4] - np.exp(0.3j)) < 1e-15
-    with pytest.raises(ValueError):
-        two_qubit.segment_generator("a", 0.0)
 
 
 @pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
