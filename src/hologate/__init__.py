@@ -8,22 +8,20 @@ decoherence-free ion-register encodings.  ``scaling.GATES`` is the one
 table of gates.
 """
 
-from .linalg import Schedule, evolve, expm_hermitian, frobenius_distance
+from .linalg import Schedule, evolve, frobenius_distance
 from .qutrit import BrightDarkFrame, ErrorModel, effective_error_params
-from .scaling import FidelityResult, ScalingFit, SweepSpec, gate_fidelity
+from .scaling import ScalingFit, SweepSpec, gate_fidelity
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BrightDarkFrame",
     "ErrorModel",
-    "FidelityResult",
     "ScalingFit",
     "Schedule",
     "SweepSpec",
     "effective_error_params",
     "evolve",
-    "expm_hermitian",
     "frobenius_distance",
     "gate_fidelity",
 ]

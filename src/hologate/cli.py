@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dfs, holonomy, linalg, qutrit, scaling, two_qubit
+from . import __version__, dfs, holonomy, linalg, pulses, qutrit, scaling, two_qubit
 from .scaling import DegenerateFitError
 
 EXIT_OK = 0
@@ -158,10 +158,7 @@ def parse_error_model(cfg: dict, gate: scaling.Gate):
         raise ConfigError("config key 'error' must be an object or null")
     keys = [f.name for f in dataclasses.fields(gate.error_model)]
     check_keys(spec, set(keys), set(keys))
-    try:
-        return gate.error_model(*(get_number(spec, key) for key in keys))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return gate.error_model(*(get_number(spec, key) for key in keys))
 
 
 def parse_gate(cfg: dict, key: str):
@@ -175,10 +172,8 @@ def parse_gate(cfg: dict, key: str):
 
 def parse_segments(cfg: dict, dim: int) -> tuple[str, int]:
     """The pulse shape (envelope, steps) of each area-pi/2 segment."""
-    envelope = get_choice(cfg, "envelope", ("square", "sine_squared"), "square")
+    envelope = get_choice(cfg, "envelope", pulses.ENVELOPES, "square")
     steps = get_int(cfg, "steps", 1 if envelope == "square" else 32)
-    if steps < 1:
-        raise ConfigError("config key 'steps' must be >= 1")
     # two error models times up to two distinct loops (composite4) times two
     # segments of `steps` slices each, all evolved in one batch
     check_run_size("steps", 16 * 8 * steps * (3 * dim * dim + 32))
@@ -202,14 +197,14 @@ def cmd_gate(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dic
     envelope, steps = parse_segments(cfg, len(gate.labels))
     ideal, actual = gate.build(theta, phi, jk, [None, model], envelope, steps)
 
-    fid = scaling.gate_fidelity(ideal, actual)
+    fidelity = scaling.gate_fidelity(ideal, actual)
     distance = float(np.linalg.norm(actual - ideal))
     outputs = {
         "basis": list(gate.labels),
         "matrix": matrix_payload(actual),
         "ideal_matrix": matrix_payload(ideal),
-        "fidelity_to_ideal": fid.value,
-        "infidelity": fid.infidelity,
+        "fidelity_to_ideal": fidelity,
+        "infidelity": 1.0 - fidelity,
         "distance_to_ideal": distance,
         "within_tolerance": distance <= tolerance,
     }
@@ -235,8 +230,6 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
         check_run_size("epsilons", 4096 * points)
         return scaling.default_epsilon_grid(points)
     if isinstance(raw, list):
-        if not raw:
-            raise ConfigError("epsilons list must not be empty")
         values = []
         for v in raw:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
@@ -249,18 +242,14 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
 def cmd_sweep(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
     check_keys(cfg, {"gate_kind", "theta", "phi", "jk", "error_mode", "epsilons"}, {"gate_kind", "error_mode"})
     gate_kind = get_choice(cfg, "gate_kind", scaling.GATES)
-    try:
-        spec = scaling.SweepSpec(
-            gate_kind=gate_kind,
-            theta=get_number(cfg, "theta", math.pi / 4),
-            phi=get_number(cfg, "phi", 0.0),
-            error_mode=get_choice(cfg, "error_mode", scaling.GATES[gate_kind].error_modes),
-            epsilons=parse_epsilons(cfg),
-            jk=get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    spec = scaling.SweepSpec(
+        gate_kind=gate_kind,
+        theta=get_number(cfg, "theta", math.pi / 4),
+        phi=get_number(cfg, "phi", 0.0),
+        error_mode=get_choice(cfg, "error_mode", scaling.GATES[gate_kind].error_modes),
+        epsilons=parse_epsilons(cfg),
+        jk=get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11"),
+    )
     samples = scaling.sweep_samples(spec)
     fit = scaling.fit_power_law(samples)
     outputs = {
@@ -280,8 +269,6 @@ def cmd_check_holonomy(cfg: dict, tolerance: float, seed_override=None) -> tuple
         {"schedule"},
     )
     samples = get_int(cfg, "samples_per_segment", 128)
-    if samples < 1:
-        raise ConfigError("samples_per_segment must be >= 1")
     if "tolerance" in cfg:
         tolerance = get_number(cfg, "tolerance")
     check_tolerance(tolerance)
@@ -319,17 +306,13 @@ def cmd_dfs(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict
         set(),
     )
     kappa = get_number(cfg, "kappa", 0.5)
-    distribution = get_choice(cfg, "distribution", ("uniform", "gaussian"), "uniform")
+    distribution = get_choice(cfg, "distribution", dfs.DISTRIBUTIONS, "uniform")
     n_samples = get_int(cfg, "n_samples", 1000)
     seed = seed_override if seed_override is not None else get_int(cfg, "seed", 0)
     theta = get_number(cfg, "theta", math.pi / 4)
     phi = get_number(cfg, "phi", 0.0)
-    if kappa < 0:
-        raise ConfigError("kappa must be nonnegative")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
 
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
     encoding = dfs.three_ion_encoding()
@@ -402,12 +385,14 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             outputs, files = command(cfg, args.tolerance, args.seed)
         record = make_record(args.command, cfg, outputs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DegenerateFitError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # a ConfigError, or a library check rejecting a config value;
+        # LinAlgError is a ValueError too, so it is caught first
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     # one line: without indent, json runs its C encoder
     files[record_name] = json.dumps(record, sort_keys=True) + "\n"
     try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, pulses, qutrit
+from . import linalg, qutrit, scaling
 
 THREE_ION_LABELS = {"0": "100", "1": "001", "a": "010"}
 SIX_ION_LABELS = {
@@ -35,13 +35,9 @@ SIX_ION_LABELS = {
 }
 
 
-def bit_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 def register_ket(bits: str) -> np.ndarray:
     v = np.zeros(2 ** len(bits), dtype=complex)
-    v[bit_index(bits)] = 1.0
+    v[int(bits, 2)] = 1.0
     return v
 
 
@@ -65,7 +61,7 @@ class DfsEncoding:
         return 2**self.n_ions
 
     def index(self, name: str) -> int:
-        return bit_index(self.logical_labels[name])
+        return int(self.logical_labels[name], 2)
 
     def logical_ket(self, name: str) -> np.ndarray:
         return register_ket(self.logical_labels[name])
@@ -73,7 +69,7 @@ class DfsEncoding:
     def projector(self) -> np.ndarray:
         p = np.zeros((self.dim, self.dim), dtype=complex)
         for b in self.logical_labels.values():
-            i = bit_index(b)
+            i = int(b, 2)
             p[i, i] = 1.0
         return p
 
@@ -92,7 +88,7 @@ def dfs_membership_check(vector, encoding: DfsEncoding, tol: float = 1e-10) -> b
     if v.shape != (encoding.dim,):
         raise ValueError(f"expected a vector of dimension {encoding.dim}")
     residual = v - encoding.projector() @ v
-    return linalg.norm(residual) <= tol
+    return bool(np.linalg.norm(residual) <= tol)
 
 
 def _embedded(schedule: linalg.Schedule, encoding: DfsEncoding, blocks) -> linalg.Schedule:
@@ -107,17 +103,11 @@ def _embedded(schedule: linalg.Schedule, encoding: DfsEncoding, blocks) -> linal
     return linalg.Schedule(g, schedule.areas)
 
 
-def _bare_schedule(recipe, theta: float, phi: float, model) -> linalg.Schedule:
-    """A three-level recipe's loops back to back in time order, square pulses."""
-    stretch, bright = qutrit.loops(recipe, theta, phi, None, (model,))
-    return pulses.loop_schedule(stretch, bright, "square", 1, order=recipe.order)
-
-
 def logical_composite_schedule(
     theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> linalg.Schedule:
     """Eight-segment three-ion schedule: the four-pulse composite on levels (0, 1, a)."""
-    bare = _bare_schedule(qutrit.COMPOSITE_FOUR, theta, phi, model)
+    bare = scaling.GATES["composite4"].schedule(theta, phi, None, model)
     return _embedded(bare, three_ion_encoding(), [("0", "1", "a")])
 
 
@@ -125,7 +115,7 @@ def two_logical_composite_schedule(
     theta: float, phi: float, model: qutrit.ErrorModel | None = None
 ) -> linalg.Schedule:
     """Four-segment six-ion schedule: the repeated elementary gate on two blocks of levels."""
-    bare = _bare_schedule(qutrit.COMPOSITE_TWO, theta, phi, model)
+    bare = scaling.GATES["composite2"].schedule(theta, phi, None, model)
     return _embedded(bare, six_ion_encoding(), [("00", "01", "a1"), ("11", "10", "a2")])
 
 
@@ -142,6 +132,9 @@ def two_logical_composite_gate(
     return linalg.evolve(two_logical_composite_schedule(theta, phi, model))
 
 
+DISTRIBUTIONS = ("uniform", "gaussian")
+
+
 @dataclass(frozen=True)
 class DephasingChannel:
     """Collective phase-kick noise: one random angle hits every ion at once."""
@@ -153,7 +146,7 @@ class DephasingChannel:
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa < 0:
             raise ValueError("kappa must be finite and nonnegative")
-        if self.distribution not in ("uniform", "gaussian"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")

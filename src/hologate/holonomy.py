@@ -71,7 +71,7 @@ def trace_evolution(
         raise ValueError("a trace follows one schedule, not a batch")
     basis = np.array([np.asarray(v, dtype=complex) for v in subspace_basis])
     gram = basis.conj() @ basis.T
-    if linalg.frobenius_norm(gram - np.eye(len(basis))) > 1e-10:
+    if np.linalg.norm(gram - np.eye(len(basis))) > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
     n_segments, areas = schedule.n_segments, schedule.areas
     if basis.shape[1] != schedule.generators.shape[-1]:

@@ -41,10 +41,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius-norm distance between two equally shaped matrices."""
     a = as_complex_matrix(a)
@@ -52,10 +48,6 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
-
-
-def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=complex)))
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
@@ -174,12 +166,3 @@ def evolve(schedule: Schedule) -> np.ndarray:
         paired = steps[..., 1::2, :, :] @ steps[..., 0 : k - 1 : 2, :, :]
         steps = paired if k % 2 == 0 else np.concatenate((paired, steps[..., -1:, :, :]), axis=-3)
     return steps[..., 0, :, :]
-
-
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i*h*t) for one Hermitian generator ``h``, by ``exponentials``.
-
-    ``t`` is the evolution duration (or pulse area when ``h`` carries a unit
-    envelope).  Raises ``ValueError`` for input ``Schedule`` rejects.
-    """
-    return exponentials(Schedule(as_complex_matrix(h)[None], [t]))[0]

@@ -86,8 +86,9 @@ def loop_schedule(stretch, bright, envelope: str, steps: int, order=None) -> lin
     areas = np.tile(slice_areas(envelope, steps), len(DRIVE_PHASES))
     areas = np.asarray(stretch, dtype=float)[..., None] * areas
     bright = np.asarray(bright, dtype=complex)
-    if bright.ndim < 2:
-        raise ValueError(f"need (..., loops, d) bright vectors, got {bright.shape}")
+    shapes = np.shape(stretch), bright.shape
+    if bright.ndim < 2 or shapes[0][-1:] != shapes[1][-2:-1]:
+        raise ValueError(f"need (..., loops) stretches and (..., loops, d) bright vectors, got {shapes}")
     d = bright.shape[-1]
     # e^{i phi0} b_i (..., loops, segments, 1, d - 1), on every level but the last
     column = np.exp(1j * np.array(DRIVE_PHASES))[:, None, None] * bright[..., None, None, :-1]

@@ -58,8 +58,8 @@ class BrightDarkFrame:
 class ErrorModel:
     """Constant fractional amplitude deviations of the two drive fields.
 
-    The strict bound |eps| < 1 keeps both scaled amplitudes positive;
-    the construction below divides by (1 + eps0) when tilting theta.
+    The strict bound |eps| < 1 keeps both scaled amplitudes positive,
+    which keeps the tilted angle below on its [0, pi] branch.
     """
 
     eps0: float
@@ -81,8 +81,6 @@ def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, floa
     """
     a0 = 1.0 + model.eps0
     a1 = 1.0 + model.eps1
-    if a0 <= 0:
-        raise ValueError("1 + eps0 must be positive")
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     eps = math.hypot(a0 * c, a1 * s) - 1.0
     theta_prime = 2.0 * math.atan2(a1 * s, a0 * c)

@@ -24,22 +24,13 @@ class DegenerateFitError(RuntimeError):
     """Raised when every sweep point sits at the floating-point floor."""
 
 
-@dataclass(frozen=True)
-class FidelityResult:
-    value: float
-
-    @property
-    def infidelity(self) -> float:
-        return 1.0 - self.value
-
-
-def gate_fidelity(u_ideal: np.ndarray, v_actual: np.ndarray) -> FidelityResult:
+def gate_fidelity(u_ideal: np.ndarray, v_actual: np.ndarray) -> float:
     """Trace overlap |Tr(U^dag V)| / Tr(U^dag U), global-phase invariant."""
     u = linalg.as_complex_matrix(u_ideal)
     v = linalg.as_complex_matrix(v_actual)
     if u.shape != v.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return FidelityResult(value=float(_fidelities(u, v)))
+    return float(_fidelities(u, v))
 
 
 def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,12 +67,12 @@ class Gate:
         schedule = pulses.loop_schedule(stretch, bright, envelope, steps)
         return self.recipe.fold(linalg.evolve(schedule))
 
-    def schedule(self, theta, phi, jk) -> linalg.Schedule:
-        """The ideal loops back to back in time order, square pulses.
+    def schedule(self, theta, phi, jk, model=None) -> linalg.Schedule:
+        """The loops under one error model back to back in time order, square pulses.
 
-        This is the schedule check-holonomy certifies.
+        With no model this is the schedule check-holonomy certifies.
         """
-        stretch, bright = self.loops(self.recipe, theta, phi, jk, (None,))
+        stretch, bright = self.loops(self.recipe, theta, phi, jk, (model,))
         return pulses.loop_schedule(stretch, bright, "square", 1, self.recipe.order)
 
     def subspace_basis(self) -> np.ndarray:
@@ -163,24 +154,17 @@ def default_epsilon_grid(points: int = 12) -> tuple[float, ...]:
     return tuple(float(e) for e in np.logspace(-3.0, -1.5, points))
 
 
-def sweep_gates(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The ideal gate and the error-affected gate at every sweep point.
+def sweep_samples(spec: SweepSpec) -> list[tuple[float, float]]:
+    """(eps, infidelity) points in grid order, floor points included.
 
     Every gate, the ideal (no error model) first, comes from one call of
     the gate's batched builder, so the grid shares its evolutions.
-    Returns (ideal (d, d), actual (n_eps, d, d)).
     """
     gate = GATES[spec.gate_kind]
     mode = gate.error_modes[spec.error_mode]
     models = [None] + [mode(eps) for eps in spec.epsilons]
     gates = gate.build(spec.theta, spec.phi, spec.jk, models)
-    return gates[0], gates[1:]
-
-
-def sweep_samples(spec: SweepSpec) -> list[tuple[float, float]]:
-    """(eps, infidelity) points in grid order, floor points included."""
-    ideal, actual = sweep_gates(spec)
-    infidelities = 1.0 - _fidelities(ideal, actual)
+    infidelities = 1.0 - _fidelities(gates[0], gates[1:])
     return list(zip(spec.epsilons, infidelities.tolist()))
 
 

@@ -25,13 +25,6 @@ ANCILLA_LABEL = "a"
 LABELS = COMPUTATIONAL_LABELS + (ANCILLA_LABEL,)
 
 
-def label_index(label: str) -> int:
-    try:
-        return LABELS.index(label)
-    except ValueError:
-        raise ValueError(f"unknown level label {label!r}") from None
-
-
 @dataclass(frozen=True)
 class TwoQubitErrorModel:
     """Fractional deviation of the single active Rabi frequency."""
@@ -60,4 +53,4 @@ def loops(recipe: pulses.Recipe, theta, phi, jk: str, models):
         raise ValueError(f"{jk!r} is not a computational label")
     labels = recipe.loops(jk)
     stretch = np.array([[1.0 + (m.eps_jk if m else 0.0)] * len(labels) for m in models])
-    return stretch, np.eye(DIM, dtype=complex)[[label_index(label) for label in labels]]
+    return stretch, np.eye(DIM, dtype=complex)[[LABELS.index(label) for label in labels]]

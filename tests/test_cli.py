@@ -225,6 +225,29 @@ def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, capsys, monk
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (ValueError("bad value"), 2, "config error: bad value"),
+        (np.linalg.LinAlgError("no convergence"), 3, "numerical failure: no convergence"),
+    ],
+    ids=["value_error", "linalg_error"],
+)
+def test_main_maps_library_exceptions_to_exit_codes(tmp_path, capsys, monkeypatch, error, code, line):
+    # LinAlgError is a ValueError, so main must catch the numerical failures first
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    cfg = write_cfg(tmp_path, "c.json", SWEEP_CFG)
+    out = tmp_path / "out"
+
+    def fail(spec):
+        raise error
+
+    monkeypatch.setattr(scaling, "sweep_samples", fail)
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 def test_sweep_writes_csv_and_fit(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, "c.json",

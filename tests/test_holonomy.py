@@ -57,7 +57,7 @@ def test_half_pi_segment_rotates_bright_into_excited():
     f = BrightDarkFrame(0.9, 0.3)
     trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 2), [f.bright])
     final = trace.states[0, -1, :]
-    assert linalg.norm(final - (-1j) * qutrit.ket(qutrit.IDX_E)) < 1e-12
+    assert np.linalg.norm(final - (-1j) * qutrit.ket(qutrit.IDX_E)) < 1e-12
 
 
 def test_trace_endpoint_matches_time_ordered_product(rng):
@@ -236,8 +236,8 @@ ORACLE_CASES = oracle_cases()
 
 # Register levels the encoded schedules couple: ancilla and logical states.
 COUPLED_LEVELS = {
-    "three_ion": np.sort([dfs.bit_index(b) for b in dfs.THREE_ION_LABELS.values()]),
-    "six_ion": np.sort([dfs.bit_index(b) for b in dfs.SIX_ION_LABELS.values()]),
+    "three_ion": np.sort([int(b, 2) for b in dfs.THREE_ION_LABELS.values()]),
+    "six_ion": np.sort([int(b, 2) for b in dfs.SIX_ION_LABELS.values()]),
 }
 
 

@@ -26,7 +26,8 @@ def drive(bright, phase):
 
 def loop_unitary(bright, area):
     """The elementary loop at segment area ``area``: phase pi/2 first, then 0."""
-    first, second = (linalg.expm_hermitian(drive(bright, p), area) for p in (math.pi / 2, 0.0))
+    generators = [drive(bright, p) for p in (math.pi / 2, 0.0)]
+    first, second = linalg.exponentials(linalg.Schedule(generators, [area, area]))
     return second @ first
 
 
@@ -68,7 +69,7 @@ def test_envelope_only_redistributes_area(seed, steps, d):
     # constant generator direction per segment: sliced product == one
     # exponential each, at an area other than pi/2 through the stretch
     bright = random_bright(np.random.default_rng(seed), 1, d)
-    stretch = 1.3 / (math.pi / 2)
+    stretch = np.array([1.3 / (math.pi / 2)])
     for envelope in pulses.ENVELOPES:
         u = linalg.evolve(pulses.loop_schedule(stretch, bright, envelope, steps))[0]
         assert linalg.frobenius_distance(u, loop_unitary(bright[0], 1.3)) < 1e-9
@@ -90,6 +91,14 @@ def test_schedule_unitary_rejects_empty():
         pulses.loop_schedule(np.ones((1, 0)), np.zeros((1, 0, 3)), "square", 1, order=())
     with pytest.raises(ValueError):
         pulses.loop_schedule(1.0, np.eye(3)[0], "square", 1)
+
+
+def test_loop_schedule_needs_one_stretch_per_loop():
+    # a scalar stretch with an order used to end in an IndexError
+    with pytest.raises(ValueError, match="stretches"):
+        pulses.loop_schedule(1.0, np.eye(3)[:1], "square", 1, order=(0,))
+    with pytest.raises(ValueError, match="stretches"):
+        pulses.loop_schedule(np.ones((1, 2)), np.eye(3)[:1], "square", 1)
 
 
 @pytest.mark.parametrize("name", sorted(GATES))

@@ -18,35 +18,36 @@ def gate(name, frame, model=None):
 
 def test_fidelity_of_identical_gates_is_one():
     u = gate("elementary", BrightDarkFrame(0.7, 0.2))
-    assert abs(scaling.gate_fidelity(u, u).value - 1.0) < 1e-14
+    assert abs(scaling.gate_fidelity(u, u) - 1.0) < 1e-14
 
 
 @given(alpha=st.floats(0.0, 2 * math.pi))
 def test_fidelity_ignores_global_phase(alpha):
     u = gate("composite4", BrightDarkFrame(0.9, 0.3))
     f = scaling.gate_fidelity(u, np.exp(1j * alpha) * u)
-    assert abs(f.value - 1.0) < 1e-12
+    assert abs(f - 1.0) < 1e-12
 
 
 def test_fidelity_known_value():
     f = scaling.gate_fidelity(np.eye(3), np.diag([1.0, 1.0, -1.0]))
-    assert abs(f.value - 1.0 / 3.0) < 1e-14
-    assert abs(f.infidelity - 2.0 / 3.0) < 1e-14
+    assert type(f) is float
+    assert abs(f - 1.0 / 3.0) < 1e-14
+    assert abs((1.0 - f) - 2.0 / 3.0) < 1e-14
 
 
 def test_fidelity_is_invariant_under_a_common_rotation(rng):
     u = gate("elementary", BrightDarkFrame(1.0, 0.5))
     v = gate("elementary", BrightDarkFrame(1.0, 0.5), qutrit.ErrorModel(0.05, -0.05))
     w = haar_unitary(rng, 3)
-    before = scaling.gate_fidelity(u, v).value
-    after = scaling.gate_fidelity(w @ u, w @ v).value
+    before = scaling.gate_fidelity(u, v)
+    after = scaling.gate_fidelity(w @ u, w @ v)
     assert abs(before - after) < 1e-12
 
 
 def test_fidelity_of_unitaries_is_bounded(rng):
     for _ in range(20):
         f = scaling.gate_fidelity(haar_unitary(rng, 4), haar_unitary(rng, 4))
-        assert -1e-12 <= f.value <= 1.0 + 1e-12
+        assert -1e-12 <= f <= 1.0 + 1e-12
 
 
 def test_fidelity_shape_checks():
@@ -110,18 +111,26 @@ def test_sweep_gates_dispatch():
         gate_kind="twoqubit_single", theta=0.0, phi=0.0,
         error_mode="two_qubit", epsilons=(0.01, 0.05), jk="01",
     )
-    ideal, actual = scaling.sweep_gates(spec)
+    samples = scaling.sweep_samples(spec)
+    ideal, actual = scaling.GATES["twoqubit_elementary"].build(
+        0.0, 0.0, "01", [None, two_qubit.TwoQubitErrorModel(0.05)]
+    )
     assert ideal.shape == (5, 5)
-    assert actual.shape == (2, 5, 5)
-    assert scaling.gate_fidelity(ideal, actual[1]).infidelity > 1e-5
+    assert [e for e, _ in samples] == [0.01, 0.05]
+    assert abs(samples[1][1] - (1.0 - scaling.gate_fidelity(ideal, actual))) < 1e-15
+    assert samples[1][1] > 1e-5
     spec1 = SweepSpec(
         gate_kind="composite4", theta=0.8, phi=0.1,
         error_mode="differential", epsilons=(0.05,),
     )
-    ideal1, actual1 = scaling.sweep_gates(spec1)
+    [(eps1, infid1)] = scaling.sweep_samples(spec1)
+    ideal1, actual1 = scaling.GATES["composite4"].build(
+        0.8, 0.1, "11", [None, qutrit.ErrorModel(0.05, -0.05)]
+    )
     assert ideal1.shape == (3, 3)
-    assert actual1.shape == (1, 3, 3)
-    assert not np.array_equal(ideal1, actual1[0])
+    assert eps1 == 0.05
+    assert abs(infid1 - (1.0 - scaling.gate_fidelity(ideal1, actual1))) < 1e-15
+    assert infid1 > 0
 
 
 SWEEP_CASES = (
@@ -151,16 +160,18 @@ def test_batched_sweep_gates_match_single_gate_builders(kind, mode):
         gate_kind=kind, theta=theta, phi=phi, error_mode=mode,
         epsilons=scaling.default_epsilon_grid(), jk=jk,
     )
-    ideal, actual = scaling.sweep_gates(spec)
+    gate = scaling.GATES[kind]
+    models = [None] + [gate.error_modes[mode](eps) for eps in spec.epsilons]
+    ideal, *actual = gate.build(theta, phi, jk, models)
     assert linalg.frobenius_distance(ideal, single_gate(kind, mode, 0.0, theta, phi, jk)) < 1e-13
-    assert actual.shape == (len(spec.epsilons),) + ideal.shape
-    for eps, gate in zip(spec.epsilons, actual):
+    assert len(actual) == len(spec.epsilons) and ideal.shape == (len(gate.labels),) * 2
+    for eps, u in zip(spec.epsilons, actual):
         expected = single_gate(kind, mode, eps, theta, phi, jk)
-        assert linalg.frobenius_distance(gate, expected) < 1e-13
+        assert linalg.frobenius_distance(u, expected) < 1e-13
     samples = scaling.sweep_samples(spec)
     assert [e for e, _ in samples] == list(spec.epsilons)
-    for (eps, infid), gate in zip(samples, actual):
-        assert abs(infid - scaling.gate_fidelity(ideal, gate).infidelity) < 1e-15
+    for (eps, infid), u in zip(samples, actual):
+        assert abs(infid - (1.0 - scaling.gate_fidelity(ideal, u))) < 1e-15
 
 
 def test_fit_recovers_exact_power_law():

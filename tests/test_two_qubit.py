@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hologate import holonomy, linalg, pulses, two_qubit
+from hologate import holonomy, linalg, two_qubit
 from hologate.scaling import GATES
 from hologate.two_qubit import TwoQubitErrorModel
 
@@ -25,16 +25,16 @@ def gate(name, jk, model=None):
 
 
 def elementary_schedule(jk, model=None):
-    stretch, bright = two_qubit.loops(two_qubit.ELEMENTARY, 0.0, 0.0, jk, (model,))
-    return pulses.loop_schedule(stretch, bright, "square", 1, order=two_qubit.ELEMENTARY.order)
+    return GATES["twoqubit_elementary"].schedule(0.0, 0.0, jk, model)
 
 
 def test_labels_and_kets():
-    assert two_qubit.label_index("00") == 0
-    assert two_qubit.label_index("a") == 4
-    assert two_qubit.LABELS[two_qubit.label_index("10")] == "10"
-    with pytest.raises(ValueError):
-        two_qubit.label_index("02")
+    assert two_qubit.LABELS.index("00") == 0
+    assert two_qubit.LABELS.index("a") == 4
+    assert two_qubit.LABELS[2] == "10"
+    for jk in ("02", "a"):
+        with pytest.raises(ValueError):
+            two_qubit.loops(two_qubit.ELEMENTARY, 0.0, 0.0, jk, (None,))
 
 
 def test_error_model_bound():
@@ -71,7 +71,7 @@ def test_composite_gate_hits_ideal(jk):
     u = gate("twoqubit_composite", jk)
     ideal = ideal_two_qubit_composite(jk)
     assert linalg.frobenius_distance(u, ideal) < 1e-12
-    assert ideal[two_qubit.label_index(jk), two_qubit.label_index(jk)] == -1.0
+    assert ideal[two_qubit.LABELS.index(jk), two_qubit.LABELS.index(jk)] == -1.0
     assert ideal[4, 4] == -1.0
 
 
