@@ -26,7 +26,7 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--theta", type=float, default=math.pi / 4)
     parser.add_argument("--phi", type=float, default=0.0)
-    parser.add_argument("--distribution", choices=("uniform", "gaussian"), default="uniform")
+    parser.add_argument("--distribution", choices=dfs.DISTRIBUTIONS, default="uniform")
     return parser.parse_args()
 
 
@@ -34,21 +34,14 @@ def main():
     args = parse_args()
     out_dir = Path(args.out)
 
-    encoding = dfs.three_ion_encoding()
     schedule = dfs.logical_composite_schedule(args.theta, args.phi)
-    psi_enc = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
-    psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    n_kicks = schedule.n_segments
 
     rows = []
     print(f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}")
     for i, kappa in enumerate(args.kappas):
         channel = dfs.DephasingChannel(kappa, args.distribution, args.n_samples)
-        encoded = dfs.apply_collective_dephasing(
-            schedule, psi_enc, channel, encoding, seed=args.seed + 2 * i
-        )
-        bare = dfs.idle_contrast_run(psi_raw, channel, n_kicks, seed=args.seed + 2 * i + 1)
-        exact = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks)
+        # row i is the CLI's dfs run at seed + 2i
+        encoded, bare, exact = dfs.protection_run(schedule, channel, args.seed + 2 * i)
         rows.append((kappa, encoded.mean, bare.mean, exact))
         print(f"{kappa:6.2f} {encoded.mean:12.9f} {bare.mean:12.9f} {exact:13.9f}")
 

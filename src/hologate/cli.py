@@ -2,8 +2,9 @@
 
 Subcommands build gates, run error sweeps, certify holonomy conditions,
 and run the dephasing-protection demonstration, all driven by a JSON
-config file.  Primary outputs are CSV files (plot-ready, byte-stable for
-a fixed config and seed) plus a JSON result record per run.
+config file, which is the whole run.  Primary outputs are CSV files
+(plot-ready, byte-stable for a fixed config) plus a JSON result record
+per run that repeats its config.
 
 Exit codes: 0 success, 2 config or validation problem, 3 numerical
 failure during an otherwise valid run, including any non-finite output;
@@ -180,18 +181,16 @@ def parse_segments(cfg: dict, dim: int) -> tuple[str, int]:
     return envelope, steps
 
 
-def check_tolerance(tolerance: float) -> None:
-    if not (math.isfinite(tolerance) and tolerance > 0):
+def get_tolerance(cfg: dict) -> float:
+    tolerance = get_number(cfg, "tolerance", 1e-8)
+    if tolerance <= 0:
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance!r}")
+    return tolerance
 
 
-def cmd_gate(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
-    check_keys(
-        cfg,
-        {"gate", "theta", "phi", "jk", "error", "envelope", "steps"},
-        {"gate"},
-    )
-    check_tolerance(tolerance)
+def cmd_gate(cfg: dict) -> tuple[dict, dict]:
+    check_keys(cfg, {"gate", "theta", "phi", "jk", "error", "envelope", "steps", "tolerance"}, {"gate"})
+    tolerance = get_tolerance(cfg)
     gate, theta, phi, jk = parse_gate(cfg, "gate")
     model = parse_error_model(cfg, gate)
     envelope, steps = parse_segments(cfg, len(gate.labels))
@@ -230,16 +229,12 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
         check_run_size("epsilons", 4096 * points)
         return scaling.default_epsilon_grid(points)
     if isinstance(raw, list):
-        values = []
-        for v in raw:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"epsilon entries must be finite numbers, got {v!r}")
-            values.append(float(v))
-        return tuple(values)
+        # every entry passes the check of a number-valued key
+        return tuple(get_number({"epsilons": v}, "epsilons") for v in raw)
     raise ConfigError("config key 'epsilons' must be a list or a {points: N} object")
 
 
-def cmd_sweep(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
+def cmd_sweep(cfg: dict) -> tuple[dict, dict]:
     check_keys(cfg, {"gate_kind", "theta", "phi", "jk", "error_mode", "epsilons"}, {"gate_kind", "error_mode"})
     gate_kind = get_choice(cfg, "gate_kind", scaling.GATES)
     spec = scaling.SweepSpec(
@@ -262,20 +257,13 @@ def cmd_sweep(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, di
     return outputs, {"sweep.csv": csv_text(samples, ("epsilon", "infidelity"))}
 
 
-def cmd_check_holonomy(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
-    check_keys(
-        cfg,
-        {"schedule", "theta", "phi", "jk", "samples_per_segment", "tolerance", "truncate_segments"},
-        {"schedule"},
-    )
+def cmd_check_holonomy(cfg: dict) -> tuple[dict, dict]:
+    check_keys(cfg, {"schedule", "theta", "phi", "jk", "samples_per_segment", "tolerance", "truncate_segments"}, {"schedule"})
     samples = get_int(cfg, "samples_per_segment", 128)
-    if "tolerance" in cfg:
-        tolerance = get_number(cfg, "tolerance")
-    check_tolerance(tolerance)
+    tolerance = get_tolerance(cfg)
     gate, theta, phi, jk = parse_gate(cfg, "schedule")
     schedule = gate.schedule(theta, phi, jk)
-    truncate = cfg.get("truncate_segments")
-    if truncate is not None:
+    if cfg.get("truncate_segments") is not None:
         truncate = get_int(cfg, "truncate_segments")
         if not 1 <= truncate <= schedule.n_segments:
             raise ConfigError("truncate_segments out of range for this schedule")
@@ -299,41 +287,30 @@ def cmd_check_holonomy(cfg: dict, tolerance: float, seed_override=None) -> tuple
     return outputs, {}
 
 
-def cmd_dfs(cfg: dict, tolerance: float, seed_override=None) -> tuple[dict, dict]:
-    check_keys(
-        cfg,
-        {"kappa", "distribution", "n_samples", "seed", "theta", "phi"},
-        set(),
-    )
+def cmd_dfs(cfg: dict) -> tuple[dict, dict]:
+    check_keys(cfg, {"kappa", "distribution", "n_samples", "seed", "theta", "phi"}, set())
     kappa = get_number(cfg, "kappa", 0.5)
     distribution = get_choice(cfg, "distribution", dfs.DISTRIBUTIONS, "uniform")
     n_samples = get_int(cfg, "n_samples", 1000)
-    seed = seed_override if seed_override is not None else get_int(cfg, "seed", 0)
+    seed = get_int(cfg, "seed", 0)
     theta = get_number(cfg, "theta", math.pi / 4)
     phi = get_number(cfg, "phi", 0.0)
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
 
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
-    encoding = dfs.three_ion_encoding()
     schedule = dfs.logical_composite_schedule(theta, phi)
-    n_kicks = schedule.n_segments
-    check_run_size("n_samples", 16 * n_samples * (2 * encoding.dim + n_kicks))
+    dim = schedule.generators.shape[-1]
+    check_run_size("n_samples", 16 * n_samples * (2 * dim + schedule.n_segments))
 
-    psi_enc = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
-    encoded = dfs.apply_collective_dephasing(schedule, psi_enc, channel, encoding, seed)
-
-    psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
-    unencoded = dfs.idle_contrast_run(psi_raw, channel, n_kicks, seed + 1)
-    closed_form = dfs.idle_contrast_closed_form(psi_raw, channel, n_kicks)
-
+    encoded, unencoded, closed_form = dfs.protection_run(schedule, channel, seed)
     outputs = {
         "encoded_mean_fidelity": encoded.mean,
         "encoded_min_fidelity": float(np.min(encoded.fidelities)),
         "unencoded_mean_fidelity": unencoded.mean,
         "unencoded_std_error": unencoded.std_error,
         "unencoded_closed_form": closed_form,
-        "n_kicks": n_kicks,
+        "n_kicks": schedule.n_segments,
         "seed": seed,
     }
     rows = [(kappa, encoded.mean, unencoded.mean)]
@@ -356,10 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=info)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--tolerance", type=float, default=1e-8, help="default comparison tolerance"
-        )
     return parser
 
 
@@ -383,7 +356,7 @@ def main(argv=None) -> int:
         command, record_name = COMMANDS[args.command]
         # an overflow or NaN becomes the FloatingPointError below, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            outputs, files = command(cfg, args.tolerance, args.seed)
+            outputs, files = command(cfg)
         record = make_record(args.command, cfg, outputs)
     except (DegenerateFitError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,12 +45,13 @@ def register_ket(bits: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DfsEncoding:
-    """Named logical levels mapped to register bitstrings of equal weight."""
+    """Named logical levels mapped to register bitstrings of equal weight, read-only."""
 
     n_ions: int
-    logical_labels: dict[str, str] = field(hash=False)
+    logical_labels: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "logical_labels", MappingProxyType(dict(self.logical_labels)))
         weights = {b.count("1") for b in self.logical_labels.values()}
         if len(weights) != 1:
             raise ValueError("encoded bitstrings must share one excitation number")
@@ -74,12 +77,14 @@ class DfsEncoding:
         return p
 
 
+@functools.cache
 def three_ion_encoding() -> DfsEncoding:
-    return DfsEncoding(3, dict(THREE_ION_LABELS))
+    return DfsEncoding(3, THREE_ION_LABELS)
 
 
+@functools.cache
 def six_ion_encoding() -> DfsEncoding:
-    return DfsEncoding(6, dict(SIX_ION_LABELS))
+    return DfsEncoding(6, SIX_ION_LABELS)
 
 
 def dfs_membership_check(vector, encoding: DfsEncoding, tol: float = 1e-10) -> bool:
@@ -320,3 +325,21 @@ def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> 
         pops[j] * pops[k] * channel.characteristic(j - k) ** n_kicks
         for j in occupied for k in occupied
     ))
+
+
+def protection_run(
+    schedule: linalg.Schedule, channel: DephasingChannel, seed: int
+) -> tuple[DephasingResult, DephasingResult, float]:
+    """Dephasing protection on the three-ion register: (encoded, bare, bare closed form).
+
+    The encoded (|0_L> + |1_L>)/sqrt(2) runs the schedule with a kick after
+    every segment, drawn at ``seed``; the bare (|000> + |100>)/sqrt(2) idles
+    through as many kicks, drawn at ``seed + 1``.
+    """
+    encoding = three_ion_encoding()
+    psi_enc = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
+    encoded = apply_collective_dephasing(schedule, psi_enc, channel, encoding, seed)
+    psi_raw = (register_ket("000") + register_ket("100")) / math.sqrt(2)
+    unencoded = idle_contrast_run(psi_raw, channel, schedule.n_segments, seed + 1)
+    closed_form = idle_contrast_closed_form(psi_raw, channel, schedule.n_segments)
+    return encoded, unencoded, closed_form

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -141,33 +142,89 @@ def test_gate_config_problems_exit_two(tmp_path, capsys, payload):
     assert "config error" in capsys.readouterr().err
 
 
+def assert_removed_flag_exits_two(tmp_path, capsys, args):
+    """A flag that is no longer an option stops argparse with exit 2 and writes nothing."""
+    out = tmp_path / "flag_out"
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: holgate") and "unrecognized arguments" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["nan", "inf", "-1", "0"])
 def test_gate_meaningless_tolerance_flag_exits_two(tmp_path, capsys, flag):
-    cfg = write_cfg(tmp_path, "c.json", {"gate": "elementary"})
-    args = ["gate", "--config", cfg, "--out", str(tmp_path), "--tolerance", flag]
-    assert run(args) == 2
+    # the tolerance is the config key; the flag that used to set it is gone
+    cfg = write_cfg(tmp_path, "c.json", {"gate": "elementary", "tolerance": float(flag)})
+    assert run(["gate", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "tolerance" in capsys.readouterr().err
     assert not (tmp_path / "gate_result.json").exists()
+    plain = write_cfg(tmp_path, "plain.json", {"gate": "elementary"})
+    assert_removed_flag_exits_two(tmp_path, capsys, ["gate", "--config", plain, "--tolerance", flag])
 
 
 def test_main_calls_do_not_share_parsed_options(tmp_path, capsys):
-    gate = write_cfg(
-        tmp_path, "gate.json", {"gate": "elementary", "error": {"eps0": 0.05, "eps1": 0.0}}
-    )
+    error = {"eps0": 0.05, "eps1": 0.0}
+    gate = write_cfg(tmp_path, "gate.json", {"gate": "elementary", "error": error})
+    loose = write_cfg(tmp_path, "loose.json", {"gate": "elementary", "error": error, "tolerance": 10})
     noise = write_cfg(tmp_path, "dfs.json", {"kappa": 0.5, "n_samples": 20, "seed": 4})
+    other = write_cfg(tmp_path, "dfs77.json", {"kappa": 0.5, "n_samples": 20, "seed": 77})
 
     def out(name):
         return ["--out", str(tmp_path / name)]
 
-    assert run(["dfs", "--config", noise, "--seed", "77", "--tolerance", "10"] + out("a")) == 0
+    assert run(["dfs", "--config", other] + out("a")) == 0
     assert run(["gate", "--config", gate] + out("b")) == 0
-    assert run(["gate", "--config", gate, "--tolerance", "10"] + out("c")) == 0
+    assert run(["gate", "--config", loose] + out("c")) == 0
     assert run(["dfs", "--config", noise] + out("d")) == 0
     capsys.readouterr()
     assert load_record(tmp_path / "a", "dfs_result.json")["outputs"]["seed"] == 77
     assert load_record(tmp_path / "b", "gate_result.json")["outputs"]["within_tolerance"] is False
     assert load_record(tmp_path / "c", "gate_result.json")["outputs"]["within_tolerance"] is True
     assert load_record(tmp_path / "d", "dfs_result.json")["outputs"]["seed"] == 4
+
+
+VALID_CONFIGS = {
+    "gate": {"gate": "composite4", "theta": 0.7, "error": {"eps0": 0.05, "eps1": -0.02}, "tolerance": 10},
+    "sweep": {"gate_kind": "composite2", "error_mode": "differential", "epsilons": {"points": 5}},
+    "check-holonomy": {"schedule": "elementary", "samples_per_segment": 32, "tolerance": 1e-6},
+    "dfs": {"kappa": 0.5, "n_samples": 50, "seed": 77},
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_a_record_config_reproduces_its_run(tmp_path, capsys, command):
+    record_name = cli.COMMANDS[command][1]
+    first = tmp_path / "first"
+    assert run([command, "--config", write_cfg(tmp_path, "c.json", VALID_CONFIGS[command]),
+                "--out", str(first)]) == 0
+    record = load_record(first, record_name)
+    again = tmp_path / "again"
+    assert run([command, "--config", write_cfg(tmp_path, "r.json", record["config"]),
+                "--out", str(again)]) == 0
+    capsys.readouterr()
+    rerun = load_record(again, record_name)
+    assert rerun["config"] == record["config"] == VALID_CONFIGS[command]
+    assert rerun["outputs"] == record["outputs"]
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in again.iterdir())
+    for csv in first.glob("*.csv"):
+        assert csv.read_bytes() == (again / csv.name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--tolerance", "1e-3"]], ids=["seed", "tolerance"])
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_removed_flags_exit_two_on_every_command(tmp_path, capsys, command, flag):
+    cfg = write_cfg(tmp_path, "c.json", VALID_CONFIGS[command])
+    assert_removed_flag_exits_two(tmp_path, capsys, [command, "--config", cfg, *flag])
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_help_lists_only_config_and_out(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--config", "--out", "--help"}
 
 
 def test_unreadable_and_malformed_configs_exit_two(tmp_path, capsys):
@@ -381,10 +438,15 @@ def test_check_holonomy_config_problems_exit_two(tmp_path, capsys, payload):
 
 @pytest.mark.parametrize("flag", ["-1", "nan", "inf", "0"])
 def test_check_holonomy_meaningless_tolerance_flag_exits_two(tmp_path, capsys, flag):
-    cfg = write_cfg(tmp_path, "c.json", {"schedule": "elementary"})
-    args = ["check-holonomy", "--config", cfg, "--out", str(tmp_path), "--tolerance", flag]
-    assert run(args) == 2
+    # the tolerance is the config key; the flag that used to set it is gone
+    cfg = write_cfg(tmp_path, "c.json", {"schedule": "elementary", "tolerance": float(flag)})
+    assert run(["check-holonomy", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "holonomy_result.json").exists()
+    plain = write_cfg(tmp_path, "plain.json", {"schedule": "elementary"})
+    assert_removed_flag_exits_two(
+        tmp_path, capsys, ["check-holonomy", "--config", plain, "--tolerance", flag]
+    )
 
 
 def parse_dfs_csv(out_dir):
@@ -424,14 +486,16 @@ def test_dfs_outputs_are_byte_stable(tmp_path):
     assert (out1 / "dfs.csv").read_bytes() == (out2 / "dfs.csv").read_bytes()
 
 
-def test_dfs_seed_flag_overrides_config(tmp_path, capsys):
+def test_dfs_seed_chooses_the_random_stream(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"kappa": 0.5, "n_samples": 100, "seed": 4})
+    other = write_cfg(tmp_path, "c77.json", {"kappa": 0.5, "n_samples": 100, "seed": 77})
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run(["dfs", "--config", cfg, "--out", str(out1)]) == 0
-    assert run(["dfs", "--config", cfg, "--out", str(out2), "--seed", "77"]) == 0
+    assert run(["dfs", "--config", other, "--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "dfs.csv").read_bytes() != (out2 / "dfs.csv").read_bytes()
-    assert load_record(out2, "dfs_result.json")["outputs"]["seed"] == 77
+    record = load_record(out2, "dfs_result.json")
+    assert record["outputs"]["seed"] == record["config"]["seed"] == 77
 
 
 def test_dfs_config_problems_exit_two(tmp_path, capsys):
@@ -444,14 +508,13 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
         {"kappa": math.nan},
         {"kappa": math.inf},
         {"seed": -1},
+        {"seed": 1.5},
         {"theta": math.nan},
         {"phi": math.inf},
         {"coupling_prefactor": math.inf},
     ):
         cfg = write_cfg(tmp_path, "c.json", payload)
         assert run(["dfs", "--config", cfg, "--out", str(tmp_path)]) == 2
-    cfg = write_cfg(tmp_path, "c.json", {"n_samples": 10})
-    assert run(["dfs", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
     assert not (tmp_path / "dfs.csv").exists()
     capsys.readouterr()
 
@@ -615,6 +678,7 @@ FUZZED_KEYS = {
         ),
         "envelope": st.sampled_from(["square", "sine_squared"]),
         "steps": st.integers(1, 64),
+        "tolerance": st.floats(1e-12, 1.0),
     },
     "sweep": {
         "gate_kind": st.sampled_from(sorted(scaling.GATES)),
@@ -667,20 +731,13 @@ def fuzzed_config(draw, command):
 @pytest.mark.parametrize("command", sorted(FUZZED_KEYS))
 def test_fuzzed_configs_exit_zero_two_or_three(command):
     @settings(derandomize=True, max_examples=150)
-    @given(
-        cfg=st.one_of(fuzzed_config(command), fuzzed_config(command), ODD_VALUES),
-        flags=st.lists(
-            st.sampled_from([["--seed", "3"], ["--seed", "-1"], ["--tolerance", "nan"],
-                             ["--tolerance", "-1"], ["--tolerance", "1e-3"]]),
-            max_size=2,
-        ),
-    )
-    def check(cfg, flags):
+    @given(cfg=st.one_of(fuzzed_config(command), fuzzed_config(command), ODD_VALUES))
+    def check(cfg):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.json"
             path.write_text(json.dumps(cfg))
             out = Path(tmp) / "out"
-            code = cli.main([command, "--config", str(path), "--out", str(out), *sum(flags, [])])
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
             assert code in (0, 2, 3)
             # a run that fails writes no file
             assert out.exists() == (code == 0)
@@ -693,10 +750,13 @@ def test_fuzzed_configs_exit_zero_two_or_three(command):
     [
         ("gate", {"gate": "composite4", "theta": 0.7}, [], 0),
         ("gate", {"gate": "composite8"}, [], 2),
-        ("dfs", {"kappa": 0.5}, ["--seed", "x"], 2),
+        ("dfs", {"kappa": 0.5, "seed": "x"}, [], 2),
         ("dfs", {"kappa": 1e308, "distribution": "gaussian"}, [], 3),
+        ("sweep", SWEEP_CFG, ["--seed", "5"], 2),
+        ("dfs", {"kappa": 0.5}, ["--tolerance", "1"], 2),
     ],
-    ids=["ok", "unknown_gate", "seed_not_an_integer", "kick_overflow"],
+    ids=["ok", "unknown_gate", "seed_not_an_integer", "kick_overflow", "sweep_seed_flag",
+         "dfs_tolerance_flag"],
 )
 def test_holgate_process_exit_codes(tmp_path, command, payload, flags, code):
     out = tmp_path / "out"
@@ -704,6 +764,8 @@ def test_holgate_process_exit_codes(tmp_path, command, payload, flags, code):
     returncode, stderr = run_process(tmp_path, args)
     assert returncode == code, stderr
     assert "Traceback" not in stderr
+    if flags:
+        assert stderr.startswith("usage: holgate")
     written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     assert written == ([f"{command}_result.json"] if code == 0 else [])
 

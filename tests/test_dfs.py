@@ -60,6 +60,16 @@ def test_encoding_rejects_mixed_weight():
         DfsEncoding(3, {"0": "10x"})
 
 
+def test_register_encodings_are_shared_and_read_only():
+    assert dfs.three_ion_encoding() is ENC3 and dfs.six_ion_encoding() is ENC6
+    with pytest.raises(TypeError):
+        ENC3.logical_labels["0"] = "010"
+    labels = {"0": "100", "1": "001"}
+    encoding = DfsEncoding(3, labels)
+    labels["0"] = "010"
+    assert encoding.index("0") == 4
+
+
 def test_projector_rank_equals_label_count():
     assert abs(np.trace(ENC3.projector()) - 3) < 1e-15
     assert abs(np.trace(ENC6.projector()) - 6) < 1e-15
@@ -233,6 +243,17 @@ def test_dephasing_is_seed_deterministic():
     a = dfs.apply_collective_dephasing(schedule, psi, channel, ENC3, seed=42)
     b = dfs.apply_collective_dephasing(schedule, psi, channel, ENC3, seed=42)
     assert np.array_equal(a.fidelities, b.fidelities)
+
+
+def test_protection_run_draws_the_encoded_kicks_at_seed_and_the_bare_at_seed_plus_one():
+    channel = DephasingChannel(0.6, "gaussian", n_samples=30)
+    schedule = dfs.logical_composite_schedule(0.7, 0.1)
+    encoded, bare, exact = dfs.protection_run(schedule, channel, 5)
+    psi_raw = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
+    expected = dfs.apply_collective_dephasing(schedule, plus_state(ENC3, "0", "1"), channel, ENC3, 5)
+    assert np.array_equal(encoded.fidelities, expected.fidelities)
+    assert np.array_equal(bare.fidelities, dfs.idle_contrast_run(psi_raw, channel, 8, 6).fidelities)
+    assert exact == dfs.idle_contrast_closed_form(psi_raw, channel, 8)
 
 
 def test_idle_contrast_closed_form_trivia():
