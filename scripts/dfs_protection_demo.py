@@ -16,7 +16,7 @@ import numpy as np
 from hologate import cli, dfs
 
 
-def parse_args():
+def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/dfs", help="output directory")
     parser.add_argument(
@@ -27,23 +27,34 @@ def parse_args():
     parser.add_argument("--theta", type=float, default=math.pi / 4)
     parser.add_argument("--phi", type=float, default=0.0)
     parser.add_argument("--distribution", choices=dfs.DISTRIBUTIONS, default="uniform")
-    return parser.parse_args()
+    return parser
 
 
-def main():
-    args = parse_args()
-    out_dir = Path(args.out)
-
+def protection_rows(args):
+    """(kappa, encoded, bare, bare closed form) per kappa; a bad argument raises ValueError."""
     schedule = dfs.logical_composite_schedule(args.theta, args.phi)
-
     rows = []
-    print(f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}")
     for i, kappa in enumerate(args.kappas):
         channel = dfs.DephasingChannel(kappa, args.distribution, args.n_samples)
         # row i is the CLI's dfs run at seed + 2i
         encoded, bare, exact = dfs.protection_run(schedule, channel, args.seed + 2 * i)
         rows.append((kappa, encoded.mean, bare.mean, exact))
-        print(f"{kappa:6.2f} {encoded.mean:12.9f} {bare.mean:12.9f} {exact:13.9f}")
+    return rows
+
+
+def main():
+    parser = build_parser()
+    args = parser.parse_args()
+    out_dir = Path(args.out)
+    # every row runs before anything is printed or written
+    try:
+        rows = protection_rows(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    print(f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}")
+    for kappa, encoded, bare, exact in rows:
+        print(f"{kappa:6.2f} {encoded:12.9f} {bare:12.9f} {exact:13.9f}")
 
     header = ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
     cli.write_files(out_dir, {"dfs_protection.csv": cli.csv_text(rows, header)})

@@ -25,22 +25,19 @@ CASES = (
 )
 
 
-def parse_args():
+def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/scaling", help="output directory")
     parser.add_argument("--points", type=int, default=12, help="grid points per sweep")
     parser.add_argument("--theta", type=float, default=math.pi / 4)
     parser.add_argument("--phi", type=float, default=0.0)
-    return parser.parse_args()
+    return parser
 
 
-def main():
-    args = parse_args()
-    out_dir = Path(args.out)
+def study(args):
+    """Each case's CSV text and summary line; a bad argument raises ValueError."""
     grid = scaling.default_epsilon_grid(args.points)
-
-    print(f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}")
-    csvs = {}
+    csvs, lines = {}, []
     for kind, mode in CASES:
         spec = scaling.SweepSpec(
             gate_kind=kind,
@@ -54,12 +51,28 @@ def main():
         try:
             fit = scaling.fit_power_law(samples)
         except scaling.DegenerateFitError as exc:
-            print(f"{kind:<20} {mode:<14} {'--':>8} {'--':>10}  {exc}")
+            lines.append(f"{kind:<20} {mode:<14} {'--':>8} {'--':>10}  {exc}")
             continue
-        print(
+        lines.append(
             f"{kind:<20} {mode:<14} {fit.slope:8.3f} {fit.r_squared:10.6f}"
             f" {len(fit.samples):7d}"
         )
+    return csvs, lines
+
+
+def main():
+    parser = build_parser()
+    args = parser.parse_args()
+    out_dir = Path(args.out)
+    # every case runs before anything is printed or written
+    try:
+        csvs, lines = study(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    print(f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}")
+    for line in lines:
+        print(line)
     cli.write_files(out_dir, csvs)
     print(f"\nCSV files in {out_dir}/")
 

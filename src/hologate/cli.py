@@ -295,8 +295,6 @@ def cmd_dfs(cfg: dict) -> tuple[dict, dict]:
     seed = get_int(cfg, "seed", 0)
     theta = get_number(cfg, "theta", math.pi / 4)
     phi = get_number(cfg, "phi", 0.0)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
 
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
     schedule = dfs.logical_composite_schedule(theta, phi)

@@ -69,13 +69,6 @@ class DfsEncoding:
     def logical_ket(self, name: str) -> np.ndarray:
         return register_ket(self.logical_labels[name])
 
-    def projector(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim), dtype=complex)
-        for b in self.logical_labels.values():
-            i = int(b, 2)
-            p[i, i] = 1.0
-        return p
-
 
 @functools.cache
 def three_ion_encoding() -> DfsEncoding:
@@ -85,15 +78,6 @@ def three_ion_encoding() -> DfsEncoding:
 @functools.cache
 def six_ion_encoding() -> DfsEncoding:
     return DfsEncoding(6, SIX_ION_LABELS)
-
-
-def dfs_membership_check(vector, encoding: DfsEncoding, tol: float = 1e-10) -> bool:
-    """True iff the vector lies in the encoded span up to tolerance."""
-    v = np.asarray(vector, dtype=complex)
-    if v.shape != (encoding.dim,):
-        raise ValueError(f"expected a vector of dimension {encoding.dim}")
-    residual = v - encoding.projector() @ v
-    return bool(np.linalg.norm(residual) <= tol)
 
 
 def _embedded(schedule: linalg.Schedule, encoding: DfsEncoding, blocks) -> linalg.Schedule:
@@ -238,7 +222,7 @@ def _n_ions(psi0: np.ndarray) -> int:
 
 
 def kicked_schedule_fidelities(
-    schedule: linalg.Schedule, psi0, channel: DephasingChannel, rng: np.random.Generator
+    schedule: linalg.Schedule, psi0, channel: DephasingChannel, seed: int
 ) -> DephasingResult:
     """State fidelities of kick-interleaved runs against the clean run.
 
@@ -264,6 +248,7 @@ def kicked_schedule_fidelities(
     # Every kick sample is one column of a (n_levels, n_samples) state array;
     # the columns evolve together and two buffers are swapped for the whole run.
     level = _levels(n_ions)[levels]
+    rng = np.random.default_rng(seed)
     phis = np.ascontiguousarray(channel.draw(rng, (channel.n_samples, len(propagators))).T)
     states = np.repeat(psi0[:, None], channel.n_samples, axis=1)
     scratch = np.empty_like(states)
@@ -275,24 +260,6 @@ def kicked_schedule_fidelities(
         states *= scratch
     fids = np.abs(clean.conj() @ states) ** 2
     return DephasingResult(fidelities=fids)
-
-
-def apply_collective_dephasing(
-    schedule,
-    psi0,
-    channel: DephasingChannel,
-    encoding: DfsEncoding,
-    seed: int,
-) -> DephasingResult:
-    """Kick-interleaved run for an encoded initial state.
-
-    Rejects initial states outside the encoded subspace; use
-    ``kicked_schedule_fidelities`` directly for unencoded contrast runs.
-    """
-    if not dfs_membership_check(psi0, encoding, 1e-10):
-        raise ValueError("initial state is not inside the encoded subspace")
-    rng = np.random.default_rng(seed)
-    return kicked_schedule_fidelities(schedule, psi0, channel, rng)
 
 
 def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
@@ -336,9 +303,11 @@ def protection_run(
     every segment, drawn at ``seed``; the bare (|000> + |100>)/sqrt(2) idles
     through as many kicks, drawn at ``seed + 1``.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     encoding = three_ion_encoding()
     psi_enc = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
-    encoded = apply_collective_dephasing(schedule, psi_enc, channel, encoding, seed)
+    encoded = kicked_schedule_fidelities(schedule, psi_enc, channel, seed)
     psi_raw = (register_ket("000") + register_ket("100")) / math.sqrt(2)
     unencoded = idle_contrast_run(psi_raw, channel, schedule.n_segments, seed + 1)
     closed_form = idle_contrast_closed_form(psi_raw, channel, schedule.n_segments)

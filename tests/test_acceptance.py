@@ -150,8 +150,8 @@ def test_criterion_7_dfs_protection():
     channel = dfs.DephasingChannel(0.5, "uniform", n_samples=1000)
     encoding = dfs.three_ion_encoding()
     psi = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
-    encoded = dfs.apply_collective_dephasing(
-        dfs.logical_composite_schedule(math.pi / 4, 0.0), psi, channel, encoding, seed=11
+    encoded = dfs.kicked_schedule_fidelities(
+        dfs.logical_composite_schedule(math.pi / 4, 0.0), psi, channel, seed=11
     )
     per_realization = float(np.max(np.abs(encoded.fidelities - 1.0)))
 

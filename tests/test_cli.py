@@ -517,6 +517,9 @@ def test_dfs_config_problems_exit_two(tmp_path, capsys):
         assert run(["dfs", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "dfs.csv").exists()
     capsys.readouterr()
+    cfg = write_cfg(tmp_path, "c.json", {"seed": -1})
+    assert run(["dfs", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be nonnegative\n"
 
 
 @pytest.mark.parametrize(

@@ -4,16 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hologate import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, check=True):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, check=True, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / name), *args],
+        env=env, check=check, capture_output=True, text=True,
     )
 
 
@@ -42,3 +44,26 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
     capsys.readouterr()
     cli_row = (tmp_path / "cli" / "dfs.csv").read_text().splitlines()[1]
     assert row.rsplit(",", 1)[0] == cli_row
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("dfs_protection_demo.py", ["--seed", "-1"]),
+        ("dfs_protection_demo.py", ["--kappas", "-0.1"]),
+        ("dfs_protection_demo.py", ["--kappas", "nan"]),
+        ("dfs_protection_demo.py", ["--n-samples", "0"]),
+        ("scaling_study.py", ["--points", "0"]),
+        ("scaling_study.py", ["--points", "-3"]),
+    ],
+    ids=["seed", "kappa_negative", "kappa_nan", "n_samples", "points_zero", "points_negative"],
+)
+def test_script_bad_argument_exits_two_before_any_output(tmp_path, name, args):
+    out = tmp_path / "out"
+    result = run_script(name, *args, "--out", str(out), check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"{name}: error: ")
+    assert not out.exists()
