@@ -9,6 +9,7 @@ the bare column decays toward the closed-form kick average.
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ def build_parser():
     )
     parser.add_argument("--n-samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--theta", type=float, default=math.pi / 4)
-    parser.add_argument("--phi", type=float, default=0.0)
+    parser.add_argument("--theta", type=cli.finite_float, default=math.pi / 4)
+    parser.add_argument("--phi", type=cli.finite_float, default=0.0)
     parser.add_argument("--distribution", choices=dfs.DISTRIBUTIONS, default="uniform")
     return parser
 
@@ -48,7 +49,11 @@ def main():
     out_dir = Path(args.out)
     # every row runs before anything is printed or written
     try:
-        rows = protection_rows(args)
+        with cli.strict_numerics():
+            rows = protection_rows(args)
+    except cli.NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        sys.exit(cli.EXIT_NUMERIC)
     except ValueError as exc:
         parser.error(str(exc))
 

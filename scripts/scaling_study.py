@@ -7,6 +7,7 @@ The composite gates should come out near slope 4, the plain ones near 2.
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 from hologate import cli, scaling
@@ -29,8 +30,8 @@ def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/scaling", help="output directory")
     parser.add_argument("--points", type=int, default=12, help="grid points per sweep")
-    parser.add_argument("--theta", type=float, default=math.pi / 4)
-    parser.add_argument("--phi", type=float, default=0.0)
+    parser.add_argument("--theta", type=cli.finite_float, default=math.pi / 4)
+    parser.add_argument("--phi", type=cli.finite_float, default=0.0)
     return parser
 
 
@@ -66,7 +67,11 @@ def main():
     out_dir = Path(args.out)
     # every case runs before anything is printed or written
     try:
-        csvs, lines = study(args)
+        with cli.strict_numerics():
+            csvs, lines = study(args)
+    except cli.NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        sys.exit(cli.EXIT_NUMERIC)
     except ValueError as exc:
         parser.error(str(exc))
 

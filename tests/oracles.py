@@ -5,9 +5,11 @@ the Schrodinger equation with a classical fixed-step RK4 scheme, so any
 agreement with the closed-form and eigendecomposition exponentials of the
 implementation is a genuine cross-check rather than the same code
 exercised twice.  The trace loops below evolve a subspace through a
-schedule one slice and one sample at a time, as a reference for the
-batched holonomy certification, and ``trace_states_mpmath`` does the same
-in 30-digit arithmetic as a reference for those loops.  The raw two-field
+schedule one slice and one sample at a time, and the residual loops read
+both holonomy conditions at every sample: a sampled reference for the
+exact certificate, which reads them at the segment boundaries only.
+``trace_states_mpmath`` does the same evolution in 30-digit arithmetic as
+a reference for those loops.  The raw two-field
 pulses are the one-qubit loop written as independent field amplitudes,
 the reference route for the stretched-and-tilted gates; the ideal
 four-pulse rotation and the commutator-product residual are closed-form

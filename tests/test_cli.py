@@ -543,7 +543,7 @@ def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
     "command, payload",
     [
         ("dfs", {"n_samples": 10**10}),
-        ("check-holonomy", {"schedule": "twoqubit_composite", "samples_per_segment": 10**10}),
+        ("sweep", {"gate_kind": "twoqubit_composite", "error_mode": "two_qubit", "epsilons": {"points": 10**10}}),
         ("gate", {"gate": "composite4", "envelope": "sine_squared", "steps": 10**10}),
         ("gate", {"gate": "twoqubit_elementary", "steps": 10**10}),
         ("sweep", {"gate_kind": "elementary", "error_mode": "common", "epsilons": {"points": 10**10}}),
@@ -562,6 +562,20 @@ def test_oversized_runs_exit_two_before_allocating(tmp_path, capsys, command, pa
     assert peak < 2**20
     assert "MB limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_check_holonomy_samples_per_segment_allocates_nothing(tmp_path, capsys):
+    # the certificate is exact: the sample count is checked but sizes no array
+    cfg = write_cfg(tmp_path, "c.json", {"schedule": "twoqubit_composite", "samples_per_segment": 10**10})
+    tracemalloc.start()
+    try:
+        code = run(["check-holonomy", "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_run_size_limit_is_inclusive():

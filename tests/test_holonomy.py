@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hologate import dfs, holonomy, linalg, qutrit, scaling
+from hologate import cli, dfs, holonomy, linalg, qutrit, scaling
 from hologate.qutrit import BrightDarkFrame
 
 from oracles import (
@@ -71,7 +72,7 @@ def test_trace_endpoint_matches_time_ordered_product(rng):
 def test_trace_starts_at_the_given_basis():
     trace = holonomy.trace_evolution(elementary_schedule(), COMP_BASIS)
     assert np.array_equal(trace.states[:, 0, :], np.array(COMP_BASIS))
-    assert trace.segment_boundaries[-1] == trace.states.shape[1] - 1
+    assert trace.states.shape[1] == trace.n_segments + 1 == 3
 
 
 def test_sampled_states_stay_normalized():
@@ -114,16 +115,18 @@ def test_detuned_schedule_fails_phase_condition():
 
 
 def test_phase_residual_is_stable_under_refinement():
+    # the certificate takes no samples inside a segment, so no sample count
+    # changes it, and the sampled oracle agrees with it at every refinement
     schedule = detuned(elementary_schedule())
-    coarse = holonomy.check_holonomy(
-        holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=64)
-    )
-    fine = holonomy.check_holonomy(
-        holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=256)
-    )
-    assert abs(fine.cond2_max - coarse.cond2_max) < 0.1 * coarse.cond2_max
-
+    pairs = schedule_pairs(schedule)
+    exact = holonomy.check_holonomy(holonomy.trace_evolution(schedule, COMP_BASIS, 1))
+    assert exact.cond2_max > 1e-3
     for n in (64, 256):
+        trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=n)
+        assert holonomy.check_holonomy(trace) == exact
+        sampled = np.max(phase_residual_loop(trace_states_loop(pairs, COMP_BASIS, n), pairs, n))
+        assert abs(sampled / holonomy.peak_rabi(trace) - exact.cond2_max) < 1e-12
+
         ideal = holonomy.check_holonomy(
             holonomy.trace_evolution(elementary_schedule(), COMP_BASIS, samples_per_segment=n)
         )
@@ -144,12 +147,16 @@ def test_peak_rabi_of_unit_envelope_is_one():
 
 
 def test_residual_curve_shape_and_extremes():
-    trace = holonomy.trace_evolution(elementary_schedule(0.6, 1.0), COMP_BASIS)
-    curve = projector_residual_curve(trace.states)
-    assert curve.shape == (trace.states.shape[1],)
+    schedule = elementary_schedule(0.6, 1.0)
+    states = trace_states_loop(schedule_pairs(schedule), COMP_BASIS, 128)
+    curve = projector_residual_curve(states)
+    assert curve.shape == (257,)
     assert curve[0] == 0.0
     assert curve[-1] < 1e-10
     assert abs(np.max(curve) - math.sqrt(2)) < 1e-6
+    # the sampled curve peaks at the midpoint boundary, which the trace keeps
+    trace = holonomy.trace_evolution(schedule, COMP_BASIS)
+    assert abs(holonomy.grassmannian_midpoint_check(trace) - curve[128]) < 1e-12
 
 
 def test_midpoint_displacement_is_sqrt_two():
@@ -179,8 +186,7 @@ def test_four_pulse_schedule_closes_after_every_gate():
     trace = holonomy.trace_evolution(schedule, COMP_BASIS)
     assert trace.n_segments == 8
     p0 = trace.projector(0)
-    for k in (1, 3, 5, 7):
-        boundary = trace.segment_boundaries[k]
+    for boundary in (2, 4, 6, 8):
         assert linalg.frobenius_distance(trace.projector(boundary), p0) < 1e-10
 
 
@@ -250,14 +256,14 @@ def test_batched_trace_matches_per_sample_loop(name, n):
     ref_states = trace_states_loop(schedule, basis, n)
     dim = ref_states.shape[2]
     assert np.array_equal(trace.levels, COUPLED_LEVELS.get(name, np.arange(dim)))
-    assert trace.states.shape == ref_states[:, :, trace.levels].shape
-    assert np.max(np.abs(trace.states - ref_states[:, :, trace.levels])) < 1e-12
+    # the trace holds every n-th sample of the oracle: the segment boundaries
+    boundaries = ref_states[:, ::n, :][:, :, trace.levels]
+    assert trace.states.shape == boundaries.shape == (len(basis), len(schedule) + 1, len(trace.levels))
+    assert np.max(np.abs(trace.states - boundaries)) < 1e-12
     # The oracle's eigh may rotate the uncoupled levels into the schedule's
     # zero eigenspace, which leaves them nonzero at the rounding level only.
     off = np.setdiff1d(np.arange(dim), trace.levels)
     assert np.max(np.abs(ref_states[:, :, off]), initial=0.0) < 1e-15
-
-    assert trace.segment_boundaries == tuple(n * (k + 1) for k in range(len(schedule)))
 
     gens = sample_generators(schedule, n)
     block = np.ix_(trace.levels, trace.levels)
@@ -285,21 +291,7 @@ def test_trace_oracle_matches_high_precision_evolution(name):
     ref = trace_states_mpmath(pairs, basis, 513)
     assert np.max(np.abs(trace_states_loop(pairs, basis, 513) - ref)) < 1e-14
     trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=513)
-    assert np.max(np.abs(trace.states - ref[:, :, trace.levels])) < 1e-12
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_segment_index_layout(n):
-    # sample i runs in the first segment whose boundary is at or after it:
-    # sample 0 in segment 0, and a boundary sample in the segment that just ended
-    schedule = gate_schedule("composite2", 0.8, 0.4)
-    trace = holonomy.trace_evolution(schedule, COMP_BASIS, samples_per_segment=n)
-    assert np.array_equal(trace.generators, schedule.generators)
-    segment_index = np.searchsorted(trace.segment_boundaries, np.arange(trace.states.shape[1]))
-    gens = sample_generators(schedule_pairs(schedule), n)
-    assert len(gens) == len(segment_index)
-    for i, seg in enumerate(segment_index):
-        assert np.array_equal(trace.generators[seg], gens[i])
+    assert np.max(np.abs(trace.states - ref[:, ::513, :][:, :, trace.levels])) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(COUPLED_LEVELS))
@@ -322,8 +314,8 @@ def test_uncoupled_basis_vector_is_carried_unchanged():
     gen[qutrit.IDX_0, qutrit.IDX_E] = gen[qutrit.IDX_E, qutrit.IDX_0] = 1.0
     trace = holonomy.trace_evolution(one_segment(gen, math.pi), COMP_BASIS, 8)
     assert np.array_equal(trace.levels, [0, 1, 2])
-    assert np.array_equal(trace.states[1], np.tile(qutrit.ket(qutrit.IDX_1), (9, 1)))
-    ref = trace_states_loop([(gen, math.pi)], COMP_BASIS, 8)
+    assert np.array_equal(trace.states[1], np.tile(qutrit.ket(qutrit.IDX_1), (2, 1)))
+    ref = trace_states_loop([(gen, math.pi)], COMP_BASIS, 8)[:, ::8, :]
     assert np.max(np.abs(trace.states - ref)) < 1e-12
     # a full Rabi flip of |0> through |e> closes the loop with a pi phase
     assert holonomy.check_holonomy(trace).passed
@@ -342,3 +334,68 @@ def test_one_sided_tiny_entry_keeps_its_level(entry):
     assert np.array_equal(trace.levels, [0, 1, 2, 3])
     final = basis @ linalg.evolve(schedule).T
     assert np.max(np.abs(trace.states[:, -1, :] - final)) < 1e-15
+
+
+def certify_cases() -> dict:
+    """name -> (schedule, basis, check-holonomy config or None) at theta 0.9, phi 0.3.
+
+    The five gates and the two register schedules, each whole and cut by
+    its last segment; only the gates have a ``check-holonomy`` config.
+    """
+    three = dfs.three_ion_encoding()
+    six = dfs.six_ion_encoding()
+    cases = {
+        "three_ion": (
+            dfs.logical_composite_schedule(0.9, 0.3),
+            [three.logical_ket(label) for label in ("0", "1")],
+            None,
+        ),
+        "six_ion": (
+            dfs.two_logical_composite_schedule(0.9, 0.3),
+            [six.logical_ket(label) for label in ("00", "01", "10", "11")],
+            None,
+        ),
+    }
+    for name in ("elementary", "composite2", "composite4", "twoqubit_elementary", "twoqubit_composite"):
+        gate = scaling.GATES[name]
+        cfg = {"schedule": name, "theta": 0.9, "phi": 0.3, "jk": "01"}
+        cases[name] = (gate.schedule(0.9, 0.3, "01"), gate.subspace_basis(), cfg)
+    for name, (schedule, basis, cfg) in list(cases.items()):
+        cut = schedule.n_segments - 1
+        cut_cfg = None if cfg is None else dict(cfg, truncate_segments=cut)
+        cases[f"{name}_cut"] = (
+            linalg.Schedule(schedule.generators[:cut], schedule.areas[:cut]), basis, cut_cfg
+        )
+    return cases
+
+
+CERTIFY_CASES = certify_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_CASES))
+def test_exact_certificate_agrees_with_sampled_oracle(name, tmp_path, capsys):
+    schedule, basis, cfg = CERTIFY_CASES[name]
+    report = holonomy.check_holonomy(holonomy.trace_evolution(schedule, basis), 1e-8)
+    pairs = schedule_pairs(schedule)
+    states = trace_states_loop(pairs, basis, 512)
+    peak = max(float(np.max(np.abs(np.linalg.eigvalsh(h)))) for h, _ in pairs)
+    ref_cond1 = projector_residual_curve(states)[-1]
+    ref_cond2 = float(np.max(phase_residual_loop(states, pairs, 512))) / peak
+    whole = not name.endswith("_cut")
+    assert report.passed == (ref_cond1 <= 1e-8 and ref_cond2 <= 1e-8) == whole
+    if whole:
+        assert report.cond1_residual <= 1e-14 and report.cond2_max <= 1e-14
+    if cfg is None:
+        return
+    records = []
+    for samples in (1, 512):
+        path = tmp_path / f"{samples}.json"
+        path.write_text(json.dumps(dict(cfg, samples_per_segment=samples)))
+        out = tmp_path / str(samples)
+        assert cli.main(["check-holonomy", "--config", str(path), "--out", str(out)]) == 0
+        record = json.loads((out / "holonomy_result.json").read_text())
+        del record["config"], record["timestamp"]
+        records.append(record)
+    capsys.readouterr()
+    assert records[0] == records[1]
+    assert records[0]["outputs"]["passed"] is whole

@@ -55,8 +55,22 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
         ("dfs_protection_demo.py", ["--n-samples", "0"]),
         ("scaling_study.py", ["--points", "0"]),
         ("scaling_study.py", ["--points", "-3"]),
+        *(
+            (name, [option, value])
+            for name in ("dfs_protection_demo.py", "scaling_study.py")
+            for option in ("--theta", "--phi")
+            for value in ("nan", "inf")
+        ),
     ],
-    ids=["seed", "kappa_negative", "kappa_nan", "n_samples", "points_zero", "points_negative"],
+    ids=[
+        "seed", "kappa_negative", "kappa_nan", "n_samples", "points_zero", "points_negative",
+        *(
+            f"{script}_{option}_{value}"
+            for script in ("dfs", "scaling")
+            for option in ("theta", "phi")
+            for value in ("nan", "inf")
+        ),
+    ],
 )
 def test_script_bad_argument_exits_two_before_any_output(tmp_path, name, args):
     out = tmp_path / "out"
@@ -66,4 +80,20 @@ def test_script_bad_argument_exits_two_before_any_output(tmp_path, name, args):
     assert "Traceback" not in result.stderr
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith(f"{name}: error: ")
+    if args[0] in ("--theta", "--phi"):
+        # rejected at parse time, as get_number rejects the config key
+        assert errors[0].startswith(f"{name}: error: argument {args[0]}: must be finite")
+    assert not out.exists()
+
+
+def test_dfs_demo_overflowing_kappa_exits_three_before_any_output(tmp_path):
+    out = tmp_path / "out"
+    result = run_script(
+        "dfs_protection_demo.py", "--kappas", "1e308", "--n-samples", "5", "--out", str(out), check=False
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
     assert not out.exists()
