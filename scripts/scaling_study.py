@@ -26,10 +26,18 @@ CASES = (
 )
 
 
+def grid_points(text: str) -> int:
+    """argparse type of --points: a power law needs a grid of at least two points."""
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"a sweep grid needs at least 2 points, got {points}")
+    return points
+
+
 def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/scaling", help="output directory")
-    parser.add_argument("--points", type=int, default=12, help="grid points per sweep")
+    parser.add_argument("--points", type=grid_points, default=12, help="grid points per sweep")
     parser.add_argument("--theta", type=cli.finite_float, default=math.pi / 4)
     parser.add_argument("--phi", type=cli.finite_float, default=0.0)
     return parser

@@ -1,10 +1,10 @@
 """Dense complex linear algebra and time-evolution primitives.
 
 Everything downstream (gates, holonomy checks, noise averaging) is built on
-plain complex ``numpy`` arrays.  Matrices are kept small (dimension cap 64,
-the six-ion register).  Every piecewise-constant evolution is a
-``Schedule``, validated once when it is built, and goes through ``evolve``,
-which exponentiates a whole batch of segments at once.  Every
+plain complex ``numpy`` arrays of dimension at most 64 (the six-ion
+register).  Every piecewise-constant evolution is a ``Schedule``, which finds
+and validates the block of its coupled levels once, and goes through
+``evolve``, which exponentiates that block for a whole batch at once.  Every
 drive generator this package builds has spectrum {0, +W, -W}, so its
 exponential has a closed form that needs no eigendecomposition; any other
 Hermitian generator falls back to ``eigh``, which keeps unitarity to machine
@@ -13,7 +13,7 @@ precision without scaling-and-squaring heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,11 +65,13 @@ class Schedule:
     first.  Both are stored as read-only copies once the generators are
     found square, at most DIM_CAP wide and Hermitian to HERMITIAN_RTOL
     relative to their largest entry, with one area per segment and at
-    least one segment.  Anything else raises ``ValueError``.
+    least one segment.  Anything else raises ``ValueError``.  The Hermitian
+    check reads only the block of ``levels``, which holds every nonzero entry.
     """
 
     generators: np.ndarray
     areas: np.ndarray
+    levels: np.ndarray = field(init=False)  # sorted, each with a nonzero row or column
 
     def __post_init__(self):
         g = np.array(self.generators, dtype=complex, order="C")
@@ -81,17 +83,20 @@ class Schedule:
         n, d, m = g.shape[-3:]
         if d != m:
             raise ValueError(f"generators must be square, got {(d, m)}")
-        if d > DIM_CAP:
-            raise ValueError(f"dimension {d} exceeds cap {DIM_CAP}")
+        if not 0 < d <= DIM_CAP:
+            raise ValueError(f"dimension {d} is outside 1..{DIM_CAP}")
         if n == 0 or a.shape[-1] != n:
             raise ValueError(f"need at least one segment and one area each, got {n} and {a.shape[-1]}")
         np.broadcast_shapes(g.shape[:-3], a.shape[:-1])  # the batch axes must broadcast
-        h = g / np.maximum(np.abs(g).max(axis=(-2, -1)), _TINY)[..., None, None]
+        nonzero = g.any(axis=tuple(range(g.ndim - 2)))  # a NaN entry is nonzero too
+        levels = np.flatnonzero((nonzero | nonzero.T).any(axis=0))
+        b = g if len(levels) == d else g[..., levels[:, None], levels].copy()  # C order, as _squared_norms needs
+        h = b / np.maximum(np.abs(b).max(axis=(-2, -1), initial=0), _TINY)[..., None, None]
         if not (_squared_norms(h - h.conj().swapaxes(-1, -2)) <= HERMITIAN_RTOL**2).all():
             raise ValueError("generator is not Hermitian within tolerance")
-        g.flags.writeable = a.flags.writeable = False
-        object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "areas", a)
+        g.flags.writeable = a.flags.writeable = levels.flags.writeable = False
+        for name, value in (("generators", g), ("areas", a), ("levels", levels)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_segments(self) -> int:
@@ -99,26 +104,25 @@ class Schedule:
 
 
 def restrict_to_coupled(schedule: Schedule, vectors) -> tuple[np.ndarray, Schedule]:
-    """The levels a schedule couples or some vector occupies, and the schedule on them.
+    """The sorted levels a schedule couples or some vector occupies, and the schedule on them.
 
-    A level is kept when its row or its column is nonzero in any generator,
-    or when any of the (..., d) vectors is nonzero on it; the sorted kept
-    levels come first.  Every other level evolves by the identity and the
-    vectors are zero there, so it stays exactly empty: evolving the vectors
-    restricted to the kept levels under the returned schedule is exact.
+    A level is kept when the schedule couples it (``schedule.levels``) or
+    when any of the (..., d) vectors is nonzero on it.  Every other level
+    evolves by the identity and the vectors are zero there, so it stays
+    exactly empty: evolving the restricted vectors under the returned
+    schedule (the schedule itself if every level is kept) is exact.
     """
-    g = schedule.generators != 0
-    d = g.shape[-1]
-    used = (g.any(axis=-1) | g.any(axis=-2)).reshape(-1, d).any(axis=0)
-    used |= (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
+    d = schedule.generators.shape[-1]
+    used = (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
+    used[schedule.levels] = True
     levels = np.flatnonzero(used)
+    if len(levels) == d:
+        return levels, schedule
     return levels, Schedule(schedule.generators[..., levels[:, None], levels], schedule.areas)
 
 
 def exponentials(schedule: Schedule) -> np.ndarray:
-    """exp(-i g_k a_k) for every segment of a schedule, unmultiplied.
-
-    The result has the broadcast batch shape + (n, d, d).
+    """exp(-i g_k a_k) for every segment of a schedule, unmultiplied: (..., n, d, d).
 
     With W^2 = ||H^2||_F^2 / ||H||_F^2, a generator with H^3 = W^2 H has
     the closed form exp(-iHt) = I - i sin(Wt) H/W - 2 sin^2(Wt/2) H^2/W^2
@@ -128,10 +132,14 @@ def exponentials(schedule: Schedule) -> np.ndarray:
     generator gives exactly I.  Every generator whose cube residual
     exceeds CUBE_RTOL is exponentiated by ``eigh`` instead.
     """
-    g, a = schedule.generators, schedule.areas
+    return _exponentials(schedule.generators, schedule.areas)
+
+
+def _exponentials(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``exponentials`` of validated C-ordered generators and their areas."""
     # Scaled to a largest entry of 1, with the areas carrying the scale, the
     # powers and squared norms below can neither overflow nor underflow.
-    scale = np.maximum(np.abs(g).max(axis=(-2, -1)), _TINY)
+    scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0), _TINY)
     h = g / scale[..., None, None]
     t = a * scale
     h2 = h @ h
@@ -155,14 +163,20 @@ def exponentials(schedule: Schedule) -> np.ndarray:
 def evolve(schedule: Schedule) -> np.ndarray:
     """Time-ordered product exp(-i g_n a_n) ... exp(-i g_1 a_1) of a schedule.
 
-    Every segment of every batch entry is exponentiated in one
-    ``exponentials`` call; the result has the broadcast batch shape +
-    (d, d).
+    Every segment of every batch entry is exponentiated in one call, on
+    the coupled ``levels`` only, and the product is embedded in the
+    identity; the result has the broadcast batch shape + (d, d).
     """
-    steps = exponentials(schedule)
+    g, levels = schedule.generators, schedule.levels
+    whole = len(levels) == g.shape[-1]
+    steps = _exponentials(g if whole else g[..., levels[:, None], levels].copy(), schedule.areas)
     # pairwise products keep time order: later slice on the left
     while steps.shape[-3] > 1:
         k = steps.shape[-3]
         paired = steps[..., 1::2, :, :] @ steps[..., 0 : k - 1 : 2, :, :]
         steps = paired if k % 2 == 0 else np.concatenate((paired, steps[..., -1:, :, :]), axis=-3)
-    return steps[..., 0, :, :]
+    if whole:
+        return steps[..., 0, :, :]
+    u = np.ones(steps.shape[:-3] + (1, 1)) * np.eye(g.shape[-1], dtype=complex)
+    u[..., levels[:, None], levels] = steps[..., 0, :, :]
+    return u

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -173,6 +174,42 @@ def test_schedule_is_a_read_only_copy(rng):
         schedule.areas[0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "entry, value",
+    [((0, 63), 1.0), ((5, 5), np.nan), ((2, 40), np.nan), ((40, 2), np.inf)],
+    ids=["lone_off_diagonal", "nan_diagonal", "nan_upper", "inf_lower"],
+)
+def test_lone_bad_entry_of_a_register_generator_is_rejected(entry, value):
+    # the entry puts its own row and column into the checked block
+    g = np.zeros((2, 64, 64), dtype=complex)
+    g[0, 10, 11] = g[0, 11, 10] = 1.0
+    g[1][entry] = value
+    # the Hermitian guard itself rejects it, not a floating-point warning
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        linalg.Schedule(g, [0.3, 0.9])
+
+
+def test_coupled_levels_are_read_only_and_match_the_restriction():
+    model = qutrit.ErrorModel(0.05, -0.03)
+    six_ion = dfs.two_logical_composite_schedule(0.8, 0.4, model)
+    enc = dfs.six_ion_encoding()
+    expected = sorted(enc.index(name) for name in ("00", "01", "a1", "11", "10", "a2"))
+    assert np.array_equal(six_ion.levels, expected)
+    g = np.zeros((2, 3, 1, 4, 4))
+    g[1, 2, 0, 2, 2] = 1.0  # one batch entry couples level 2 to itself
+    batch = linalg.Schedule(g, np.ones((3, 1)))
+    assert np.array_equal(batch.levels, [2])
+    for schedule in (six_ion, batch, GATES["composite4"].schedule(0.8, 0.3, "11")):
+        assert np.array_equal(schedule.levels, linalg.restrict_to_coupled(schedule, [])[0])
+        with pytest.raises(ValueError):
+            schedule.levels[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schedule.levels = np.arange(3)
+    assert len(linalg.Schedule(np.zeros((2, 4, 4)), [1.0, 1.0]).levels) == 0
+    with pytest.raises(TypeError):
+        linalg.Schedule(np.zeros((1, 3, 3)), [1.0], levels=[0])
+
+
 def test_restriction_keeps_rows_columns_and_vectors():
     gens = np.zeros((2, 5, 5), dtype=complex)
     gens[0, 1, 1] = 1.0
@@ -275,6 +312,35 @@ def test_zero_generator_gives_exact_identity(monkeypatch):
     steps = linalg.exponentials(linalg.Schedule(np.zeros((3, 5, 5)), [0.5, -7.0, 1e6]))
     assert np.array_equal(steps, [eye] * 3)
     assert np.array_equal(linalg.evolve(linalg.Schedule(np.zeros((2, 5, 5)), [0.3, 0.4])), eye)
+    batch = linalg.evolve(linalg.Schedule(np.zeros((2, 1, 2, 5, 5)), np.ones((3, 2))))
+    assert batch.shape == (2, 3, 5, 5) and np.array_equal(batch, np.broadcast_to(eye, batch.shape))
+
+
+def scattered_register_schedule(rng):
+    """Three random Hermitian 6x6 generators embedded at scattered levels of 64."""
+    levels = np.sort(rng.choice(64, size=6, replace=False))
+    g = np.zeros((3, 64, 64), dtype=complex)
+    for k in range(3):
+        g[k][np.ix_(levels, levels)] = random_hermitian(rng, 6)
+    return linalg.Schedule(g, rng.uniform(0.2, 1.5, size=3))
+
+
+@pytest.mark.parametrize("name", ["six_ion", "scattered"])
+def test_evolve_on_the_coupled_block_matches_the_dense_product(name, rng):
+    if name == "six_ion":
+        schedule = dfs.two_logical_composite_schedule(0.8, 0.4, qutrit.ErrorModel(0.05, -0.03))
+    else:
+        schedule = scattered_register_schedule(rng)
+    assert len(schedule.levels) == 6
+    dense = np.eye(64)
+    for g, a in zip(schedule.generators, schedule.areas):
+        dense = eigh_expm(g, a) @ dense
+    u = linalg.evolve(schedule)
+    # entrywise: a Frobenius norm over 64x64 adds up the reference's own rounding
+    assert np.abs(u - dense).max() < 1e-14
+    others = np.setdiff1d(np.arange(64), schedule.levels)
+    assert np.array_equal(u[others], np.eye(64)[others])
+    assert np.array_equal(u[:, others], np.eye(64)[:, others])
 
 
 def test_batched_evolution_matches_one_matrix_at_a_time(rng):
@@ -322,6 +388,7 @@ def test_evolve_rejects_bad_batches(rng):
         (g, [0.1]),
         (np.array([g, g + 1e-9j * np.eye(3)]), [0.1, 0.2]),
         (np.zeros((2, 65, 65)), [0.1, 0.2]),
+        (np.zeros((2, 0, 0)), [0.1, 0.2]),
         (np.zeros((2, 3, 4)), [0.1, 0.2]),
         (np.array([[g, g], [g, g]]), np.ones((3, 2))),
         (np.array([g]), 0.1),

@@ -55,6 +55,7 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
         ("dfs_protection_demo.py", ["--n-samples", "0"]),
         ("scaling_study.py", ["--points", "0"]),
         ("scaling_study.py", ["--points", "-3"]),
+        ("scaling_study.py", ["--points", "1"]),
         *(
             (name, [option, value])
             for name in ("dfs_protection_demo.py", "scaling_study.py")
@@ -64,6 +65,7 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
     ],
     ids=[
         "seed", "kappa_negative", "kappa_nan", "n_samples", "points_zero", "points_negative",
+        "points_one",
         *(
             f"{script}_{option}_{value}"
             for script in ("dfs", "scaling")
@@ -83,6 +85,9 @@ def test_script_bad_argument_exits_two_before_any_output(tmp_path, name, args):
     if args[0] in ("--theta", "--phi"):
         # rejected at parse time, as get_number rejects the config key
         assert errors[0].startswith(f"{name}: error: argument {args[0]}: must be finite")
+    if args[0] == "--points":
+        # a power law needs two points: rejected at parse time, naming the option
+        assert errors[0].startswith(f"{name}: error: argument --points: a sweep grid needs at least 2 points")
     assert not out.exists()
 
 

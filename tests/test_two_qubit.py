@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hologate import holonomy, linalg, two_qubit
+from hologate import holonomy, linalg, pulses, two_qubit
 from hologate.scaling import GATES
 from hologate.two_qubit import TwoQubitErrorModel
 
 from oracles import (
     entangling_power_check,
+    is_unitary,
     ideal_two_qubit_composite,
     ideal_two_qubit_elementary,
     operator_schmidt_values,
@@ -73,6 +74,22 @@ def test_composite_gate_hits_ideal(jk):
     assert linalg.frobenius_distance(u, ideal) < 1e-12
     assert ideal[two_qubit.LABELS.index(jk), two_qubit.LABELS.index(jk)] == -1.0
     assert ideal[4, 4] == -1.0
+
+
+@pytest.mark.parametrize("name", ["twoqubit_elementary", "twoqubit_composite"])
+@pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
+def test_five_level_gate_evolves_its_two_coupled_levels(name, jk):
+    # the loops drive |jk> to the auxiliary level and leave the other three
+    # alone; the ideal forms are checked by the *_hits_ideal tests
+    level = two_qubit.LABELS.index(jk)
+    models = (None, TwoQubitErrorModel(0.05))
+    stretch, bright = GATES[name].loops(GATES[name].recipe, 0.0, 0.0, jk, models)
+    assert np.array_equal(pulses.loop_schedule(stretch, bright, "square", 1).levels, [level, 4])
+    others = [k for k in range(4) if k != level]
+    for u in GATES[name].build(0.0, 0.0, jk, models):
+        assert is_unitary(u, 1e-14)
+        assert np.array_equal(u[others], np.eye(5)[others])
+        assert np.array_equal(u[:, others], np.eye(5)[:, others])
 
 
 def test_composite_gate_matches_integrator():
