@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """End-to-end benchmark metrics and a few kernel timings, in one JSON file.
 
-    python3 scripts/bench.py --out BENCH_17.json [--seconds 10] [--seed 1]
+    python3 scripts/bench.py --out BENCH_17.json [--seconds 10]
 
-Runs ``perfbench/run.py --trace 0`` once per workload, then times three
-kernels of this checkout's ``src/`` directly, with BLAS pinned to one
-thread as the benchmark does: one ``evolve`` and one ``Schedule``
+Runs ``perfbench/run.py --trace 0`` once per workload at seed SEED, then
+times three kernels of this checkout's ``src/`` directly, with BLAS pinned
+to one thread as the benchmark does: one ``evolve`` and one ``Schedule``
 construction of the six-ion register's two-logical-qubit schedule, and one
 ``evolve`` of a composite4 sweep (12 error points and the ideal gate, every
 distinct loop in one batch).  A kernel time is the best of 7 repeats of the
 mean over many calls, in microseconds.
 
-The file holds ``env`` (the benchmark's environment line, without the
-workload and seed), ``workloads`` (each workload's result line: ``correct``,
-``attempted``, ``failed`` and its end-to-end metrics) and ``kernels_us``.
+The file holds ``env`` (the benchmark's environment line without the
+workload, plus the seed and seconds), ``workloads`` (each workload's result
+line: ``correct``, ``attempted``, ``failed`` and its end-to-end metrics) and
+``kernels_us``.
 By convention the file of a change is ``BENCH_<number>.json`` at the root.
-Exits 1 if a workload run prints no result.
+Exits 1, writing nothing, if a workload run prints no result, fails a call
+or reads ``correct`` other than true.
 """
 
 import argparse
@@ -30,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "dfs", "certify")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 7
+SEED = 1
 
 
 def positive_float(text: str) -> float:
@@ -43,14 +46,13 @@ def build_parser():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="JSON file to write, BENCH_<number>.json by convention")
     parser.add_argument("--seconds", type=positive_float, default=10.0, help="measured seconds per workload")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed")
     return parser
 
 
-def run_workload(workload: str, seed: int, seconds: float):
+def run_workload(workload: str, seconds: float):
     """The benchmark's (environment, result) lines for one workload, or None."""
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or len(lines) < 2:
@@ -90,15 +92,18 @@ def main() -> int:
     args = build_parser().parse_args()
     env, results = None, {}
     for workload in WORKLOADS:
-        run = run_workload(workload, args.seed, args.seconds)
+        run = run_workload(workload, args.seconds)
         if run is None:
             print(f"{workload}: the benchmark printed no result", file=sys.stderr)
             return 1
         env = {k: v for k, v in run[0].items() if k not in ("workload", "seed")}
         results[workload] = run[1]
         print(workload, "correct:", run[1]["correct"], "failed:", run[1]["failed"])
+        if run[1]["correct"] is not True or run[1]["failed"] != 0:
+            print(f"{workload}: a call failed or an output check did not pass; nothing is written", file=sys.stderr)
+            return 1
     record = {
-        "env": {**env, "seed": args.seed, "seconds": args.seconds},
+        "env": {**env, "seed": SEED, "seconds": args.seconds},
         "workloads": results,
         "kernels_us": kernel_timings(),
     }

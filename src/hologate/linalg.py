@@ -110,15 +110,21 @@ def restrict_to_coupled(schedule: Schedule, vectors) -> tuple[np.ndarray, Schedu
     when any of the (..., d) vectors is nonzero on it.  Every other level
     evolves by the identity and the vectors are zero there, so it stays
     exactly empty: evolving the restricted vectors under the returned
-    schedule (the schedule itself if every level is kept) is exact.
+    schedule (the schedule itself if it couples every level) is exact.
     """
     d = schedule.generators.shape[-1]
+    if len(schedule.levels) == d:
+        return schedule.levels, schedule
     used = (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
     used[schedule.levels] = True
     levels = np.flatnonzero(used)
-    if len(levels) == d:
-        return levels, schedule
-    return levels, Schedule(schedule.generators[..., levels[:, None], levels], schedule.areas)
+    block = object.__new__(Schedule)  # the block of a valid schedule is valid: no re-check
+    g = schedule.generators[..., levels[:, None], levels].copy()  # C order, as _squared_norms needs
+    coupled = np.searchsorted(levels, schedule.levels)
+    g.flags.writeable = coupled.flags.writeable = False
+    for name, value in (("generators", g), ("areas", schedule.areas), ("levels", coupled)):
+        object.__setattr__(block, name, value)
+    return levels, block
 
 
 def exponentials(schedule: Schedule) -> np.ndarray:
@@ -132,11 +138,7 @@ def exponentials(schedule: Schedule) -> np.ndarray:
     generator gives exactly I.  Every generator whose cube residual
     exceeds CUBE_RTOL is exponentiated by ``eigh`` instead.
     """
-    return _exponentials(schedule.generators, schedule.areas)
-
-
-def _exponentials(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``exponentials`` of validated C-ordered generators and their areas."""
+    g, a = schedule.generators, schedule.areas
     # Scaled to a largest entry of 1, with the areas carrying the scale, the
     # powers and squared norms below can neither overflow nor underflow.
     scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0), _TINY)
@@ -167,16 +169,15 @@ def evolve(schedule: Schedule) -> np.ndarray:
     the coupled ``levels`` only, and the product is embedded in the
     identity; the result has the broadcast batch shape + (d, d).
     """
-    g, levels = schedule.generators, schedule.levels
-    whole = len(levels) == g.shape[-1]
-    steps = _exponentials(g if whole else g[..., levels[:, None], levels].copy(), schedule.areas)
+    levels, block = restrict_to_coupled(schedule, [])
+    steps = exponentials(block)
     # pairwise products keep time order: later slice on the left
     while steps.shape[-3] > 1:
         k = steps.shape[-3]
         paired = steps[..., 1::2, :, :] @ steps[..., 0 : k - 1 : 2, :, :]
         steps = paired if k % 2 == 0 else np.concatenate((paired, steps[..., -1:, :, :]), axis=-3)
-    if whole:
+    if block is schedule:
         return steps[..., 0, :, :]
-    u = np.ones(steps.shape[:-3] + (1, 1)) * np.eye(g.shape[-1], dtype=complex)
+    u = np.ones(steps.shape[:-3] + (1, 1)) * np.eye(schedule.generators.shape[-1], dtype=complex)
     u[..., levels[:, None], levels] = steps[..., 0, :, :]
     return u

@@ -222,12 +222,15 @@ def test_restriction_keeps_rows_columns_and_vectors():
         assert np.array_equal(restricted.generators, g[:, [1, 2, 3]][:, :, [1, 2, 3]])
         assert np.array_equal(restricted.areas, [0.3, 0.9])
     schedule = linalg.Schedule(gens, [0.3, 0.9])
-    levels, _ = linalg.restrict_to_coupled(schedule, np.eye(5)[[0, 4]])
+    levels, restricted = linalg.restrict_to_coupled(schedule, np.eye(5)[[0, 4]])
     assert np.array_equal(levels, [0, 1, 2, 3, 4])
+    assert np.array_equal(restricted.generators, gens) and np.array_equal(restricted.levels, [1, 2, 3])
     batch = linalg.Schedule(gens[None], [[0.3, 0.9]])
     levels, restricted = linalg.restrict_to_coupled(batch, [0, 0, 0, 0, 1j])
     assert np.array_equal(levels, [1, 2, 3, 4])
     assert restricted.generators.shape == (1, 2, 4, 4)
+    assert np.array_equal(restricted.levels, [0, 1, 2])  # the vector's level 4 is uncoupled
+    assert not restricted.generators.flags.writeable and not restricted.levels.flags.writeable
     levels, _ = linalg.restrict_to_coupled(linalg.Schedule(np.zeros((1, 5, 5)), [1.0]), np.eye(5)[0])
     assert np.array_equal(levels, [0])
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -102,3 +103,19 @@ def test_dfs_demo_overflowing_kappa_exits_three_before_any_output(tmp_path):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (None, 0)])
+def test_bench_writes_no_record_of_a_failing_run(tmp_path, monkeypatch, capsys, correct, failed):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    result = {"correct": True, "failed": 0}
+    runs = {"sweep": result, "dfs": {"correct": correct, "failed": failed}, "certify": result}
+    monkeypatch.setattr(bench, "run_workload", lambda workload, seconds: ({"python": "3"}, runs[workload]))
+    monkeypatch.setattr(bench, "kernel_timings", lambda: pytest.fail("timed the kernels of a failing run"))
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--seconds", "1", "--out", str(out)])
+    assert bench.main() == 1
+    assert not out.exists()
+    assert "dfs: a call failed or an output check did not pass" in capsys.readouterr().err
