@@ -22,6 +22,7 @@ or reads ``correct`` other than true.
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,8 +38,8 @@ SEED = 1
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 

@@ -45,6 +45,7 @@ def build_parser():
 
 def study(args):
     """Each case's CSV text and summary line; a bad argument raises ValueError."""
+    cli.check_sweep_size("--points", args.points)
     grid = scaling.default_epsilon_grid(args.points)
     csvs, lines = {}, []
     for kind, mode in CASES:

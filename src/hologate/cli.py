@@ -76,8 +76,8 @@ def get_number(cfg: dict, key: str, default=None) -> float:
     value = cfg.get(key, default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer no float holds
+        raise ConfigError(f"config key {key!r} must be a finite float, got {value!r}")
     return float(value)
 
 
@@ -104,9 +104,17 @@ def get_int(cfg: dict, key: str, default=None) -> int:
 def check_run_size(key: str, n_bytes: int) -> None:
     if n_bytes > MAX_RUN_BYTES:
         raise ConfigError(
-            f"config key {key!r} asks for about {n_bytes / 2**20:.0f} MB,"
-            f" over the {MAX_RUN_BYTES // 2**20} MB limit"
+            f"{key!r} asks for about {n_bytes // 2**20} MB, over the {MAX_RUN_BYTES // 2**20} MB limit"
         )
+
+
+# The sweep and protection-run estimates; key names the config key or script option.
+def check_sweep_size(key: str, points: int) -> None:
+    check_run_size(key, 4096 * points)
+
+
+def check_dfs_size(key: str, schedule: linalg.Schedule, n_samples: int) -> None:
+    check_run_size(key, 16 * n_samples * (2 * schedule.generators.shape[-1] + schedule.n_segments))
 
 
 def get_choice(cfg: dict, key: str, choices, default=None) -> str:
@@ -240,7 +248,7 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
         points = get_int(raw, "points", 12)
         if points < 2:
             raise ConfigError("epsilon grid needs at least 2 points")
-        check_run_size("epsilons", 4096 * points)
+        check_sweep_size("epsilons", points)
         return scaling.default_epsilon_grid(points)
     if isinstance(raw, list):
         # every entry passes the check of a number-valued key
@@ -303,8 +311,7 @@ def cmd_dfs(cfg: dict) -> tuple[dict, dict]:
 
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
     schedule = dfs.logical_composite_schedule(theta, phi)
-    dim = schedule.generators.shape[-1]
-    check_run_size("n_samples", 16 * n_samples * (2 * dim + schedule.n_segments))
+    check_dfs_size("n_samples", schedule, n_samples)
 
     encoded, unencoded, closed_form = dfs.protection_run(schedule, channel, seed)
     outputs = {

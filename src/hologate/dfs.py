@@ -228,8 +228,9 @@ def kicked_schedule_fidelities(
 
     One kick follows every segment of an unbatched schedule.  Fidelity is
     the phase-insensitive overlap squared with the kick-free final state.
-    Only the levels the schedule couples or psi0 occupies are evolved: the
-    others stay exactly empty, and the diagonal kicks cannot fill them.
+    Only the levels the schedule couples or psi0 occupies are evolved
+    (``linalg.exponentials``): the others stay exactly empty, and the
+    diagonal kicks cannot fill them.
     """
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
@@ -237,8 +238,7 @@ def kicked_schedule_fidelities(
     n_ions = _n_ions(psi0)
     if schedule.generators.shape[-1] != psi0.size:
         raise ValueError(f"schedule and psi0 must act on the {psi0.size} levels of {n_ions} ions")
-    levels, schedule = linalg.restrict_to_coupled(schedule, psi0)
-    propagators = linalg.exponentials(schedule)
+    levels, propagators = linalg.exponentials(schedule, psi0)
     psi0 = psi0[levels]
 
     clean = psi0.copy()

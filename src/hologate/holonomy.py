@@ -24,8 +24,8 @@ class EvolutionTrace:
     """Subspace evolution under a piecewise-constant schedule, at its segment boundaries.
 
     levels holds the sorted register levels that some generator couples or
-    some basis vector occupies (``linalg.restrict_to_coupled``); the other
-    levels stay exactly zero and are not stored.  states has shape
+    some basis vector occupies, as ``linalg.exponentials`` returns them; the
+    other levels stay exactly zero and are not stored.  states has shape
     (n_basis, n_segments + 1, n_levels): boundary k holds each basis vector
     at the start of segment k, the last one the final state.  generators
     has shape (n_segments, n_levels, n_levels).
@@ -57,8 +57,8 @@ def trace_evolution(
 ) -> EvolutionTrace:
     """Propagate an orthonormal subspace basis through an unbatched schedule.
 
-    Each segment is exponentiated once, over the coupled levels only, and
-    the states are stored at every segment boundary.  samples_per_segment
+    Each segment is exponentiated once, on the coupled and occupied
+    levels, and the states are kept at every boundary.  samples_per_segment
     must be at least 1 and changes nothing: no state inside a segment is needed.
     """
     if samples_per_segment < 1:
@@ -70,14 +70,12 @@ def trace_evolution(
         raise ValueError("subspace basis is not orthonormal")
     if basis.shape[1] != schedule.generators.shape[-1]:
         raise ValueError("basis dimension does not match schedule generators")
-    levels, schedule = linalg.restrict_to_coupled(schedule, basis)
-
-    steps = linalg.exponentials(schedule)
+    levels, steps = linalg.exponentials(schedule, basis)
     states = np.empty((len(basis), len(steps) + 1, len(levels)), dtype=complex)
     states[:, 0, :] = basis[:, levels]
     for k, step in enumerate(steps):
         states[:, k + 1, :] = states[:, k, :] @ step.T
-    return EvolutionTrace(levels=levels, states=states, generators=schedule.generators)
+    return EvolutionTrace(levels=levels, states=states, generators=schedule.generators[:, levels[:, None], levels])
 
 
 def peak_rabi(trace: EvolutionTrace) -> float:

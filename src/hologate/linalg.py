@@ -3,8 +3,8 @@
 Everything downstream (gates, holonomy checks, noise averaging) is built on
 plain complex ``numpy`` arrays of dimension at most 64 (the six-ion
 register).  Every piecewise-constant evolution is a ``Schedule``, which finds
-and validates the block of its coupled levels once, and goes through
-``evolve``, which exponentiates that block for a whole batch at once.  Every
+and validates the block of its coupled levels once; ``exponentials`` returns
+that block's levels and exponentials for a whole batch at once.  Every
 drive generator this package builds has spectrum {0, +W, -W}, so its
 exponential has a closed form that needs no eigendecomposition; any other
 Hermitian generator falls back to ``eigh``, which keeps unitarity to machine
@@ -103,32 +103,14 @@ class Schedule:
         return self.generators.shape[-3]
 
 
-def restrict_to_coupled(schedule: Schedule, vectors) -> tuple[np.ndarray, Schedule]:
-    """The sorted levels a schedule couples or some vector occupies, and the schedule on them.
+def exponentials(schedule: Schedule, vectors=()) -> tuple[np.ndarray, np.ndarray]:
+    """The kept levels and exp(-i g_k a_k) on them for every segment, unmultiplied.
 
     A level is kept when the schedule couples it (``schedule.levels``) or
     when any of the (..., d) vectors is nonzero on it.  Every other level
     evolves by the identity and the vectors are zero there, so it stays
-    exactly empty: evolving the restricted vectors under the returned
-    schedule (the schedule itself if it couples every level) is exact.
-    """
-    d = schedule.generators.shape[-1]
-    if len(schedule.levels) == d:
-        return schedule.levels, schedule
-    used = (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
-    used[schedule.levels] = True
-    levels = np.flatnonzero(used)
-    block = object.__new__(Schedule)  # the block of a valid schedule is valid: no re-check
-    g = schedule.generators[..., levels[:, None], levels].copy()  # C order, as _squared_norms needs
-    coupled = np.searchsorted(levels, schedule.levels)
-    g.flags.writeable = coupled.flags.writeable = False
-    for name, value in (("generators", g), ("areas", schedule.areas), ("levels", coupled)):
-        object.__setattr__(block, name, value)
-    return levels, block
-
-
-def exponentials(schedule: Schedule) -> np.ndarray:
-    """exp(-i g_k a_k) for every segment of a schedule, unmultiplied: (..., n, d, d).
+    exactly empty: evolving the vectors on the kept levels is exact.  The
+    steps have shape (..., n, L, L) for L kept levels.
 
     With W^2 = ||H^2||_F^2 / ||H||_F^2, a generator with H^3 = W^2 H has
     the closed form exp(-iHt) = I - i sin(Wt) H/W - 2 sin^2(Wt/2) H^2/W^2
@@ -139,6 +121,12 @@ def exponentials(schedule: Schedule) -> np.ndarray:
     exceeds CUBE_RTOL is exponentiated by ``eigh`` instead.
     """
     g, a = schedule.generators, schedule.areas
+    d = g.shape[-1]
+    used = (np.asarray(vectors) != 0).reshape(-1, d).any(axis=0)
+    used[schedule.levels] = True
+    levels = np.flatnonzero(used)
+    if len(levels) < d:  # otherwise the generators are used as they are, uncopied
+        g = g[..., levels[:, None], levels].copy()  # C order, as _squared_norms needs
     # Scaled to a largest entry of 1, with the areas carrying the scale, the
     # powers and squared norms below can neither overflow nor underflow.
     scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0), _TINY)
@@ -159,7 +147,7 @@ def exponentials(schedule: Schedule) -> np.ndarray:
         vals, vecs = np.linalg.eigh(np.broadcast_to(h, steps.shape)[fallback])
         phases = np.exp(-1j * vals * np.broadcast_to(t, fallback.shape)[fallback][:, None])
         steps[fallback] = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return steps
+    return levels, steps
 
 
 def evolve(schedule: Schedule) -> np.ndarray:
@@ -169,15 +157,12 @@ def evolve(schedule: Schedule) -> np.ndarray:
     the coupled ``levels`` only, and the product is embedded in the
     identity; the result has the broadcast batch shape + (d, d).
     """
-    levels, block = restrict_to_coupled(schedule, [])
-    steps = exponentials(block)
+    levels, steps = exponentials(schedule)
     # pairwise products keep time order: later slice on the left
     while steps.shape[-3] > 1:
         k = steps.shape[-3]
         paired = steps[..., 1::2, :, :] @ steps[..., 0 : k - 1 : 2, :, :]
         steps = paired if k % 2 == 0 else np.concatenate((paired, steps[..., -1:, :, :]), axis=-3)
-    if block is schedule:
-        return steps[..., 0, :, :]
     u = np.ones(steps.shape[:-3] + (1, 1)) * np.eye(schedule.generators.shape[-1], dtype=complex)
     u[..., levels[:, None], levels] = steps[..., 0, :, :]
     return u

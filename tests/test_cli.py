@@ -539,6 +539,28 @@ def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+# 401 digits: json writes it as an integer, and no float holds it
+HUGE = 10**400 + 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("gate", {"gate": "elementary", "theta": HUGE}, "theta"),
+        ("dfs", {"kappa": HUGE}, "kappa"),
+        ("sweep", {"gate_kind": "elementary", "error_mode": "common", "epsilons": [0.01, -HUGE]}, "epsilons"),
+        ("gate", {"gate": "elementary", "error": {"eps0": 0.01, "eps1": HUGE}}, "eps1"),
+    ],
+    ids=["top_level", "dfs_top_level", "epsilons_entry", "error_field"],
+)
+def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, command, payload, key):
+    out = tmp_path / "out"
+    assert run([command, "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: config key {key!r} must be a finite float")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -547,6 +569,10 @@ def test_dfs_non_finite_numerics_exit_three(tmp_path, capsys, payload):
         ("gate", {"gate": "composite4", "envelope": "sine_squared", "steps": 10**10}),
         ("gate", {"gate": "twoqubit_elementary", "steps": 10**10}),
         ("sweep", {"gate_kind": "elementary", "error_mode": "common", "epsilons": {"points": 10**10}}),
+        # sizes whose byte estimate no float holds
+        ("dfs", {"n_samples": 10**400}),
+        ("gate", {"gate": "composite4", "steps": 10**400}),
+        ("sweep", {"gate_kind": "single", "error_mode": "common", "epsilons": {"points": 10**400}}),
     ],
 )
 def test_oversized_runs_exit_two_before_allocating(tmp_path, capsys, command, payload):

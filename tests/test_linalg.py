@@ -22,7 +22,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def expm(h, t):
     """exp(-i h t) for one generator, by the package's exponential kernel."""
-    return linalg.exponentials(linalg.Schedule([h], [t]))[0]
+    return linalg.evolve(linalg.Schedule([h], [t]))
 
 
 def embed(block, dim, offset=0):
@@ -200,7 +200,7 @@ def test_coupled_levels_are_read_only_and_match_the_restriction():
     batch = linalg.Schedule(g, np.ones((3, 1)))
     assert np.array_equal(batch.levels, [2])
     for schedule in (six_ion, batch, GATES["composite4"].schedule(0.8, 0.3, "11")):
-        assert np.array_equal(schedule.levels, linalg.restrict_to_coupled(schedule, [])[0])
+        assert np.array_equal(schedule.levels, linalg.exponentials(schedule)[0])
         with pytest.raises(ValueError):
             schedule.levels[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -217,22 +217,30 @@ def test_restriction_keeps_rows_columns_and_vectors():
     gens[1, 2, 2] = -2.0  # a diagonal entry couples its level to itself
     none = np.zeros(5)
     for g in (gens, gens.swapaxes(-1, -2)):
-        levels, restricted = linalg.restrict_to_coupled(linalg.Schedule(g, [0.3, 0.9]), none)
+        levels, steps = linalg.exponentials(linalg.Schedule(g, [0.3, 0.9]), none)
         assert np.array_equal(levels, [1, 2, 3])
-        assert np.array_equal(restricted.generators, g[:, [1, 2, 3]][:, :, [1, 2, 3]])
-        assert np.array_equal(restricted.areas, [0.3, 0.9])
+        # the steps of the sliced block, which couples each of its levels
+        block = linalg.Schedule(g[:, [1, 2, 3]][:, :, [1, 2, 3]], [0.3, 0.9])
+        assert np.array_equal(linalg.exponentials(block)[0], [0, 1, 2])
+        assert np.array_equal(steps, linalg.exponentials(block)[1])
+        for step, h, a in zip(steps, block.generators, [0.3, 0.9]):
+            assert linalg.frobenius_distance(step, eigh_expm(h, a)) < 1e-13
     schedule = linalg.Schedule(gens, [0.3, 0.9])
-    levels, restricted = linalg.restrict_to_coupled(schedule, np.eye(5)[[0, 4]])
-    assert np.array_equal(levels, [0, 1, 2, 3, 4])
-    assert np.array_equal(restricted.generators, gens) and np.array_equal(restricted.levels, [1, 2, 3])
+    levels, steps = linalg.exponentials(schedule, np.eye(5)[[0, 4]])
+    assert np.array_equal(levels, [0, 1, 2, 3, 4]) and np.array_equal(schedule.levels, [1, 2, 3])
+    assert steps.shape == (2, 5, 5)
+    for k in (0, 4):  # occupied but uncoupled: the identity exactly
+        assert np.array_equal(steps[:, k], np.broadcast_to(np.eye(5)[k], (2, 5)))
+        assert np.array_equal(steps[:, :, k], np.broadcast_to(np.eye(5)[k], (2, 5)))
     batch = linalg.Schedule(gens[None], [[0.3, 0.9]])
-    levels, restricted = linalg.restrict_to_coupled(batch, [0, 0, 0, 0, 1j])
+    levels, batch_steps = linalg.exponentials(batch, [0, 0, 0, 0, 1j])
     assert np.array_equal(levels, [1, 2, 3, 4])
-    assert restricted.generators.shape == (1, 2, 4, 4)
-    assert np.array_equal(restricted.levels, [0, 1, 2])  # the vector's level 4 is uncoupled
-    assert not restricted.generators.flags.writeable and not restricted.levels.flags.writeable
-    levels, _ = linalg.restrict_to_coupled(linalg.Schedule(np.zeros((1, 5, 5)), [1.0]), np.eye(5)[0])
-    assert np.array_equal(levels, [0])
+    assert batch_steps.shape == (1, 2, 4, 4)
+    assert np.array_equal(batch_steps[0], steps[:, 1:, 1:])  # the vector's level 4 is uncoupled
+    levels, steps = linalg.exponentials(linalg.Schedule(np.zeros((1, 5, 5)), [1.0]), np.eye(5)[0])
+    assert np.array_equal(levels, [0]) and np.array_equal(steps, [[[1.0]]])
+    levels, steps = linalg.exponentials(linalg.Schedule(np.zeros((1, 5, 5)), [1.0]))
+    assert len(levels) == 0 and steps.shape == (1, 0, 0)
 
 
 def package_generators():
@@ -263,11 +271,13 @@ def test_closed_form_matches_eigh_on_package_generators(family, monkeypatch):
     areas = np.array([0.01, math.pi / 2, 2.0, -1.3, 7.5])
     expected = [[eigh_expm(g, a) for a in areas] for g in gens]
     forbid_eigh(monkeypatch)
-    got = linalg.exponentials(linalg.Schedule(gens[:, None, None], areas[:, None]))[..., 0, :, :]
-    assert got.shape == (len(gens), len(areas)) + gens.shape[1:]
+    levels, steps = linalg.exponentials(linalg.Schedule(gens[:, None, None], areas[:, None]))
+    got = steps[..., 0, :, :]
+    assert got.shape == (len(gens), len(areas), len(levels), len(levels))
+    block = np.ix_(levels, levels)
     for g, row, ref_row in zip(gens, got, expected):
         for u, ref in zip(row, ref_row):
-            assert linalg.frobenius_distance(u, ref) < 1e-13
+            assert linalg.frobenius_distance(u, ref[block]) < 1e-13
         assert linalg.frobenius_distance(expm(g, areas[1]), ref_row[1]) < 1e-13
 
 
@@ -312,8 +322,11 @@ def test_exponential_is_exact_at_extreme_generator_scales(scale, closed_form, rn
 def test_zero_generator_gives_exact_identity(monkeypatch):
     forbid_eigh(monkeypatch)
     eye = np.eye(5)
-    steps = linalg.exponentials(linalg.Schedule(np.zeros((3, 5, 5)), [0.5, -7.0, 1e6]))
-    assert np.array_equal(steps, [eye] * 3)
+    zero = linalg.Schedule(np.zeros((3, 5, 5)), [0.5, -7.0, 1e6])
+    levels, steps = linalg.exponentials(zero, np.ones(5))
+    assert np.array_equal(levels, np.arange(5)) and np.array_equal(steps, [eye] * 3)
+    levels, steps = linalg.exponentials(zero)
+    assert len(levels) == 0 and steps.shape == (3, 0, 0)
     assert np.array_equal(linalg.evolve(linalg.Schedule(np.zeros((2, 5, 5)), [0.3, 0.4])), eye)
     batch = linalg.evolve(linalg.Schedule(np.zeros((2, 1, 2, 5, 5)), np.ones((3, 2))))
     assert batch.shape == (2, 3, 5, 5) and np.array_equal(batch, np.broadcast_to(eye, batch.shape))
@@ -357,8 +370,9 @@ def test_batched_evolution_matches_one_matrix_at_a_time(rng):
     )
     areas = rng.uniform(-2.0, 2.0, size=(4, 3))
     schedule = linalg.Schedule(gens, areas)
-    batch = linalg.exponentials(schedule)
+    levels, batch = linalg.exponentials(schedule)
     products = linalg.evolve(schedule)
+    assert np.array_equal(levels, np.arange(3))
     assert batch.shape == (4, 3, 3, 3) and products.shape == (4, 3, 3)
     for b in range(4):
         for k in range(3):

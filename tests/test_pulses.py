@@ -27,8 +27,7 @@ def drive(bright, phase):
 def loop_unitary(bright, area):
     """The elementary loop at segment area ``area``: phase pi/2 first, then 0."""
     generators = [drive(bright, p) for p in (math.pi / 2, 0.0)]
-    first, second = linalg.exponentials(linalg.Schedule(generators, [area, area]))
-    return second @ first
+    return linalg.evolve(linalg.Schedule(generators, [area, area]))
 
 
 def test_segment_validation():

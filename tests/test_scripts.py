@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from hologate import cli
+from hologate import cli, dfs, scaling
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name, *args, check=True):
@@ -57,6 +65,9 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
         ("scaling_study.py", ["--points", "0"]),
         ("scaling_study.py", ["--points", "-3"]),
         ("scaling_study.py", ["--points", "1"]),
+        # over the CLI's size limit; without it numpy would refuse these at once
+        ("dfs_protection_demo.py", ["--n-samples", str(10**15)]),
+        ("scaling_study.py", ["--points", str(10**15)]),
         *(
             (name, [option, value])
             for name in ("dfs_protection_demo.py", "scaling_study.py")
@@ -66,7 +77,7 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
     ],
     ids=[
         "seed", "kappa_negative", "kappa_nan", "n_samples", "points_zero", "points_negative",
-        "points_one",
+        "points_one", "n_samples_oversized", "points_oversized",
         *(
             f"{script}_{option}_{value}"
             for script in ("dfs", "scaling")
@@ -86,10 +97,31 @@ def test_script_bad_argument_exits_two_before_any_output(tmp_path, name, args):
     if args[0] in ("--theta", "--phi"):
         # rejected at parse time, as get_number rejects the config key
         assert errors[0].startswith(f"{name}: error: argument {args[0]}: must be finite")
-    if args[0] == "--points":
+    if args[1] == str(10**15):
+        assert errors[0].startswith(f"{name}: error: {args[0]!r} asks for about")
+        assert errors[0].endswith("MB limit")
+    elif args[0] == "--points":
         # a power law needs two points: rejected at parse time, naming the option
         assert errors[0].startswith(f"{name}: error: argument --points: a sweep grid needs at least 2 points")
     assert not out.exists()
+
+
+def test_script_size_limits_are_the_cli_estimates(monkeypatch):
+    checked = []
+    monkeypatch.setattr(cli, "check_run_size", lambda key, n_bytes: checked.append((key, n_bytes)))
+    monkeypatch.setattr(dfs, "protection_run", lambda *args: pytest.fail("ran past the size check"))
+    monkeypatch.setattr(scaling, "default_epsilon_grid", lambda points: pytest.fail("ran past the size check"))
+    demo, study = load_script("dfs_protection_demo.py"), load_script("scaling_study.py")
+    with pytest.raises(pytest.fail.Exception):
+        demo.protection_rows(demo.build_parser().parse_args(["--n-samples", "3000"]))
+    with pytest.raises(pytest.fail.Exception):
+        study.study(study.build_parser().parse_args(["--points", "40"]))
+    schedule = dfs.logical_composite_schedule(math.pi / 4, 0.0)
+    expected = []
+    monkeypatch.setattr(cli, "check_run_size", lambda key, n_bytes: expected.append((key, n_bytes)))
+    cli.check_dfs_size("--n-samples", schedule, 3000)
+    cli.check_sweep_size("--points", 40)
+    assert checked == expected
 
 
 def test_dfs_demo_overflowing_kappa_exits_three_before_any_output(tmp_path):
@@ -107,9 +139,7 @@ def test_dfs_demo_overflowing_kappa_exits_three_before_any_output(tmp_path):
 
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (None, 0)])
 def test_bench_writes_no_record_of_a_failing_run(tmp_path, monkeypatch, capsys, correct, failed):
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_script("bench.py")
     result = {"correct": True, "failed": 0}
     runs = {"sweep": result, "dfs": {"correct": correct, "failed": failed}, "certify": result}
     monkeypatch.setattr(bench, "run_workload", lambda workload, seconds: ({"python": "3"}, runs[workload]))
@@ -119,3 +149,48 @@ def test_bench_writes_no_record_of_a_failing_run(tmp_path, monkeypatch, capsys, 
     assert bench.main() == 1
     assert not out.exists()
     assert "dfs: a call failed or an output check did not pass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seconds", ["inf", "-inf", "nan", "0", "-1"])
+def test_bench_rejects_a_duration_that_is_not_positive_and_finite(capsys, seconds):
+    parser = load_script("bench.py").build_parser()
+    assert parser.parse_args(["--out", "BENCH.json", "--seconds", "2.5"]).seconds == 2.5
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--out", "BENCH.json", f"--seconds={seconds}"])
+    assert exc.value.code == 2
+    assert "argument --seconds: must be positive and finite" in capsys.readouterr().err
+
+
+def test_outputs_writes_every_benchmark_entry_once(tmp_path):
+    out = tmp_path / "outputs"
+    result = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "outputs.py"), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["certify", "dfs", "sweep"]
+    # 45 entries per seed: 20 sweep, 12 dfs and 13 certify calls
+    entries = list(out.glob("*/seed*/*"))
+    assert len(entries) == 135
+    assert {p.read_text() for p in out.rglob("exit_code")} == {"0\n"}
+    assert len(list(out.rglob("certificate"))) == 6 and len(list(out.rglob("gate.bin"))) == 3
+    for path in out.rglob("*.json"):
+        assert "timestamp" not in json.loads(path.read_text())
+    again = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "outputs.py"), "--out", str(out)], capture_output=True, text=True
+    )
+    assert again.returncode == 2 and "exists already" in again.stderr
+
+
+def test_outputs_exits_one_when_a_holgate_call_fails(tmp_path, monkeypatch, capsys):
+    outputs = load_script("outputs.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in outputs.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    main = cli.main
+    monkeypatch.setattr(cli, "main", lambda argv: 3 if argv[0] == "dfs" else main(argv))
+    monkeypatch.setattr(sys, "argv", ["outputs.py", "--out", str(tmp_path / "out")])
+    assert outputs.main() == 1
+    assert (tmp_path / "out" / "dfs" / "seed1" / "00_dfs" / "exit_code").read_text() == "3\n"
+    assert (tmp_path / "out" / "sweep" / "seed1" / "00_sweep" / "exit_code").read_text() == "0\n"
+    assert "a holgate call exited nonzero" in capsys.readouterr().err
