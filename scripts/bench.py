@@ -75,7 +75,7 @@ def kernel_timings() -> dict:
     generators, areas = np.array(six_ion.generators), np.array(six_ion.areas)
     gate = scaling.GATES["composite4"]
     models = [None] + [gate.error_modes["common"](eps) for eps in scaling.default_epsilon_grid(12)]
-    sweep = pulses.loop_schedule(*gate.loops(gate.recipe, 0.9, 0.3, "11", models), "square", 1)
+    sweep = pulses.loop_schedule(gate.loops(gate.recipe, 0.9, 0.3, "11", models), "square", 1)
     kernels = {
         "six_ion_evolve": lambda: linalg.evolve(six_ion),
         "six_ion_schedule": lambda: linalg.Schedule(generators, areas),

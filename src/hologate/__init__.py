@@ -9,7 +9,7 @@ table of gates.
 """
 
 from .linalg import Schedule, evolve, frobenius_distance
-from .qutrit import BrightDarkFrame, ErrorModel, effective_error_params
+from .qutrit import BrightDarkFrame, ErrorModel
 from .scaling import ScalingFit, SweepSpec, gate_fidelity
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ __all__ = [
     "ScalingFit",
     "Schedule",
     "SweepSpec",
-    "effective_error_params",
     "evolve",
     "frobenius_distance",
     "gate_fidelity",

@@ -246,14 +246,18 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
     if isinstance(raw, dict):
         check_keys(raw, {"points"}, set())
         points = get_int(raw, "points", 12)
-        if points < 2:
-            raise ConfigError("epsilon grid needs at least 2 points")
-        check_sweep_size("epsilons", points)
+    elif isinstance(raw, list):
+        points = len(raw)
+    else:
+        raise ConfigError("config key 'epsilons' must be a list or a {points: N} object")
+    # a grid and a list are held to the same count and size
+    if points < 2:
+        raise ConfigError("epsilon grid needs at least 2 points")
+    check_sweep_size("epsilons", points)
+    if isinstance(raw, dict):
         return scaling.default_epsilon_grid(points)
-    if isinstance(raw, list):
-        # every entry passes the check of a number-valued key
-        return tuple(get_number({"epsilons": v}, "epsilons") for v in raw)
-    raise ConfigError("config key 'epsilons' must be a list or a {points: N} object")
+    # every entry passes the check of a number-valued key
+    return tuple(get_number({"epsilons": v}, "epsilons") for v in raw)
 
 
 def cmd_sweep(cfg: dict) -> tuple[dict, dict]:
@@ -327,6 +331,16 @@ def cmd_dfs(cfg: dict) -> tuple[dict, dict]:
     return outputs, {"dfs.csv": csv_text(rows, ("kappa", "encoded_fidelity", "unencoded_fidelity"))}
 
 
+# Each subcommand's function, record name and help.  The function returns
+# its outputs and the CSV texts it writes beside its record.
+COMMANDS = {
+    "gate": (cmd_gate, "gate_result.json", "build a gate and compare it to its ideal form"),
+    "sweep": (cmd_sweep, "sweep_result.json", "sweep a systematic error and fit the infidelity scaling order"),
+    "check-holonomy": (cmd_check_holonomy, "holonomy_result.json", "certify loop closure and vanishing dynamical phase"),
+    "dfs": (cmd_dfs, "dfs_result.json", "run the collective-dephasing protection demonstration"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holgate",
@@ -334,25 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, info in (
-        ("gate", "build a gate and compare it to its ideal form"),
-        ("sweep", "sweep a systematic error and fit the infidelity scaling order"),
-        ("check-holonomy", "certify loop closure and vanishing dynamical phase"),
-        ("dfs", "run the collective-dephasing protection demonstration"),
-    ):
+    for name, (_, _, info) in COMMANDS.items():
         p = sub.add_parser(name, help=info)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
     return parser
-
-
-# each command returns its outputs and the CSV texts it writes beside its record
-COMMANDS = {
-    "gate": (cmd_gate, "gate_result.json"),
-    "sweep": (cmd_sweep, "sweep_result.json"),
-    "check-holonomy": (cmd_check_holonomy, "holonomy_result.json"),
-    "dfs": (cmd_dfs, "dfs_result.json"),
-}
 
 
 # parse_args leaves the parser unchanged, so one instance serves every call
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        command, record_name = COMMANDS[args.command]
+        command, record_name, _ = COMMANDS[args.command]
         with strict_numerics():
             outputs, files = command(cfg)
         record = make_record(args.command, cfg, outputs)

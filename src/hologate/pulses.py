@@ -70,33 +70,29 @@ class Recipe:
         return gate
 
 
-def loop_schedule(stretch, bright, envelope: str, steps: int, order=None) -> linalg.Schedule:
+def loop_schedule(field, envelope: str, steps: int, order=None) -> linalg.Schedule:
     """Every envelope slice of a batch of elementary loops, as one schedule.
 
-    Loop k drives its unit bright vector ``bright[..., k, :]`` (..., n_loops,
-    d) to the last level, the auxiliary one, which the vector leaves empty:
-    its segments run the generators e^{i phi0} |b><last| + h.c. at the
-    drive phases ``DRIVE_PHASES``.  Each segment contributes ``steps``
-    slices that repeat its generator, with the areas of ``slice_areas``
-    times the loop's ``stretch`` (..., n_loops), as an envelope-strength
-    error scales them.  The result keeps the batch axes, loops included.
+    Loop k drives ``field[..., k, :]`` (..., n_loops, d), each level's
+    unnormalised coupling to the last, auxiliary level (whose entry is
+    zero): its segments run e^{i phi0} |f><last| + h.c. at the drive phases
+    ``DRIVE_PHASES``, each in ``steps`` slices with the areas of
+    ``slice_areas``.  The result keeps the batch axes, loops included.
     With ``order``, the batch holds one error model and the result is its
     loops back to back in that order, unbatched.
     """
+    field = np.asarray(field, dtype=complex)
+    if field.ndim < 2:
+        raise ValueError(f"need (..., loops, d) drive fields, got shape {field.shape}")
+    d = field.shape[-1]
     areas = np.tile(slice_areas(envelope, steps), len(DRIVE_PHASES))
-    areas = np.asarray(stretch, dtype=float)[..., None] * areas
-    bright = np.asarray(bright, dtype=complex)
-    shapes = np.shape(stretch), bright.shape
-    if bright.ndim < 2 or shapes[0][-1:] != shapes[1][-2:-1]:
-        raise ValueError(f"need (..., loops) stretches and (..., loops, d) bright vectors, got {shapes}")
-    d = bright.shape[-1]
-    # e^{i phi0} b_i (..., loops, segments, 1, d - 1), on every level but the last
-    column = np.exp(1j * np.array(DRIVE_PHASES))[:, None, None] * bright[..., None, None, :-1]
+    # e^{i phi0} f_i (..., loops, segments, 1, d - 1), on every level but the last
+    column = np.exp(1j * np.array(DRIVE_PHASES))[:, None, None] * field[..., None, None, :-1]
     gens = np.zeros(column.shape[:-2] + (steps, d, d), dtype=complex)
     gens[..., :-1, -1] = column
     gens[..., -1, :-1] = column.conj()
-    gens = gens.reshape(bright.shape[:-1] + (areas.shape[-1], d, d))
+    gens = gens.reshape(field.shape[:-1] + (areas.size, d, d))
     if order is not None:
         gens = gens[..., list(order), :, :, :].reshape((-1,) + gens.shape[-2:])
-        areas = areas[..., list(order), :].reshape(-1)
+        areas = np.tile(areas, len(order))
     return linalg.Schedule(gens, areas)

@@ -8,12 +8,9 @@ segments with drive phases pi/2 then 0, which traces a closed loop of the
 computational subspace and imprints a purely geometric unitary.
 
 Pulse-strength errors enter as constant fractional deviations (eps0,
-eps1) of the two field amplitudes.  They deform the evolution in two
-ways: a common stretch of the overall envelope and a tilt of the bright
-angle theta -> theta_prime.  ``loops`` gives every loop of a recipe in
-that stretched-and-tilted single-field form, as the (stretch, bright
-vector) that ``pulses.loop_schedule`` drives; ``scaling.GATES`` evolves
-them into gates.
+eps1) of the two field amplitudes.  ``loops`` gives every loop of a recipe
+as its two scaled amplitudes, the drive field ``pulses.loop_schedule``
+drives; ``scaling.GATES`` evolves them into gates.
 """
 
 from __future__ import annotations
@@ -58,8 +55,8 @@ class BrightDarkFrame:
 class ErrorModel:
     """Constant fractional amplitude deviations of the two drive fields.
 
-    The strict bound |eps| < 1 keeps both scaled amplitudes positive,
-    which keeps the tilted angle below on its [0, pi] branch.
+    The strict bound |eps| < 1 keeps both scaled amplitudes 1 + eps
+    positive: an error never removes or reverses a field.
     """
 
     eps0: float
@@ -70,21 +67,6 @@ class ErrorModel:
             raise ValueError(
                 f"error fractions must satisfy |eps| < 1, got ({self.eps0}, {self.eps1})"
             )
-
-
-def effective_error_params(theta: float, model: ErrorModel) -> tuple[float, float]:
-    """Map two-field deviations to (envelope stretch, tilted angle).
-
-    Returns (eps, theta_prime) with
-      eps   = sqrt[(1+eps0)^2 cos^2(theta/2) + (1+eps1)^2 sin^2(theta/2)] - 1
-      theta_prime chosen on the continuous branch taking [0, pi] to [0, pi].
-    """
-    a0 = 1.0 + model.eps0
-    a1 = 1.0 + model.eps1
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    eps = math.hypot(a0 * c, a1 * s) - 1.0
-    theta_prime = 2.0 * math.atan2(a1 * s, a0 * c)
-    return eps, theta_prime
 
 
 # Ideal values: the elementary gate is -i|e><e| + i|b><b| + |d><d|, and
@@ -98,19 +80,12 @@ COMPOSITE_FOUR = pulses.Recipe(lambda theta: (math.pi - theta, theta), (0, 0, 1,
 
 
 def loops(recipe: pulses.Recipe, theta: float, phi: float, jk, models):
-    """Each loop's (stretch, bright vector) under each error model (None for no error).
+    """Each loop's drive field under each error model (None for no error).
 
-    Stretched-and-tilted form: under a model the envelope integral of a
-    segment becomes (1+eps) * pi/2 and the drive couples the tilted bright
-    state at theta_prime.  Returns stretch (models, loops) and bright
-    (models, loops, 3); ``jk`` is unused.
+    At loop angle t it is ((1+eps0) cos(t/2), (1+eps1) sin(t/2) e^{i phi},
+    0): the ideal bright vector, each field scaled by its model's 1 + eps.
+    Returns (models, loops, 3); ``jk`` is unused.
     """
-    thetas = recipe.loops(theta)
-    params = np.array(
-        [[(0.0, t) if m is None else effective_error_params(t, m) for t in thetas] for m in models]
-    ).reshape(len(models), len(thetas), 2)
-    half = 0.5 * params[..., 1]
-    bright = np.zeros(half.shape + (DIM,), dtype=complex)
-    bright[..., IDX_0] = np.cos(half)
-    bright[..., IDX_1] = np.sin(half) * np.exp(1j * phi)
-    return 1.0 + params[..., 0], bright
+    bright = np.array([BrightDarkFrame(t, phi).bright for t in recipe.loops(theta)])
+    scale = np.array([(1.0 + m.eps0, 1.0 + m.eps1, 1.0) if m else (1.0, 1.0, 1.0) for m in models])
+    return scale[:, None, :] * bright

@@ -44,15 +44,15 @@ class Gate:
 
     ``recipe`` (``pulses.Recipe``) lists the gate's distinct loops and the
     order they run in, and ``loops(recipe, theta, phi, jk, models)`` is its
-    family's map from error models to each loop's (stretch, bright vector)
-    (``qutrit.loops`` or ``two_qubit.loops``), which ``pulses.loop_schedule``
-    drives.  The last of the ``labels`` is the auxiliary level and the
-    others span the holonomy subspace; ``error_modes`` maps a sweep mode to
-    the ``error_model`` of one eps.
+    family's map from error models to each loop's drive field (models,
+    loops, d) (``qutrit.loops`` or ``two_qubit.loops``), which
+    ``pulses.loop_schedule`` drives.  The last of the ``labels`` is the
+    auxiliary level and the others span the holonomy subspace;
+    ``error_modes`` maps a sweep mode to the ``error_model`` of one eps.
     """
 
     recipe: pulses.Recipe
-    loops: Callable[..., tuple[np.ndarray, np.ndarray]]
+    loops: Callable[..., np.ndarray]
     labels: tuple[str, ...]
     error_model: type
     error_modes: dict[str, Callable[[float], object]]
@@ -63,17 +63,16 @@ class Gate:
         The distinct loops of every model evolve in one call and fold in
         the recipe's order, so no loop is evolved twice.
         """
-        stretch, bright = self.loops(self.recipe, theta, phi, jk, models)
-        schedule = pulses.loop_schedule(stretch, bright, envelope, steps)
-        return self.recipe.fold(linalg.evolve(schedule))
+        field = self.loops(self.recipe, theta, phi, jk, models)
+        return self.recipe.fold(linalg.evolve(pulses.loop_schedule(field, envelope, steps)))
 
     def schedule(self, theta, phi, jk, model=None) -> linalg.Schedule:
         """The loops under one error model back to back in time order, square pulses.
 
         With no model this is the schedule check-holonomy certifies.
         """
-        stretch, bright = self.loops(self.recipe, theta, phi, jk, (model,))
-        return pulses.loop_schedule(stretch, bright, "square", 1, self.recipe.order)
+        field = self.loops(self.recipe, theta, phi, jk, (model,))
+        return pulses.loop_schedule(field, "square", 1, self.recipe.order)
 
     def subspace_basis(self) -> np.ndarray:
         return np.eye(len(self.labels), dtype=complex)[:-1]

@@ -43,14 +43,13 @@ COMPOSITE = pulses.Recipe(lambda jk: (jk,), (0, 0))
 
 
 def loops(recipe: pulses.Recipe, theta, phi, jk: str, models):
-    """Each loop's (stretch, bright vector) under each error model (None for no error).
+    """Each loop's drive field under each error model (None for no error).
 
-    A loop's bright vector is its level |jk>, under every model; a model
-    stretches every segment area by 1 + eps_jk.  Returns stretch (models,
-    loops) and the |jk> rows (loops, 5); ``theta`` and ``phi`` are unused.
+    Returns the (1 + eps_jk)|jk> rows, (models, loops, 5), of a loop
+    that drives its level |jk> alone; ``theta`` and ``phi`` are unused.
     """
     if jk not in COMPUTATIONAL_LABELS:
         raise ValueError(f"{jk!r} is not a computational label")
-    labels = recipe.loops(jk)
-    stretch = np.array([[1.0 + (m.eps_jk if m else 0.0)] * len(labels) for m in models])
-    return stretch, np.eye(DIM, dtype=complex)[[LABELS.index(label) for label in labels]]
+    rows = np.eye(DIM)[[LABELS.index(label) for label in recipe.loops(jk)]]
+    amplitudes = np.array([1.0 + (m.eps_jk if m else 0.0) for m in models])
+    return amplitudes[:, None, None] * rows

@@ -11,9 +11,11 @@ exact certificate, which reads them at the segment boundaries only.
 ``trace_states_mpmath`` does the same evolution in 30-digit arithmetic as
 a reference for those loops.  The raw two-field
 pulses are the one-qubit loop written as independent field amplitudes,
-the reference route for the stretched-and-tilted gates; the ideal
-four-pulse rotation and the commutator-product residual are closed-form
-references for the composites.
+and the stretched-and-tilted pulses the same loop as one field of unit
+shape at a tilted bright angle and stretched area: two reference routes
+for the package's error-affected gates.  The ideal four-pulse rotation
+and the commutator-product residual are closed-form references for the
+composites.
 """
 
 import math
@@ -233,6 +235,31 @@ def two_field_pairs(theta: float, phi: float, eps0: float = 0.0, eps1: float = 0
         h[1, 2] = amp1 * np.exp(1j * (phi + phase))
         pairs.append((h + h.conj().T, math.pi / 2))
     return pairs
+
+
+def effective_error_params(theta: float, eps0: float, eps1: float) -> tuple[float, float]:
+    """Map two-field deviations to (envelope stretch, tilted angle).
+
+    Returns (eps, theta_prime) with
+      eps   = sqrt[(1+eps0)^2 cos^2(theta/2) + (1+eps1)^2 sin^2(theta/2)] - 1
+      theta_prime chosen on the continuous branch taking [0, pi] to [0, pi].
+    """
+    a0 = 1.0 + eps0
+    a1 = 1.0 + eps1
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    eps = math.hypot(a0 * c, a1 * s) - 1.0
+    theta_prime = 2.0 * math.atan2(a1 * s, a0 * c)
+    return eps, theta_prime
+
+
+def stretched_tilted_pairs(theta: float, phi: float, eps0: float, eps1: float) -> list:
+    """The error-affected elementary loop in stretched-and-tilted form.
+
+    The unit-amplitude loop of ``two_field_pairs`` at the tilted angle
+    theta_prime, each segment run for (1 + eps) pi/2 instead of pi/2.
+    """
+    eps, theta_prime = effective_error_params(theta, eps0, eps1)
+    return [(h, (1.0 + eps) * duration) for h, duration in two_field_pairs(theta_prime, phi)]
 
 
 def two_field_composite_pairs(theta: float, phi: float, n_pulses: int, eps0=0.0, eps1=0.0) -> list:

@@ -347,13 +347,17 @@ def test_sweep_accepts_explicit_epsilon_list(tmp_path):
         {"error_mode": "common"},
         {"gate_kind": "single", "error_mode": "common", "epsilons": [0.5, 1.5]},
         {"gate_kind": "single", "error_mode": "common", "epsilons": [1.0]},
+        # one point can never be fitted, listed or asked for
+        {"gate_kind": "single", "error_mode": "common", "epsilons": [0.01]},
     ],
 )
 def test_sweep_config_problems_exit_two(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
-    assert run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert not out.exists()
 
 
 def test_sweep_at_the_noise_floor_exits_three(tmp_path, capsys):
@@ -608,6 +612,18 @@ def test_run_size_limit_is_inclusive():
     cli.check_run_size("n_samples", cli.MAX_RUN_BYTES)
     with pytest.raises(cli.ConfigError):
         cli.check_run_size("n_samples", cli.MAX_RUN_BYTES + 1)
+
+
+@pytest.mark.parametrize("epsilons", [{"points": 6}, [0.001 * 2**k for k in range(6)]], ids=["grid", "list"])
+def test_listed_epsilons_share_the_grid_size_limit(tmp_path, monkeypatch, capsys, epsilons):
+    # at a limit of five sweep points, six exit 2 whether they are listed or asked for
+    monkeypatch.setattr(cli, "MAX_RUN_BYTES", 4096 * 5)
+    payload = {"gate_kind": "single", "error_mode": "common", "epsilons": epsilons}
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:") and "MB limit" in lines[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["elementary", "composite4", "twoqubit_composite"])

@@ -87,8 +87,8 @@ REGISTER_SCHEDULES = {
 @pytest.mark.parametrize("model", [None, ErrorModel(0.05, -0.02)], ids=["ideal", "error"])
 def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
     recipe, build, encoding, blocks = REGISTER_SCHEDULES[name]
-    stretch, bright = qutrit.loops(recipe, 0.8, 1.1, None, (model,))
-    bare = pulses.loop_schedule(stretch, bright, "square", 1, order=recipe.order)
+    field = qutrit.loops(recipe, 0.8, 1.1, None, (model,))
+    bare = pulses.loop_schedule(field, "square", 1, order=recipe.order)
     register = build(0.8, 1.1, model)
     assert np.array_equal(register.areas, bare.areas)
     within = np.zeros((encoding.dim, encoding.dim), dtype=bool)

@@ -39,7 +39,7 @@ def test_segment_validation():
     with pytest.raises(ValueError):
         pulses.slice_areas("sine_squared", -1)
     with pytest.raises(ValueError):
-        pulses.loop_schedule(1.0, np.eye(3)[:1], "square", 0)
+        pulses.loop_schedule(np.eye(3)[:1], "square", 0)
 
 
 def test_square_slices_are_equal():
@@ -66,19 +66,19 @@ def test_slices_sum_to_total_area(steps, envelope):
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 48), d=st.integers(2, 5))
 def test_envelope_only_redistributes_area(seed, steps, d):
     # constant generator direction per segment: sliced product == one
-    # exponential each, at an area other than pi/2 through the stretch
+    # exponential each, at an area other than pi/2 through the field strength
     bright = random_bright(np.random.default_rng(seed), 1, d)
-    stretch = np.array([1.3 / (math.pi / 2)])
+    field = 1.3 / (math.pi / 2) * bright
     for envelope in pulses.ENVELOPES:
-        u = linalg.evolve(pulses.loop_schedule(stretch, bright, envelope, steps))[0]
+        u = linalg.evolve(pulses.loop_schedule(field, envelope, steps))[0]
         assert linalg.frobenius_distance(u, loop_unitary(bright[0], 1.3)) < 1e-9
 
 
 def test_schedule_unitary_orders_left(rng):
     # two loops of segment areas 0.4 then 1.1, run in order (0, 1)
     bright = random_bright(rng, 2, 3)
-    stretch = np.array([[0.4, 1.1]]) / (math.pi / 2)
-    schedule = pulses.loop_schedule(stretch, bright[None], "sine_squared", 5, order=(0, 1))
+    field = np.array([[0.4], [1.1]]) / (math.pi / 2) * bright
+    schedule = pulses.loop_schedule(field[None], "sine_squared", 5, order=(0, 1))
     assert schedule.n_segments == 20
     u = linalg.evolve(schedule)
     expected = loop_unitary(bright[1], 1.1) @ loop_unitary(bright[0], 0.4)
@@ -87,17 +87,10 @@ def test_schedule_unitary_orders_left(rng):
 
 def test_schedule_unitary_rejects_empty():
     with pytest.raises(ValueError):
-        pulses.loop_schedule(np.ones((1, 0)), np.zeros((1, 0, 3)), "square", 1, order=())
-    with pytest.raises(ValueError):
-        pulses.loop_schedule(1.0, np.eye(3)[0], "square", 1)
-
-
-def test_loop_schedule_needs_one_stretch_per_loop():
-    # a scalar stretch with an order used to end in an IndexError
-    with pytest.raises(ValueError, match="stretches"):
-        pulses.loop_schedule(1.0, np.eye(3)[:1], "square", 1, order=(0,))
-    with pytest.raises(ValueError, match="stretches"):
-        pulses.loop_schedule(np.ones((1, 2)), np.eye(3)[:1], "square", 1)
+        pulses.loop_schedule(np.zeros((1, 0, 3)), "square", 1, order=())
+    # one field with no loop axis
+    with pytest.raises(ValueError, match="fields"):
+        pulses.loop_schedule(np.eye(3)[0], "square", 1)
 
 
 @pytest.mark.parametrize("name", sorted(GATES))

@@ -83,8 +83,8 @@ def test_five_level_gate_evolves_its_two_coupled_levels(name, jk):
     # alone; the ideal forms are checked by the *_hits_ideal tests
     level = two_qubit.LABELS.index(jk)
     models = (None, TwoQubitErrorModel(0.05))
-    stretch, bright = GATES[name].loops(GATES[name].recipe, 0.0, 0.0, jk, models)
-    assert np.array_equal(pulses.loop_schedule(stretch, bright, "square", 1).levels, [level, 4])
+    field = GATES[name].loops(GATES[name].recipe, 0.0, 0.0, jk, models)
+    assert np.array_equal(pulses.loop_schedule(field, "square", 1).levels, [level, 4])
     others = [k for k in range(4) if k != level]
     for u in GATES[name].build(0.0, 0.0, jk, models):
         assert is_unitary(u, 1e-14)
@@ -119,11 +119,12 @@ def test_elementary_deviation_is_first_order():
     assert 1.9 < d1 / d2 < 2.1
 
 
-def test_error_scales_areas_but_not_generators():
+def test_error_scales_the_coupling_not_the_areas():
+    # an amplitude error is a stronger |jk> coupling for the same envelope
     clean = elementary_schedule("10")
     dirty = elementary_schedule("10", TwoQubitErrorModel(0.2))
-    assert np.array_equal(clean.generators, dirty.generators)
-    assert np.max(np.abs(dirty.areas - 1.2 * clean.areas)) < 1e-15
+    assert np.array_equal(clean.areas, dirty.areas)
+    assert np.max(np.abs(dirty.generators - 1.2 * clean.generators)) < 1e-15
 
 
 def test_schmidt_values_of_known_gates():
