@@ -4,12 +4,25 @@
     python3 scripts/bench.py --out BENCH_17.json [--seconds 10]
 
 Runs ``perfbench/run.py --trace 0`` once per workload at seed SEED, then
-times three kernels of this checkout's ``src/`` directly, with BLAS pinned
-to one thread as the benchmark does: one ``evolve`` and one ``Schedule``
-construction of the six-ion register's two-logical-qubit schedule, and one
-``evolve`` of a composite4 sweep (12 error points and the ideal gate, every
-distinct loop in one batch).  A kernel time is the best of 7 repeats of the
-mean over many calls, in microseconds.
+times kernels of this checkout's ``src/`` directly, with BLAS pinned to one
+thread as the benchmark does:
+
+- ``six_ion_evolve``, ``six_ion_schedule``: one ``evolve`` and one
+  ``Schedule`` construction of the six-ion register's two-logical-qubit
+  schedule;
+- ``composite4_sweep_evolve``: one ``evolve`` of a composite4 sweep (12
+  error points and the ideal gate, every distinct loop in one batch);
+- ``kicked_sample``, ``idle_sample``: one sample of the two kernels of a
+  default ``holgate dfs`` run at ``n_samples`` KICK_SAMPLES, the kicked run
+  of the encoded plus-state and the idle run of the bare contrast state
+  (the time of a call divided by KICK_SAMPLES);
+- ``certify_composite4``: one ``trace_evolution`` and ``check_holonomy`` of
+  the composite4 schedule;
+- ``write_files``: ``cli.write_files`` of a ``holgate dfs`` record and CSV
+  file over the same two files in a temporary directory.
+
+A kernel time is the best of 7 repeats of the mean over many calls, in
+microseconds.
 
 The file holds ``env`` (the benchmark's environment line without the
 workload, plus the seed and seconds), ``workloads`` (each workload's result
@@ -26,6 +39,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -34,6 +48,7 @@ WORKLOADS = ("sweep", "dfs", "certify")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REPEATS = 7
 SEED = 1
+KICK_SAMPLES = 4000
 
 
 def positive_float(text: str) -> float:
@@ -69,23 +84,37 @@ def kernel_timings() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
-    from hologate import dfs, linalg, pulses, scaling
+    from hologate import cli, dfs, holonomy, linalg, pulses, scaling
 
     six_ion = dfs.two_logical_composite_schedule(0.9, 0.3)
     generators, areas = np.array(six_ion.generators), np.array(six_ion.areas)
     gate = scaling.GATES["composite4"]
     models = [None] + [gate.error_modes["common"](eps) for eps in scaling.default_epsilon_grid(12)]
     sweep = pulses.loop_schedule(gate.loops(gate.recipe, 0.9, 0.3, "11", models), "square", 1)
-    kernels = {
-        "six_ion_evolve": lambda: linalg.evolve(six_ion),
-        "six_ion_schedule": lambda: linalg.Schedule(generators, areas),
-        "composite4_sweep_evolve": lambda: linalg.evolve(sweep),
-    }
-    timings = {}
-    for name, call in kernels.items():
-        number, _ = timeit.Timer(call).autorange()
-        best = min(timeit.repeat(call, number=number, repeat=REPEATS))
-        timings[name] = best / number * 1e6
+    register = dfs.logical_composite_schedule(math.pi / 4, 0.0)
+    encoding = dfs.three_ion_encoding()
+    encoded = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
+    bare = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
+    channel = dfs.DephasingChannel(0.5, "uniform", KICK_SAMPLES)
+    certified, basis = gate.schedule(0.9, 0.3, "11"), gate.subspace_basis()
+    outputs, texts = cli.cmd_dfs({"n_samples": 100})
+    texts["dfs_result.json"] = json.dumps(cli.make_record("dfs", {"n_samples": 100}, outputs), sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as out:
+        cli.write_files(Path(out), texts)  # every timed write replaces an existing file
+        kernels = {
+            "six_ion_evolve": (lambda: linalg.evolve(six_ion), 1),
+            "six_ion_schedule": (lambda: linalg.Schedule(generators, areas), 1),
+            "composite4_sweep_evolve": (lambda: linalg.evolve(sweep), 1),
+            "kicked_sample": (lambda: dfs.kicked_schedule_fidelities(register, encoded, channel, SEED), KICK_SAMPLES),
+            "idle_sample": (lambda: dfs.idle_contrast_run(bare, channel, register.n_segments, SEED + 1), KICK_SAMPLES),
+            "certify_composite4": (lambda: holonomy.check_holonomy(holonomy.trace_evolution(certified, basis)), 1),
+            "write_files": (lambda: cli.write_files(Path(out), texts), 1),
+        }
+        timings = {}
+        for name, (call, per_call) in kernels.items():
+            number, _ = timeit.Timer(call).autorange()
+            best = min(timeit.repeat(call, number=number, repeat=REPEATS))
+            timings[name] = best / number / per_call * 1e6
     return timings
 
 

@@ -2,6 +2,7 @@
 """Every output of the benchmark's calls, as files that two checkouts can diff.
 
     python3 scripts/outputs.py --out DIR
+    python3 scripts/outputs.py --compare A B
 
 Runs every entry of ``perfbench/workloads.py`` for seeds 1 to 3 on this
 checkout's ``src/``, with BLAS pinned to one thread as the benchmark does,
@@ -17,12 +18,25 @@ Two checkouts give the same outputs when ``diff -r`` of their directories
 is empty.  Nothing is written outside ``DIR``; the calls' scratch
 directory ``DIR/.work`` is removed at the end.  Exits 1 if any ``holgate``
 call exits nonzero.
+
+``--compare A B`` checks that two such trees differ at most in the
+rounding of floats.  Byte-identical files pass.  A differing record,
+``stdout``, CSV file or certificate is parsed, and ``gate.bin`` is read
+as complex128: strings, booleans, integers, keys and shapes must match,
+and for floats it prints the largest relative difference
+``|a - b| / max(|a|, |b|)`` per workload, file and key.  Exits 1 on any
+other difference, or on a file that only one tree has.
 """
 
 import argparse
+import ast
+import csv
+import io
 import json
+import math
 import os
 import shutil
+import struct
 import sys
 from pathlib import Path
 
@@ -56,10 +70,105 @@ def write_outputs(workloads, workload: str, seed: int, work: Path, dest: Path) -
     return ok
 
 
+def cell(text: str):
+    """A CSV cell as the int, float or string it spells."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse(path: Path):
+    """The values a file of an output tree holds."""
+    if path.name == "gate.bin":  # complex128 entries, as numpy writes them
+        return [complex(*pair) for pair in struct.iter_unpack("dd", path.read_bytes())]
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return [{k: cell(v) for k, v in row.items()} for row in csv.DictReader(io.StringIO(text))]
+    if path.name == "certificate":
+        return ast.literal_eval(text)
+    # JSON records, stdout lines and exit codes
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def relative_difference(a, b) -> float:
+    if a == b or (a != a and b != b):  # equal, or both NaN
+        return 0.0
+    if not (math.isfinite(abs(a)) and math.isfinite(abs(b))):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def diff_values(a, b, key: str, floats: dict, problems: list) -> None:
+    """Walk two parsed values together.
+
+    The largest relative difference of the floats under each key goes into
+    ``floats``, and any other difference into ``problems``.
+    """
+    where = f"{key}: " if key else ""
+    if type(a) is not type(b):
+        problems.append(f"{where}{a!r} != {b!r}")
+    elif isinstance(a, dict):
+        if a.keys() != b.keys():
+            problems.append(f"{where}keys {sorted(map(str, a))} != {sorted(map(str, b))}")
+            return
+        for k in a:
+            diff_values(a[k], b[k], f"{key}.{k}" if key else str(k), floats, problems)
+    elif isinstance(a, (list, tuple)):
+        if len(a) != len(b):
+            problems.append(f"{where}length {len(a)} != {len(b)}")
+            return
+        for x, y in zip(a, b):
+            diff_values(x, y, key, floats, problems)
+    elif isinstance(a, (float, complex)):
+        floats[key] = max(floats.get(key, 0.0), relative_difference(a, b))
+    elif a != b:
+        problems.append(f"{where}{a!r} != {b!r}")
+
+
+def compare(a: Path, b: Path) -> int:
+    """Report how output tree ``b`` differs from ``a``; 1 unless only floats differ."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    problems = [f"{rel}: only in {a}" for rel in sorted(files_a - files_b)]
+    problems += [f"{rel}: only in {b}" for rel in sorted(files_b - files_a)]
+    floats, identical, parsed = {}, 0, 0
+    for rel in sorted(files_a & files_b):
+        if (a / rel).read_bytes() == (b / rel).read_bytes():
+            identical += 1
+            continue
+        parsed += 1
+        try:
+            old, new = parse(a / rel), parse(b / rel)
+        except (ValueError, SyntaxError) as exc:
+            problems.append(f"{rel} differs and does not parse: {exc}")
+            continue
+        file_floats, file_problems = {}, []
+        diff_values(old, new, "", file_floats, file_problems)
+        problems += [f"{rel} {problem}" for problem in file_problems]
+        for key, value in file_floats.items():
+            # per workload, file name and key, over every seed and entry
+            name = f"{rel.parts[0]} {rel.name} {key}".rstrip()
+            floats[name] = max(floats.get(name, 0.0), value)
+    print(f"{identical} files identical, {parsed} differ")
+    for name, value in sorted(floats.items()):
+        print(f"{name}  max relative difference {value:.3g}")
+    for problem in problems:
+        print("DIFFERS", problem)
+    return 1 if problems else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", required=True, help="directory to write; it must not exist yet")
-    out = Path(parser.parse_args().out)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="directory to write; it must not exist yet")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two output trees to compare")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*map(Path, args.compare))
+    out = Path(args.out)
     if out.exists():
         parser.error(f"{out} exists already")
     for var in BLAS_THREAD_VARS:

@@ -170,31 +170,26 @@ class DephasingChannel:
 def _levels(n_ions: int) -> np.ndarray:
     """Collective-z level n_ions - w of each basis state with w ions in "1", by index.
 
-    Level j has sum_i sz_i eigenvalue 2j - n_ions and is row j of ``_kick_phasors``.
+    Level j has sum_i sz_i eigenvalue 2j - n_ions, so a kick by angle phi
+    multiplies it by exp(-i phi (2j - n_ions) / 2).
     """
     levels = n_ions - np.array([bin(i).count("1") for i in range(2**n_ions)])
     levels.flags.writeable = False
     return levels
 
 
-def _kick_phasors(phi: np.ndarray, n_ions: int) -> np.ndarray:
-    """exp(-i phi lam / 2) for lam = -n_ions, 2 - n_ions, ..., n_ions (rows).
+def _pair_sum(pops: np.ndarray, t):
+    """sum_jk p_j p_k t(k - j) = sum_j p_j^2 + 2 sum_{j<k} p_j p_k t(k - j), for t(0) = 1.
 
-    One cos/sin pair per angle gives z = exp(-i phi / 2); the rows follow
-    from conj(z)^n_ions = conj(z^n_ions) by repeated multiplication with z^2.
+    With p_j the population of collective-z level j and t(m) = cos(m Phi),
+    this is |<psi0|kicked psi0>|^2 after kicks summing to Phi.  t runs once
+    for each level distance m that occurs.
     """
-    z = np.empty(phi.shape, dtype=complex)
-    np.cos(0.5 * phi, out=z.real)
-    np.sin(-0.5 * phi, out=z.imag)
-    table = np.empty((n_ions + 1,) + phi.shape, dtype=complex)
-    table[0] = z
-    for _ in range(n_ions - 1):
-        table[0] *= z
-    np.conjugate(table[0], out=table[0])
-    z *= z
-    for j in range(n_ions):
-        np.multiply(table[j], z, out=table[j + 1])
-    return table
+    weights = np.correlate(pops, pops, "full")[pops.size - 1:]  # sum_j p_j p_{j+m}
+    value = weights[0] * t(0)
+    for m in np.flatnonzero(weights[1:]) + 1:
+        value += 2 * weights[m] * t(m)
+    return value
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,8 @@ def kicked_schedule_fidelities(
     the phase-insensitive overlap squared with the kick-free final state.
     Only the levels the schedule couples or psi0 occupies are evolved
     (``linalg.exponentials``): the others stay exactly empty, and the
-    diagonal kicks cannot fill them.
+    diagonal kicks cannot fill them.  A kick takes one cos/sin pair per
+    distinct collective level among them (one for an encoded state).
     """
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
@@ -247,51 +243,47 @@ def kicked_schedule_fidelities(
 
     # Every kick sample is one column of a (n_levels, n_samples) state array;
     # the columns evolve together and two buffers are swapped for the whole run.
-    level = _levels(n_ions)[levels]
-    rng = np.random.default_rng(seed)
-    phis = np.ascontiguousarray(channel.draw(rng, (channel.n_samples, len(propagators))).T)
+    distinct, level = np.unique(_levels(n_ions)[levels], return_inverse=True)
+    phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, len(propagators)))
     states = np.repeat(psi0[:, None], channel.n_samples, axis=1)
     scratch = np.empty_like(states)
-    for u, phi in zip(propagators, phis):
-        np.matmul(u, states, out=scratch)
-        states, scratch = scratch, states
-        # "clip" writes straight into scratch; the default mode buffers a copy
-        np.take(_kick_phasors(phi, n_ions), level, axis=0, out=scratch, mode="clip")
-        states *= scratch
+    phasors = np.empty((distinct.size, channel.n_samples), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(propagators):
+            np.matmul(u, states, out=scratch)
+            states, scratch = scratch, states
+            # level j turns by -phi (2j - n_ions) / 2, held in the imaginary part
+            np.multiply.outer(0.5 * n_ions - distinct, phis[:, k], out=phasors.imag)
+            np.cos(phasors.imag, out=phasors.real)
+            np.sin(phasors.imag, out=phasors.imag)
+            # "clip" writes straight into scratch; the default mode buffers a copy
+            np.take(phasors, level, axis=0, out=scratch, mode="clip")
+            states *= scratch
     fids = np.abs(clean.conj() @ states) ** 2
+    if not np.isfinite(fids).all():
+        raise channel.overflow_error("kick phases")
     return DephasingResult(fidelities=fids)
 
 
 def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
     """Kicks only, no drive: the bare-register reference experiment."""
-    rng = np.random.default_rng(seed)
     # |<psi0|kicked psi0>| depends on psi0 only through its population of
     # each collective-z level, and on the kicks only through their sum
     psi0 = np.asarray(psi0)
-    n_ions = _n_ions(psi0)
-    pops = np.bincount(_levels(n_ions), np.abs(psi0) ** 2, minlength=n_ions + 1)
-    with np.errstate(over="ignore"):
-        total = channel.draw(rng, (channel.n_samples, n_kicks)).sum(axis=1)
-    if not np.isfinite(total).all():
+    pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = channel.draw(np.random.default_rng(seed), (channel.n_samples, n_kicks)).sum(axis=1)
+        fids = _pair_sum(pops, lambda m: np.cos(m * total))
+    if not np.isfinite(fids).all():
         raise channel.overflow_error("summed kick angles")
-    fids = np.abs(pops @ _kick_phasors(total, n_ions)) ** 2
     return DephasingResult(fidelities=fids)
 
 
 def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> float:
-    """Exact kick-averaged fidelity of an idle register.
-
-    With population p_j on collective-z level j (eigenvalue 2j - n_ions),
-    the average over independent kicks factorizes into characteristic
-    functions: F = sum_jk p_j p_k E[cos(phi (j - k))]^K.
-    """
+    """Exact kick-averaged idle fidelity: each cos(m Phi) averages to E[cos(m phi)]^n_kicks."""
     psi0 = np.asarray(psi0)
     pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
-    occupied = np.flatnonzero(pops)
-    return float(sum(
-        pops[j] * pops[k] * channel.characteristic(j - k) ** n_kicks
-        for j in occupied for k in occupied
-    ))
+    return float(_pair_sum(pops, lambda m: channel.characteristic(m) ** n_kicks))
 
 
 def protection_run(

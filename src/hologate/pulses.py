@@ -74,8 +74,8 @@ def loop_schedule(field, envelope: str, steps: int, order=None) -> linalg.Schedu
     """Every envelope slice of a batch of elementary loops, as one schedule.
 
     Loop k drives ``field[..., k, :]`` (..., n_loops, d), each level's
-    unnormalised coupling to the last, auxiliary level (whose entry is
-    zero): its segments run e^{i phi0} |f><last| + h.c. at the drive phases
+    unnormalised coupling to the last, auxiliary level (whose entry must
+    be zero): its segments run e^{i phi0} |f><last| + h.c. at the drive phases
     ``DRIVE_PHASES``, each in ``steps`` slices with the areas of
     ``slice_areas``.  The result keeps the batch axes, loops included.
     With ``order``, the batch holds one error model and the result is its
@@ -85,6 +85,8 @@ def loop_schedule(field, envelope: str, steps: int, order=None) -> linalg.Schedu
     if field.ndim < 2:
         raise ValueError(f"need (..., loops, d) drive fields, got shape {field.shape}")
     d = field.shape[-1]
+    if field[..., -1:].any():  # NaN counts as nonzero
+        raise ValueError(f"the auxiliary level {d - 1} has no drive field: field[..., -1] must be 0")
     areas = np.tile(slice_areas(envelope, steps), len(DRIVE_PHASES))
     # e^{i phi0} f_i (..., loops, segments, 1, d - 1), on every level but the last
     column = np.exp(1j * np.array(DRIVE_PHASES))[:, None, None] * field[..., None, None, :-1]

@@ -288,12 +288,17 @@ KICKED_REGISTERS = {
         ("three_ion", "gaussian", 0.8, 1),
         ("six_ion", "uniform", 0.6, 200),
         ("six_ion", "gaussian", 0.6, 200),
+        # the benchmark's path: the encoded plus-state, on one collective level
+        ("three_ion_encoded", "uniform", 0.8, 300),
+        # kick angles up to 60, so level phases up to 180
+        ("six_ion", "uniform", 60.0, 200),
     ],
 )
 def test_batched_kicked_run_matches_per_sample_loop(rng, register, distribution, kappa, n_samples):
-    build, n_ions = KICKED_REGISTERS[register]
+    encoded = register.endswith("_encoded")
+    build, n_ions = KICKED_REGISTERS[register.removesuffix("_encoded")]
     schedule = build()
-    psi = random_state(rng, 2**n_ions)
+    psi = plus_state(ENC3, "0", "1") if encoded else random_state(rng, 2**n_ions)
     channel = DephasingChannel(kappa, distribution, n_samples)
     result = dfs.kicked_schedule_fidelities(schedule, psi, channel, 17)
     phis = channel.draw(np.random.default_rng(17), (n_samples, schedule.n_segments))
@@ -301,41 +306,45 @@ def test_batched_kicked_run_matches_per_sample_loop(rng, register, distribution,
     expected = kicked_fidelities_loop(propagators, psi, phis, collective_z_table(n_ions))
     assert result.fidelities.shape == (n_samples,)
     assert np.max(np.abs(result.fidelities - expected)) < 1e-13
-    if kappa > 0 and n_samples > 1:
+    if encoded:
+        # every kick is a global phase of the encoded state
+        assert np.max(np.abs(expected - 1)) < 1e-13
+    elif kappa > 0 and n_samples > 1:
         assert expected.min() < 0.99
 
 
+IDLE_CASES = [
+    (3, "uniform", 0.5, 8, 500, False),
+    (3, "gaussian", 0.5, 8, 500, False),
+    (3, "uniform", 0.0, 8, 50, False),
+    (3, "uniform", 0.5, 0, 50, False),
+    (3, "gaussian", 0.9, 3, 1, False),
+    (6, "uniform", 0.5, 4, 200, False),
+    # every weight on the three states with one ion in "1", one collective level
+    (3, "uniform", 0.9, 8, 50, True),
+]
+
+
 @pytest.mark.parametrize(
-    "n_ions, distribution, kappa, n_kicks, n_samples",
-    [
-        (3, "uniform", 0.5, 8, 500),
-        (3, "gaussian", 0.5, 8, 500),
-        (3, "uniform", 0.0, 8, 50),
-        (3, "uniform", 0.5, 0, 50),
-        (3, "gaussian", 0.9, 3, 1),
-        (6, "uniform", 0.5, 4, 200),
-    ],
+    "n_ions, distribution, kappa, n_kicks, n_samples, one_level",
+    IDLE_CASES,
+    ids=["-".join(map(str, case[:5])) + ("-one_level" if case[5] else "") for case in IDLE_CASES],
 )
-def test_batched_idle_run_matches_per_sample_loop(rng, n_ions, distribution, kappa, n_kicks, n_samples):
+def test_batched_idle_run_matches_per_sample_loop(rng, n_ions, distribution, kappa, n_kicks, n_samples, one_level):
     psi = random_state(rng, 2**n_ions)
+    if one_level:
+        psi[collective_z_table(n_ions) != n_ions - 2] = 0
+        psi /= np.linalg.norm(psi)
     channel = DephasingChannel(kappa, distribution, n_samples)
     result = dfs.idle_contrast_run(psi, channel, n_kicks, seed=23)
     phis = channel.draw(np.random.default_rng(23), (n_samples, n_kicks))
     expected = kicked_fidelities_loop([], psi, phis, collective_z_table(n_ions))
     assert result.fidelities.shape == (n_samples,)
     assert np.max(np.abs(result.fidelities - expected)) < 1e-13
-    if kappa > 0 and n_kicks > 0 and n_samples > 1:
+    if one_level:
+        assert np.max(np.abs(result.fidelities - 1)) < 1e-13
+    elif kappa > 0 and n_kicks > 0 and n_samples > 1:
         assert expected.min() < 0.99
-
-
-@pytest.mark.parametrize("n_ions", range(1, 7))
-def test_kick_phasors_match_complex_exponential(rng, n_ions):
-    phi = np.concatenate(([0.0, 1e-9, -100.0, 100.0], rng.uniform(-100, 100, 500)))
-    lam = np.arange(-n_ions, n_ions + 1, 2)
-    table = dfs._kick_phasors(phi, n_ions)
-    assert table.shape == (n_ions + 1, len(phi))
-    error = np.abs(table - np.exp(-0.5j * phi * lam[:, None]))
-    assert (error <= 2 * n_ions * np.finfo(float).eps * (1 + np.abs(phi))).all()
 
 
 @pytest.mark.parametrize("register", sorted(KICKED_REGISTERS))
@@ -378,6 +387,20 @@ def test_kicked_run_carries_weight_on_uncoupled_levels(rng, register):
     assert np.max(np.abs(result.fidelities - expected)) < 1e-13
     # the kicks dephase the uncoupled weight against the encoded part
     assert expected.min() < 0.99
+
+
+def test_a_kick_phase_past_the_float_range_raises():
+    # level j of six ions turns by (3 - j) phi per kick: finite angles past
+    # 6e307 overflow the phase of |000000>, and 6 Phi past 3e307 overflows
+    # the pair of |000000> and |111111>
+    schedule = dfs.two_logical_composite_schedule(0.6, 0.3)
+    channel = DephasingChannel(7e307, "uniform", 20)
+    with pytest.raises(FloatingPointError, match="kick phases overflow at kappa=7e\\+307"):
+        dfs.kicked_schedule_fidelities(schedule, dfs.register_ket("000000"), channel, 0)
+    psi = (dfs.register_ket("000000") + dfs.register_ket("111111")) / math.sqrt(2)
+    channel = DephasingChannel(5e307, "uniform", 20)
+    with pytest.raises(FloatingPointError, match="summed kick angles overflow at kappa=5e\\+307"):
+        dfs.idle_contrast_run(psi, channel, 1, seed=0)
 
 
 def test_kicked_run_rejects_a_register_size_mismatch():

@@ -91,6 +91,10 @@ def test_schedule_unitary_rejects_empty():
     # one field with no loop axis
     with pytest.raises(ValueError, match="fields"):
         pulses.loop_schedule(np.eye(3)[0], "square", 1)
+    # a drive on the auxiliary level itself, which no loop has
+    for aux in (5.0, np.nan):
+        with pytest.raises(ValueError, match="auxiliary level 2"):
+            pulses.loop_schedule(np.array([[1.0, 0.0, aux]]), "square", 1)
 
 
 @pytest.mark.parametrize("name", sorted(GATES))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hologate import cli, dfs, scaling
@@ -194,3 +195,69 @@ def test_outputs_exits_one_when_a_holgate_call_fails(tmp_path, monkeypatch, caps
     assert (tmp_path / "out" / "dfs" / "seed1" / "00_dfs" / "exit_code").read_text() == "3\n"
     assert (tmp_path / "out" / "sweep" / "seed1" / "00_sweep" / "exit_code").read_text() == "0\n"
     assert "a holgate call exited nonzero" in capsys.readouterr().err
+
+
+def write_output_tree(root, fidelity=0.9999999999999982, passed=True, gate=(1.0, 0.5j)):
+    """A small tree in the layout ``outputs.py --out`` writes."""
+    entry = root / "dfs" / "seed1" / "00_dfs"
+    entry.mkdir(parents=True)
+    (entry / "exit_code").write_text("0\n")
+    outputs = {"encoded_min_fidelity": fidelity, "n_kicks": 8}
+    (entry / "stdout").write_text(json.dumps(outputs) + "\n")
+    (entry / "dfs_result.json").write_text(json.dumps({"command": "dfs", "outputs": outputs}) + "\n")
+    (entry / "dfs.csv").write_text(f"kappa,encoded_fidelity\n0.5,{fidelity!r}\n")
+    certify = root / "certify" / "seed1"
+    (certify / "10_register").mkdir(parents=True)
+    (certify / "10_register" / "certificate").write_text(repr((3e-16, 4e-16, passed)) + "\n")
+    (certify / "12_six_ion_gate").mkdir()
+    (certify / "12_six_ion_gate" / "gate.bin").write_bytes(np.array(gate, dtype=complex).tobytes())
+
+
+@pytest.mark.parametrize(
+    "change, code, lines",
+    [
+        ({}, 0, ["6 files identical, 0 differ"]),
+        (
+            {"fidelity": 0.9999999999999994, "gate": (1.0, 0.5j + 1e-16)},
+            0,
+            [
+                "2 files identical, 4 differ",
+                "certify gate.bin  max relative difference 2e-16",
+                "dfs dfs.csv encoded_fidelity  max relative difference 1.22e-15",
+                "dfs dfs.csv kappa  max relative difference 0",
+                "dfs dfs_result.json outputs.encoded_min_fidelity  max relative difference 1.22e-15",
+                "dfs stdout encoded_min_fidelity  max relative difference 1.22e-15",
+            ],
+        ),
+        (
+            {"passed": False},
+            1,
+            [
+                "5 files identical, 1 differ",
+                "certify certificate  max relative difference 0",
+                "DIFFERS certify/seed1/10_register/certificate True != False",
+            ],
+        ),
+    ],
+    ids=["identical", "perturbed_float", "flipped_verdict"],
+)
+def test_outputs_compare_passes_only_float_rounding(tmp_path, monkeypatch, capsys, change, code, lines):
+    write_output_tree(tmp_path / "a")
+    write_output_tree(tmp_path / "b", **change)
+    monkeypatch.setattr(sys, "argv", ["outputs.py", "--compare", str(tmp_path / "a"), str(tmp_path / "b")])
+    assert load_script("outputs.py").main() == code
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_outputs_compare_fails_on_a_file_only_one_tree_has(tmp_path, capsys):
+    write_output_tree(tmp_path / "a")
+    write_output_tree(tmp_path / "b")
+    (tmp_path / "b" / "dfs" / "seed1" / "00_dfs" / "dfs.csv").unlink()
+    (tmp_path / "b" / "dfs" / "seed1" / "00_dfs" / "extra").write_text("")
+    outputs = load_script("outputs.py")
+    assert outputs.compare(tmp_path / "a", tmp_path / "b") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "5 files identical, 0 differ",
+        f"DIFFERS dfs/seed1/00_dfs/dfs.csv: only in {tmp_path / 'a'}",
+        f"DIFFERS dfs/seed1/00_dfs/extra: only in {tmp_path / 'b'}",
+    ]
