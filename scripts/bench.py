@@ -12,6 +12,9 @@ thread as the benchmark does:
   schedule;
 - ``composite4_sweep_evolve``: one ``evolve`` of a composite4 sweep (12
   error points and the ideal gate, every distinct loop in one batch);
+- ``composite4_shaped_build``: one ``GATES["composite4"].build`` of the
+  ideal gate and one error point at ``sine_squared``, 32 steps, the
+  ``holgate gate`` path on a shaped pulse;
 - ``kicked_sample``, ``idle_sample``: one sample of the two kernels of a
   default ``holgate dfs`` run at ``n_samples`` KICK_SAMPLES, the kicked run
   of the encoded plus-state and the idle run of the bare contrast state
@@ -90,7 +93,7 @@ def kernel_timings() -> dict:
     generators, areas = np.array(six_ion.generators), np.array(six_ion.areas)
     gate = scaling.GATES["composite4"]
     models = [None] + [gate.error_modes["common"](eps) for eps in scaling.default_epsilon_grid(12)]
-    sweep = pulses.loop_schedule(gate.loops(gate.recipe, 0.9, 0.3, "11", models), "square", 1)
+    sweep = pulses.loop_schedule(gate.loops(gate.recipe, 0.9, 0.3, "11", models)[..., None, :], "square", 1)
     register = dfs.logical_composite_schedule(math.pi / 4, 0.0)
     encoding = dfs.three_ion_encoding()
     encoded = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
@@ -105,6 +108,7 @@ def kernel_timings() -> dict:
             "six_ion_evolve": (lambda: linalg.evolve(six_ion), 1),
             "six_ion_schedule": (lambda: linalg.Schedule(generators, areas), 1),
             "composite4_sweep_evolve": (lambda: linalg.evolve(sweep), 1),
+            "composite4_shaped_build": (lambda: gate.build(0.9, 0.3, "11", models[:2], "sine_squared", 32), 1),
             "kicked_sample": (lambda: dfs.kicked_schedule_fidelities(register, encoded, channel, SEED), KICK_SAMPLES),
             "idle_sample": (lambda: dfs.idle_contrast_run(bare, channel, register.n_segments, SEED + 1), KICK_SAMPLES),
             "certify_composite4": (lambda: holonomy.check_holonomy(holonomy.trace_evolution(certified, basis)), 1),

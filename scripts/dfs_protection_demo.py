@@ -48,7 +48,7 @@ def main():
     parser = build_parser()
     args = parser.parse_args()
     out_dir = Path(args.out)
-    # every row runs before anything is printed or written
+    # every row runs, and its file is written, before anything is printed
     try:
         with cli.strict_numerics():
             rows = protection_rows(args)
@@ -57,13 +57,15 @@ def main():
         sys.exit(cli.EXIT_NUMERIC)
     except ValueError as exc:
         parser.error(str(exc))
+    header = ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
+    try:
+        cli.write_files(out_dir, {"dfs_protection.csv": cli.csv_text(rows, header)})
+    except OSError as exc:
+        parser.error(f"argument --out: cannot write {out_dir}: {exc}")
 
     print(f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}")
     for kappa, encoded, bare, exact in rows:
         print(f"{kappa:6.2f} {encoded:12.9f} {bare:12.9f} {exact:13.9f}")
-
-    header = ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
-    cli.write_files(out_dir, {"dfs_protection.csv": cli.csv_text(rows, header)})
     print(f"\nwrote {out_dir / 'dfs_protection.csv'}")
 
 

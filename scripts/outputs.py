@@ -24,8 +24,9 @@ rounding of floats.  Byte-identical files pass.  A differing record,
 ``stdout``, CSV file or certificate is parsed, and ``gate.bin`` is read
 as complex128: strings, booleans, integers, keys and shapes must match,
 and for floats it prints the largest relative difference
-``|a - b| / max(|a|, |b|)`` per workload, file and key.  Exits 1 on any
-other difference, or on a file that only one tree has.
+``|a - b| / max(|a|, |b|)`` and the largest absolute difference ``|a - b|``
+per workload, file and key.  Exits 1 on any other difference, or on a
+file that only one tree has.
 """
 
 import argparse
@@ -93,19 +94,25 @@ def parse(path: Path):
     return [json.loads(line) for line in text.splitlines()]
 
 
-def relative_difference(a, b) -> float:
+def differences(a, b) -> tuple[float, float]:
+    """The relative and the absolute difference of two floats or complex numbers."""
     if a == b or (a != a and b != b):  # equal, or both NaN
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(abs(a)) and math.isfinite(abs(b))):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
+
+
+def widest(floats: dict, key: str, pair: tuple[float, float]) -> None:
+    """Keep under ``key`` the largest relative and absolute differences seen."""
+    floats[key] = tuple(map(max, floats.get(key, (0.0, 0.0)), pair))
 
 
 def diff_values(a, b, key: str, floats: dict, problems: list) -> None:
     """Walk two parsed values together.
 
-    The largest relative difference of the floats under each key goes into
-    ``floats``, and any other difference into ``problems``.
+    The largest relative and absolute differences of the floats under each
+    key go into ``floats``, and any other difference into ``problems``.
     """
     where = f"{key}: " if key else ""
     if type(a) is not type(b):
@@ -123,7 +130,7 @@ def diff_values(a, b, key: str, floats: dict, problems: list) -> None:
         for x, y in zip(a, b):
             diff_values(x, y, key, floats, problems)
     elif isinstance(a, (float, complex)):
-        floats[key] = max(floats.get(key, 0.0), relative_difference(a, b))
+        widest(floats, key, differences(a, b))
     elif a != b:
         problems.append(f"{where}{a!r} != {b!r}")
 
@@ -148,13 +155,12 @@ def compare(a: Path, b: Path) -> int:
         file_floats, file_problems = {}, []
         diff_values(old, new, "", file_floats, file_problems)
         problems += [f"{rel} {problem}" for problem in file_problems]
-        for key, value in file_floats.items():
+        for key, pair in file_floats.items():
             # per workload, file name and key, over every seed and entry
-            name = f"{rel.parts[0]} {rel.name} {key}".rstrip()
-            floats[name] = max(floats.get(name, 0.0), value)
+            widest(floats, f"{rel.parts[0]} {rel.name} {key}".rstrip(), pair)
     print(f"{identical} files identical, {parsed} differ")
-    for name, value in sorted(floats.items()):
-        print(f"{name}  max relative difference {value:.3g}")
+    for name, (relative, absolute) in sorted(floats.items()):
+        print(f"{name}  max relative difference {relative:.3g}, absolute {absolute:.3g}")
     for problem in problems:
         print("DIFFERS", problem)
     return 1 if problems else 0

@@ -74,7 +74,7 @@ def main():
     parser = build_parser()
     args = parser.parse_args()
     out_dir = Path(args.out)
-    # every case runs before anything is printed or written
+    # every case runs, and its files are written, before anything is printed
     try:
         with cli.strict_numerics():
             csvs, lines = study(args)
@@ -83,11 +83,14 @@ def main():
         sys.exit(cli.EXIT_NUMERIC)
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        cli.write_files(out_dir, csvs)
+    except OSError as exc:
+        parser.error(f"argument --out: cannot write {out_dir}: {exc}")
 
     print(f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}")
     for line in lines:
         print(line)
-    cli.write_files(out_dir, csvs)
     print(f"\nCSV files in {out_dir}/")
 
 

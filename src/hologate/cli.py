@@ -58,6 +58,8 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply to parse") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg

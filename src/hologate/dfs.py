@@ -221,12 +221,12 @@ def kicked_schedule_fidelities(
 ) -> DephasingResult:
     """State fidelities of kick-interleaved runs against the clean run.
 
-    One kick follows every segment of an unbatched schedule.  Fidelity is
-    the phase-insensitive overlap squared with the kick-free final state.
-    Only the levels the schedule couples or psi0 occupies are evolved
-    (``linalg.exponentials``): the others stay exactly empty, and the
-    diagonal kicks cannot fill them.  A kick takes one cos/sin pair per
-    distinct collective level among them (one for an encoded state).
+    One kick follows every segment of an unbatched schedule.  Fidelity is the
+    phase-insensitive overlap squared with the clean run, the ``linalg.product``
+    of the propagators on psi0.  Only the levels the schedule couples or psi0
+    occupies are evolved (``linalg.exponentials``): the others stay exactly
+    empty, and the diagonal kicks cannot fill them.  A kick takes one cos/sin
+    pair per distinct collective level among them (one for an encoded state).
     """
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
@@ -236,10 +236,7 @@ def kicked_schedule_fidelities(
         raise ValueError(f"schedule and psi0 must act on the {psi0.size} levels of {n_ions} ions")
     levels, propagators = linalg.exponentials(schedule, psi0)
     psi0 = psi0[levels]
-
-    clean = psi0.copy()
-    for u in propagators:
-        clean = u @ clean
+    clean = linalg.product(propagators) @ psi0
 
     # Every kick sample is one column of a (n_levels, n_samples) state array;
     # the columns evolve together and two buffers are swapped for the whole run.

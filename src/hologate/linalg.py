@@ -150,19 +150,26 @@ def exponentials(schedule: Schedule, vectors=()) -> tuple[np.ndarray, np.ndarray
     return levels, steps
 
 
-def evolve(schedule: Schedule) -> np.ndarray:
-    """Time-ordered product exp(-i g_n a_n) ... exp(-i g_1 a_1) of a schedule.
+def product(steps) -> np.ndarray:
+    """Time-ordered product steps[n-1] ... steps[0] of (..., n, L, L) steps: (..., L, L).
 
-    Every segment of every batch entry is exponentiated in one call, on
-    the coupled ``levels`` only, and the product is embedded in the
-    identity; the result has the broadcast batch shape + (d, d).
+    Adjacent pairs multiply, the later step on the left, until one is left.
     """
-    levels, steps = exponentials(schedule)
-    # pairwise products keep time order: later slice on the left
     while steps.shape[-3] > 1:
         k = steps.shape[-3]
         paired = steps[..., 1::2, :, :] @ steps[..., 0 : k - 1 : 2, :, :]
         steps = paired if k % 2 == 0 else np.concatenate((paired, steps[..., -1:, :, :]), axis=-3)
+    return steps[..., 0, :, :]
+
+
+def evolve(schedule: Schedule) -> np.ndarray:
+    """Time-ordered product exp(-i g_n a_n) ... exp(-i g_1 a_1) of a schedule.
+
+    Every segment of every batch entry is exponentiated in one call, on
+    the coupled ``levels`` only, and the ``product`` is embedded in the
+    identity; the result has the broadcast batch shape + (d, d).
+    """
+    levels, steps = exponentials(schedule)
     u = np.ones(steps.shape[:-3] + (1, 1)) * np.eye(schedule.generators.shape[-1], dtype=complex)
-    u[..., levels[:, None], levels] = steps[..., 0, :, :]
+    u[..., levels[:, None], levels] = product(steps)
     return u

@@ -51,35 +51,23 @@ class Recipe:
     """A gate as elementary loops run back to back.
 
     ``loops`` maps the gate's parameter (a bright angle, or a two-qubit
-    level label) to the parameters of its distinct loops, and ``order``
-    lists loop indices in time order, first in time first.
+    level label) to the parameters of its distinct loops; the gate is the
+    time-ordered product of their unitaries in ``order``, first in time first.
     """
 
     loops: Callable[..., tuple]
     order: tuple[int, ...]
 
-    def fold(self, unitaries: np.ndarray) -> np.ndarray:
-        """The gate from loop unitaries (models, loops, d, d): one (d, d) per model.
 
-        Later loops multiply on the left, folded from the last in time:
-        order (0, 0, 1, 1) gives ((U1 @ U1) @ U0) @ U0.
-        """
-        gate = unitaries[:, self.order[-1]]
-        for k in reversed(self.order[:-1]):
-            gate = gate @ unitaries[:, k]
-        return gate
-
-
-def loop_schedule(field, envelope: str, steps: int, order=None) -> linalg.Schedule:
-    """Every envelope slice of a batch of elementary loops, as one schedule.
+def loop_schedule(field, envelope: str, steps: int) -> linalg.Schedule:
+    """Every envelope slice of elementary loops run back to back, as one schedule.
 
     Loop k drives ``field[..., k, :]`` (..., n_loops, d), each level's
     unnormalised coupling to the last, auxiliary level (whose entry must
     be zero): its segments run e^{i phi0} |f><last| + h.c. at the drive phases
     ``DRIVE_PHASES``, each in ``steps`` slices with the areas of
-    ``slice_areas``.  The result keeps the batch axes, loops included.
-    With ``order``, the batch holds one error model and the result is its
-    loops back to back in that order, unbatched.
+    ``slice_areas``.  The loops run in k order, first in time first, and
+    the result keeps the leading batch axes.
     """
     field = np.asarray(field, dtype=complex)
     if field.ndim < 2:
@@ -87,14 +75,10 @@ def loop_schedule(field, envelope: str, steps: int, order=None) -> linalg.Schedu
     d = field.shape[-1]
     if field[..., -1:].any():  # NaN counts as nonzero
         raise ValueError(f"the auxiliary level {d - 1} has no drive field: field[..., -1] must be 0")
-    areas = np.tile(slice_areas(envelope, steps), len(DRIVE_PHASES))
+    areas = np.tile(slice_areas(envelope, steps), len(DRIVE_PHASES) * field.shape[-2])
     # e^{i phi0} f_i (..., loops, segments, 1, d - 1), on every level but the last
     column = np.exp(1j * np.array(DRIVE_PHASES))[:, None, None] * field[..., None, None, :-1]
     gens = np.zeros(column.shape[:-2] + (steps, d, d), dtype=complex)
     gens[..., :-1, -1] = column
     gens[..., -1, :-1] = column.conj()
-    gens = gens.reshape(field.shape[:-1] + (areas.size, d, d))
-    if order is not None:
-        gens = gens[..., list(order), :, :, :].reshape((-1,) + gens.shape[-2:])
-        areas = np.tile(areas, len(order))
-    return linalg.Schedule(gens, areas)
+    return linalg.Schedule(gens.reshape(field.shape[:-2] + (areas.size, d, d)), areas)

@@ -60,11 +60,12 @@ class Gate:
     def build(self, theta, phi, jk, models, envelope="square", steps=1) -> np.ndarray:
         """One gate per error model (None for ideal), shape (len(models), d, d).
 
-        The distinct loops of every model evolve in one call and fold in
-        the recipe's order, so no loop is evolved twice.
+        Each distinct loop of every model is evolved once, as its own batch
+        entry; the gate is the ``linalg.product`` of their unitaries in ``order``.
         """
         field = self.loops(self.recipe, theta, phi, jk, models)
-        return self.recipe.fold(linalg.evolve(pulses.loop_schedule(field, envelope, steps)))
+        unitaries = linalg.evolve(pulses.loop_schedule(field[..., None, :], envelope, steps))
+        return linalg.product(unitaries[:, list(self.recipe.order)])
 
     def schedule(self, theta, phi, jk, model=None) -> linalg.Schedule:
         """The loops under one error model back to back in time order, square pulses.
@@ -72,7 +73,7 @@ class Gate:
         With no model this is the schedule check-holonomy certifies.
         """
         field = self.loops(self.recipe, theta, phi, jk, (model,))
-        return pulses.loop_schedule(field, "square", 1, self.recipe.order)
+        return pulses.loop_schedule(field[0, list(self.recipe.order)], "square", 1)
 
     def subspace_basis(self) -> np.ndarray:
         return np.eye(len(self.labels), dtype=complex)[:-1]

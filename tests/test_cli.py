@@ -236,6 +236,13 @@ def test_unreadable_and_malformed_configs_exit_two(tmp_path, capsys):
     lst.write_text("[1, 2]")
     assert run(["gate", "--config", str(lst), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+    # nesting deeper than the parser's recursion limit is a config error too
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["gate", "--config", str(deep), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def assert_one_output_error(capsys):

@@ -88,7 +88,7 @@ REGISTER_SCHEDULES = {
 def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
     recipe, build, encoding, blocks = REGISTER_SCHEDULES[name]
     field = qutrit.loops(recipe, 0.8, 1.1, None, (model,))
-    bare = pulses.loop_schedule(field, "square", 1, order=recipe.order)
+    bare = pulses.loop_schedule(field[0, list(recipe.order)], "square", 1)
     register = build(0.8, 1.1, model)
     assert np.array_equal(register.areas, bare.areas)
     within = np.zeros((encoding.dim, encoding.dim), dtype=bool)

@@ -11,6 +11,7 @@ from hologate.scaling import GATES
 
 from oracles import (
     eigh_expm,
+    haar_unitary,
     is_unitary,
     random_hermitian,
     rk4_propagator,
@@ -395,6 +396,19 @@ def test_evolve_keeps_time_order_for_any_segment_count(seed, n):
     for g, a in zip(gens, areas):
         expected = eigh_expm(g, a) @ expected
     assert linalg.frobenius_distance(linalg.evolve(linalg.Schedule(gens, areas)), expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_product_is_the_sequential_left_product_on_every_batch_entry(n, rng):
+    # steps (2, 3, n, 4, 4), step 0 first: each entry is steps[n-1] ... steps[0]
+    steps = np.array([[[haar_unitary(rng, 4) for _ in range(n)] for _ in range(3)] for _ in range(2)])
+    product = linalg.product(steps)
+    assert product.shape == (2, 3, 4, 4)
+    for b in np.ndindex(2, 3):
+        expected = steps[b][0]
+        for step in steps[b][1:]:
+            expected = step @ expected
+        assert linalg.frobenius_distance(product[b], expected) < 1e-14
 
 
 def test_evolve_rejects_bad_batches(rng):

@@ -70,15 +70,15 @@ def test_envelope_only_redistributes_area(seed, steps, d):
     bright = random_bright(np.random.default_rng(seed), 1, d)
     field = 1.3 / (math.pi / 2) * bright
     for envelope in pulses.ENVELOPES:
-        u = linalg.evolve(pulses.loop_schedule(field, envelope, steps))[0]
+        u = linalg.evolve(pulses.loop_schedule(field, envelope, steps))
         assert linalg.frobenius_distance(u, loop_unitary(bright[0], 1.3)) < 1e-9
 
 
 def test_schedule_unitary_orders_left(rng):
-    # two loops of segment areas 0.4 then 1.1, run in order (0, 1)
+    # two loops of segment areas 0.4 then 1.1, run back to back in that order
     bright = random_bright(rng, 2, 3)
     field = np.array([[0.4], [1.1]]) / (math.pi / 2) * bright
-    schedule = pulses.loop_schedule(field[None], "sine_squared", 5, order=(0, 1))
+    schedule = pulses.loop_schedule(field, "sine_squared", 5)
     assert schedule.n_segments == 20
     u = linalg.evolve(schedule)
     expected = loop_unitary(bright[1], 1.1) @ loop_unitary(bright[0], 0.4)
@@ -87,7 +87,7 @@ def test_schedule_unitary_orders_left(rng):
 
 def test_schedule_unitary_rejects_empty():
     with pytest.raises(ValueError):
-        pulses.loop_schedule(np.zeros((1, 0, 3)), "square", 1, order=())
+        pulses.loop_schedule(np.zeros((0, 3)), "square", 1)
     # one field with no loop axis
     with pytest.raises(ValueError, match="fields"):
         pulses.loop_schedule(np.eye(3)[0], "square", 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import holonomy, linalg, qutrit, scaling, two_qubit
+from hologate import holonomy, linalg, pulses, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError, SweepSpec
 
@@ -267,6 +267,20 @@ def test_residual_norm_ratio_is_quadratic():
     assert abs(ratio - 4.0) < 0.3
     with pytest.raises(ValueError):
         residual_norm_ratio(lambda eps: bch_residual(frame.theta, frame.phi, eps), 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(scaling.GATES))
+@pytest.mark.parametrize("envelope, steps", [("square", 1), ("sine_squared", 8)])
+def test_build_is_the_product_of_its_loop_unitaries_in_recipe_order(name, envelope, steps):
+    gate = scaling.GATES[name]
+    models = [None] + [mode(0.03) for mode in gate.error_modes.values()]
+    built = gate.build(0.7, 0.3, "10", models, envelope, steps)
+    field = gate.loops(gate.recipe, 0.7, 0.3, "10", models)
+    for m in range(len(models)):
+        # each distinct loop evolved on its own, then multiplied in time order
+        loops = [linalg.evolve(pulses.loop_schedule(f[None], envelope, steps)) for f in field[m]]
+        expected = linalg.product(np.array([loops[k] for k in gate.recipe.order]))
+        assert np.max(np.abs(built[m] - expected)) < 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(scaling.GATES))

@@ -138,6 +138,25 @@ def test_dfs_demo_overflowing_kappa_exits_three_before_any_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [("scaling_study.py", ["--points", "3"]), ("dfs_protection_demo.py", ["--kappas", "0.1", "--n-samples", "10"])],
+    ids=["scaling", "dfs"],
+)
+def test_script_unwritable_out_exits_two_before_any_output(tmp_path, name, args):
+    # --out names an existing file: nothing can be written under it
+    blocker = tmp_path / "out"
+    blocker.write_text("keep")
+    result = run_script(name, *args, "--out", str(blocker), check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"{name}: error: argument --out: cannot write {blocker}")
+    assert blocker.read_text() == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (None, 0)])
 def test_bench_writes_no_record_of_a_failing_run(tmp_path, monkeypatch, capsys, correct, failed):
     bench = load_script("bench.py")
@@ -222,11 +241,11 @@ def write_output_tree(root, fidelity=0.9999999999999982, passed=True, gate=(1.0,
             0,
             [
                 "2 files identical, 4 differ",
-                "certify gate.bin  max relative difference 2e-16",
-                "dfs dfs.csv encoded_fidelity  max relative difference 1.22e-15",
-                "dfs dfs.csv kappa  max relative difference 0",
-                "dfs dfs_result.json outputs.encoded_min_fidelity  max relative difference 1.22e-15",
-                "dfs stdout encoded_min_fidelity  max relative difference 1.22e-15",
+                "certify gate.bin  max relative difference 2e-16, absolute 1e-16",
+                "dfs dfs.csv encoded_fidelity  max relative difference 1.22e-15, absolute 1.22e-15",
+                "dfs dfs.csv kappa  max relative difference 0, absolute 0",
+                "dfs dfs_result.json outputs.encoded_min_fidelity  max relative difference 1.22e-15, absolute 1.22e-15",
+                "dfs stdout encoded_min_fidelity  max relative difference 1.22e-15, absolute 1.22e-15",
             ],
         ),
         (
@@ -234,7 +253,7 @@ def write_output_tree(root, fidelity=0.9999999999999982, passed=True, gate=(1.0,
             1,
             [
                 "5 files identical, 1 differ",
-                "certify certificate  max relative difference 0",
+                "certify certificate  max relative difference 0, absolute 0",
                 "DIFFERS certify/seed1/10_register/certificate True != False",
             ],
         ),
