@@ -93,7 +93,7 @@ def kernel_timings() -> dict:
     generators, areas = np.array(six_ion.generators), np.array(six_ion.areas)
     gate = scaling.GATES["composite4"]
     models = [None] + [gate.error_modes["common"](eps) for eps in scaling.default_epsilon_grid(12)]
-    sweep = pulses.loop_schedule(gate.loops(gate.recipe, 0.9, 0.3, "11", models)[..., None, :], "square", 1)
+    sweep = pulses.loop_schedule(gate.fields(0.9, 0.3, "11", models)[..., None, :], "square", 1)
     register = dfs.logical_composite_schedule(math.pi / 4, 0.0)
     encoding = dfs.three_ion_encoding()
     encoded = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)

@@ -21,7 +21,7 @@ def build_parser():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/dfs", help="output directory")
     parser.add_argument(
-        "--kappas", type=float, nargs="+", default=list(np.linspace(0.0, 1.0, 11))
+        "--kappas", type=cli.finite_float, nargs="+", default=list(np.linspace(0.0, 1.0, 11))
     )
     parser.add_argument("--n-samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)

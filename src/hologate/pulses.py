@@ -12,8 +12,6 @@ re-multiplied, must land on the single-exponential result.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,19 +42,6 @@ def slice_areas(envelope: str, steps: int) -> np.ndarray:
     areas = SEGMENT_AREA * np.diff(frac)
     areas[-1] += SEGMENT_AREA - float(np.sum(areas))
     return areas
-
-
-@dataclass(frozen=True)
-class Recipe:
-    """A gate as elementary loops run back to back.
-
-    ``loops`` maps the gate's parameter (a bright angle, or a two-qubit
-    level label) to the parameters of its distinct loops; the gate is the
-    time-ordered product of their unitaries in ``order``, first in time first.
-    """
-
-    loops: Callable[..., tuple]
-    order: tuple[int, ...]
 
 
 def loop_schedule(field, envelope: str, steps: int) -> linalg.Schedule:

@@ -8,9 +8,10 @@ segments with drive phases pi/2 then 0, which traces a closed loop of the
 computational subspace and imprints a purely geometric unitary.
 
 Pulse-strength errors enter as constant fractional deviations (eps0,
-eps1) of the two field amplitudes.  ``loops`` gives every loop of a recipe
-as its two scaled amplitudes, the drive field ``pulses.loop_schedule``
-drives; ``scaling.GATES`` evolves them into gates.
+eps1) of the two field amplitudes, an ``ErrorModel`` whose ``scale`` is
+each field's factor.  ``loops`` gives the ideal bright vector of each loop,
+the drive field ``pulses.loop_schedule`` drives; each ``scaling.GATES``
+entry lists its loops' angles and applies the scale.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import pulses
 
 DIM = 3
 IDX_0, IDX_1, IDX_E = 0, 1, 2
@@ -68,24 +67,15 @@ class ErrorModel:
                 f"error fractions must satisfy |eps| < 1, got ({self.eps0}, {self.eps1})"
             )
 
-
-# Ideal values: the elementary gate is -i|e><e| + i|b><b| + |d><d|, and
-# composite2, its square, -|e><e| - |b><b| + |d><d|; repetition cancels the
-# first-order stretch but not the tilt.  composite4 runs the mirrored-angle
-# pair first and the theta pair last: the mirrored angle reverses the sign of
-# the first-order tilt, so both error channels cancel to leading order.
-ELEMENTARY = pulses.Recipe(lambda theta: (theta,), (0,))
-COMPOSITE_TWO = pulses.Recipe(lambda theta: (theta,), (0, 0))
-COMPOSITE_FOUR = pulses.Recipe(lambda theta: (math.pi - theta, theta), (0, 0, 1, 1))
+    @property
+    def scale(self) -> tuple[float, float, float]:
+        """Each level's drive-field factor: 1 + eps0, 1 + eps1, and 1 on |e>."""
+        return (1.0 + self.eps0, 1.0 + self.eps1, 1.0)
 
 
-def loops(recipe: pulses.Recipe, theta: float, phi: float, jk, models):
-    """Each loop's drive field under each error model (None for no error).
+def loops(angles, phi: float) -> np.ndarray:
+    """The ideal drive field of a loop at each bright angle t, (loops, 3).
 
-    At loop angle t it is ((1+eps0) cos(t/2), (1+eps1) sin(t/2) e^{i phi},
-    0): the ideal bright vector, each field scaled by its model's 1 + eps.
-    Returns (models, loops, 3); ``jk`` is unused.
+    It is the bright vector (cos(t/2), sin(t/2) e^{i phi}, 0).
     """
-    bright = np.array([BrightDarkFrame(t, phi).bright for t in recipe.loops(theta)])
-    scale = np.array([(1.0 + m.eps0, 1.0 + m.eps1, 1.0) if m else (1.0, 1.0, 1.0) for m in models])
-    return scale[:, None, :] * bright
+    return np.array([BrightDarkFrame(t, phi).bright for t in angles])

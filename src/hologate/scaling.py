@@ -9,6 +9,7 @@ log-log fit is the measured order.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -42,20 +43,32 @@ def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class Gate:
     """One gate of the scheme: the only way the package builds a gate.
 
-    ``recipe`` (``pulses.Recipe``) lists the gate's distinct loops and the
-    order they run in, and ``loops(recipe, theta, phi, jk, models)`` is its
-    family's map from error models to each loop's drive field (models,
-    loops, d) (``qutrit.loops`` or ``two_qubit.loops``), which
-    ``pulses.loop_schedule`` drives.  The last of the ``labels`` is the
-    auxiliary level and the others span the holonomy subspace;
-    ``error_modes`` maps a sweep mode to the ``error_model`` of one eps.
+    ``loops(theta, phi, jk)`` is the ideal drive field of each of the gate's
+    distinct loops (loops, d), which ``pulses.loop_schedule`` drives, and
+    ``order`` the time order they run in, first in time first.  The last of
+    the ``labels`` is the auxiliary level and the others span the holonomy
+    subspace; ``error_modes`` maps a sweep mode to the ``error_model`` of
+    one eps.
     """
 
-    recipe: pulses.Recipe
-    loops: Callable[..., np.ndarray]
+    loops: Callable[[float, float, str], np.ndarray]
+    order: tuple[int, ...]
     labels: tuple[str, ...]
     error_model: type
     error_modes: dict[str, Callable[[float], object]]
+
+    def fields(self, theta, phi, jk, models) -> np.ndarray:
+        """Each loop's drive field under each error model, (len(models), loops, d).
+
+        The ideal field times the model's ``scale``, 1 + eps per level (None
+        for no error): the one place an amplitude error enters a gate.
+        """
+        ideal = self.loops(theta, phi, jk)
+        scale = np.ones((len(models), ideal.shape[-1]))
+        for row, model in zip(scale, models):
+            if model is not None:
+                row[:] = model.scale
+        return scale[:, None, :] * ideal
 
     def build(self, theta, phi, jk, models, envelope="square", steps=1) -> np.ndarray:
         """One gate per error model (None for ideal), shape (len(models), d, d).
@@ -63,44 +76,47 @@ class Gate:
         Each distinct loop of every model is evolved once, as its own batch
         entry; the gate is the ``linalg.product`` of their unitaries in ``order``.
         """
-        field = self.loops(self.recipe, theta, phi, jk, models)
+        field = self.fields(theta, phi, jk, models)
         unitaries = linalg.evolve(pulses.loop_schedule(field[..., None, :], envelope, steps))
-        return linalg.product(unitaries[:, list(self.recipe.order)])
+        return linalg.product(unitaries[:, list(self.order)])
 
     def schedule(self, theta, phi, jk, model=None) -> linalg.Schedule:
         """The loops under one error model back to back in time order, square pulses.
 
         With no model this is the schedule check-holonomy certifies.
         """
-        field = self.loops(self.recipe, theta, phi, jk, (model,))
-        return pulses.loop_schedule(field[0, list(self.recipe.order)], "square", 1)
+        field = self.fields(theta, phi, jk, (model,))
+        return pulses.loop_schedule(field[0, list(self.order)], "square", 1)
 
     def subspace_basis(self) -> np.ndarray:
         return np.eye(len(self.labels), dtype=complex)[:-1]
 
 
-QUTRIT_MODES = {
-    "common": lambda eps: qutrit.ErrorModel(eps, eps),
-    "differential": lambda eps: qutrit.ErrorModel(eps, -eps),
-    "single_field": lambda eps: qutrit.ErrorModel(eps, 0.0),
-}
-
-
-def _qutrit_gate(recipe) -> Gate:
-    return Gate(recipe, qutrit.loops, qutrit.BASIS_LABELS, qutrit.ErrorModel, QUTRIT_MODES)
-
-
-def _two_qubit_gate(recipe) -> Gate:
-    error_modes = {"two_qubit": two_qubit.TwoQubitErrorModel}
-    return Gate(recipe, two_qubit.loops, two_qubit.LABELS, two_qubit.TwoQubitErrorModel, error_modes)
-
+_QUTRIT = (
+    qutrit.BASIS_LABELS,
+    qutrit.ErrorModel,
+    {
+        "common": lambda eps: qutrit.ErrorModel(eps, eps),
+        "differential": lambda eps: qutrit.ErrorModel(eps, -eps),
+        "single_field": lambda eps: qutrit.ErrorModel(eps, 0.0),
+    },
+)
+_TWO_QUBIT = (two_qubit.LABELS, two_qubit.TwoQubitErrorModel, {"two_qubit": two_qubit.TwoQubitErrorModel})
 
 GATES = {
-    "elementary": _qutrit_gate(qutrit.ELEMENTARY),
-    "composite2": _qutrit_gate(qutrit.COMPOSITE_TWO),
-    "composite4": _qutrit_gate(qutrit.COMPOSITE_FOUR),
-    "twoqubit_elementary": _two_qubit_gate(two_qubit.ELEMENTARY),
-    "twoqubit_composite": _two_qubit_gate(two_qubit.COMPOSITE),
+    # ideal values: the elementary gate is -i|e><e| + i|b><b| + |d><d|
+    "elementary": Gate(lambda theta, phi, jk: qutrit.loops((theta,), phi), (0,), *_QUTRIT),
+    # composite2 is its square, -|e><e| - |b><b| + |d><d|: repetition
+    # cancels the first-order stretch but not the tilt
+    "composite2": Gate(lambda theta, phi, jk: qutrit.loops((theta,), phi), (0, 0), *_QUTRIT),
+    # composite4 runs the mirrored-angle pair first and the theta pair last:
+    # the mirrored angle reverses the sign of the first-order tilt, so both
+    # error channels cancel to leading order
+    "composite4": Gate(lambda theta, phi, jk: qutrit.loops((math.pi - theta, theta), phi), (0, 0, 1, 1), *_QUTRIT),
+    # the two-qubit elementary gate is -i|a><a| + i|jk><jk| + rest unchanged
+    "twoqubit_elementary": Gate(lambda theta, phi, jk: two_qubit.loops((jk,)), (0,), *_TWO_QUBIT),
+    # and its square flips the sign of |jk> and |a>
+    "twoqubit_composite": Gate(lambda theta, phi, jk: two_qubit.loops((jk,)), (0, 0), *_TWO_QUBIT),
 }
 # aliases: sweeps have always called the elementary gates "single"
 GATES["single"] = GATES["elementary"]

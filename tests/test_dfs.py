@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hologate import dfs, linalg, pulses, qutrit, scaling
+from hologate import dfs, linalg, pulses, scaling
 from hologate.dfs import DephasingChannel, DfsEncoding
 from hologate.qutrit import ErrorModel
 
@@ -72,10 +72,10 @@ def test_register_encodings_are_shared_and_read_only():
 
 
 REGISTER_SCHEDULES = {
-    # bare recipe, register builder, encoding, the levels of each bare copy
-    "three_ion": (qutrit.COMPOSITE_FOUR, dfs.logical_composite_schedule, ENC3, [("0", "1", "a")]),
+    # bare gate, register builder, encoding, the levels of each bare copy
+    "three_ion": ("composite4", dfs.logical_composite_schedule, ENC3, [("0", "1", "a")]),
     "six_ion": (
-        qutrit.COMPOSITE_TWO,
+        "composite2",
         dfs.two_logical_composite_schedule,
         ENC6,
         [("00", "01", "a1"), ("11", "10", "a2")],
@@ -86,9 +86,10 @@ REGISTER_SCHEDULES = {
 @pytest.mark.parametrize("name", sorted(REGISTER_SCHEDULES))
 @pytest.mark.parametrize("model", [None, ErrorModel(0.05, -0.02)], ids=["ideal", "error"])
 def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
-    recipe, build, encoding, blocks = REGISTER_SCHEDULES[name]
-    field = qutrit.loops(recipe, 0.8, 1.1, None, (model,))
-    bare = pulses.loop_schedule(field[0, list(recipe.order)], "square", 1)
+    gate_kind, build, encoding, blocks = REGISTER_SCHEDULES[name]
+    gate = scaling.GATES[gate_kind]
+    field = gate.fields(0.8, 1.1, None, (model,))
+    bare = pulses.loop_schedule(field[0, list(gate.order)], "square", 1)
     register = build(0.8, 1.1, model)
     assert np.array_equal(register.areas, bare.areas)
     within = np.zeros((encoding.dim, encoding.dim), dtype=bool)

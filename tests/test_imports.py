@@ -1,0 +1,42 @@
+"""No module under src/, scripts/ or tests/ imports a name it never uses.
+
+A name listed in the module's ``__all__`` counts as used, and
+``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(path for tree in ("src", "scripts", "tests") for path in (ROOT / tree).rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every name the source imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from __future__ import annotations\nimport os, sys\nimport numpy as np\nfrom a.b import c, d\n"
+    assert unused_imports(source + "__all__ = ['d']\nsys.exit(np)\n") == [(2, "os"), (4, "c")]
+    assert unused_imports("import os.path\nos.path.join()\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg, pulses, qutrit, two_qubit
+from hologate import linalg, pulses, qutrit
 from hologate.scaling import GATES
 
 from oracles import two_qubit_ket
@@ -97,23 +97,53 @@ def test_schedule_unitary_rejects_empty():
             pulses.loop_schedule(np.array([[1.0, 0.0, aux]]), "square", 1)
 
 
+# each qutrit gate's distinct loops at theta, first loop first, as bright angles
+BRIGHT_ANGLES = {
+    "elementary": lambda theta: (theta,),
+    "single": lambda theta: (theta,),
+    "composite2": lambda theta: (theta,),
+    "composite4": lambda theta: (math.pi - theta, theta),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+@pytest.mark.parametrize("theta, phi, jk", [(0.8, 1.1, "01"), (2.3, -0.4, "11")])
+def test_every_error_mode_scales_each_drive_field_by_one_plus_eps(name, theta, phi, jk):
+    gate = GATES[name]
+    if name in BRIGHT_ANGLES:
+        ideal = np.array([qutrit.BrightDarkFrame(t, phi).bright for t in BRIGHT_ANGLES[name](theta)])
+    else:
+        ideal = np.eye(5)[[int(jk, 2)]]
+    for mode in gate.error_modes.values():
+        model = mode(0.03)
+        if name in BRIGHT_ANGLES:
+            # each field by its own 1 + eps, nothing on the auxiliary level
+            expected = ideal * np.array([1 + model.eps0, 1 + model.eps1, 0.0])
+        else:
+            expected = (1 + model.eps_jk) * ideal
+        field = gate.fields(theta, phi, jk, (None, model))
+        assert field.shape == (2,) + ideal.shape
+        assert np.max(np.abs(field[0] - ideal)) <= 1e-15
+        assert np.max(np.abs(field[1] - expected)) <= 1e-15
+
+
 @pytest.mark.parametrize("name", sorted(GATES))
 @pytest.mark.parametrize("theta, phi, jk", [(0.0, 0.0, "00"), (0.8, 1.1, "01"), (2.3, -0.4, "11")])
 def test_every_gate_generator_drives_its_bright_vector(name, theta, phi, jk):
     gate = GATES[name]
     gens = gate.schedule(theta, phi, jk).generators
     d = len(gate.labels)
-    assert gens.shape == (2 * len(gate.recipe.order), d, d)
+    assert gens.shape == (2 * len(gate.order), d, d)
     assert np.array_equal(gens, gens.conj().swapaxes(-1, -2))
     # nonzero only between the last (auxiliary) level and the others
     drive_block = np.zeros((d, d), dtype=bool)
     drive_block[:-1, -1] = drive_block[-1, :-1] = True
     assert not gens[:, ~drive_block].any()
-    for i, loop in enumerate(gate.recipe.order):
+    for i, loop in enumerate(gate.order):
         for s, phase in enumerate(pulses.DRIVE_PHASES):
             g = gens[2 * i + s]
-            if gate.loops is qutrit.loops:
-                frame = qutrit.BrightDarkFrame(gate.recipe.loops(theta)[loop], phi)
+            if name in BRIGHT_ANGLES:
+                frame = qutrit.BrightDarkFrame(BRIGHT_ANGLES[name](theta)[loop], phi)
                 assert np.max(np.abs(g[:, -1] - np.exp(1j * phase) * frame.bright)) < 1e-15
                 assert np.max(np.abs(g @ frame.dark)) < 1e-15
                 if frame.theta == 0.0:
@@ -122,6 +152,6 @@ def test_every_gate_generator_drives_its_bright_vector(name, theta, phi, jk):
             else:
                 assert np.array_equal(g[:, -1], np.exp(1j * phase) * two_qubit_ket(jk))
                 assert np.count_nonzero(g) == 2
-    if gate.loops is two_qubit.loops:
-        with pytest.raises(ValueError):
+    if name not in BRIGHT_ANGLES:
+        with pytest.raises(ValueError, match="not a computational label"):
             gate.schedule(theta, phi, "a")

@@ -275,11 +275,11 @@ def test_build_is_the_product_of_its_loop_unitaries_in_recipe_order(name, envelo
     gate = scaling.GATES[name]
     models = [None] + [mode(0.03) for mode in gate.error_modes.values()]
     built = gate.build(0.7, 0.3, "10", models, envelope, steps)
-    field = gate.loops(gate.recipe, 0.7, 0.3, "10", models)
+    field = gate.fields(0.7, 0.3, "10", models)
     for m in range(len(models)):
         # each distinct loop evolved on its own, then multiplied in time order
         loops = [linalg.evolve(pulses.loop_schedule(f[None], envelope, steps)) for f in field[m]]
-        expected = linalg.product(np.array([loops[k] for k in gate.recipe.order]))
+        expected = linalg.product(np.array([loops[k] for k in gate.order]))
         assert np.max(np.abs(built[m] - expected)) < 1e-15
 
 

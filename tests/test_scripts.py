@@ -62,6 +62,7 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
         ("dfs_protection_demo.py", ["--seed", "-1"]),
         ("dfs_protection_demo.py", ["--kappas", "-0.1"]),
         ("dfs_protection_demo.py", ["--kappas", "nan"]),
+        ("dfs_protection_demo.py", ["--kappas", "inf"]),
         ("dfs_protection_demo.py", ["--n-samples", "0"]),
         ("scaling_study.py", ["--points", "0"]),
         ("scaling_study.py", ["--points", "-3"]),
@@ -77,7 +78,7 @@ def test_dfs_demo_row_is_the_cli_run_at_seed_plus_two_i(tmp_path, capsys):
         ),
     ],
     ids=[
-        "seed", "kappa_negative", "kappa_nan", "n_samples", "points_zero", "points_negative",
+        "seed", "kappa_negative", "kappa_nan", "kappa_inf", "n_samples", "points_zero", "points_negative",
         "points_one", "n_samples_oversized", "points_oversized",
         *(
             f"{script}_{option}_{value}"
@@ -95,7 +96,7 @@ def test_script_bad_argument_exits_two_before_any_output(tmp_path, name, args):
     assert "Traceback" not in result.stderr
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith(f"{name}: error: ")
-    if args[0] in ("--theta", "--phi"):
+    if args[1] in ("nan", "inf"):
         # rejected at parse time, as get_number rejects the config key
         assert errors[0].startswith(f"{name}: error: argument {args[0]}: must be finite")
     if args[1] == str(10**15):

@@ -34,8 +34,8 @@ def test_labels_and_kets():
     assert two_qubit.LABELS.index("a") == 4
     assert two_qubit.LABELS[2] == "10"
     for jk in ("02", "a"):
-        with pytest.raises(ValueError):
-            two_qubit.loops(two_qubit.ELEMENTARY, 0.0, 0.0, jk, (None,))
+        with pytest.raises(ValueError, match=f"^{jk!r} is not a computational label$"):
+            two_qubit.loops((jk,))
 
 
 def test_error_model_bound():
@@ -83,7 +83,7 @@ def test_five_level_gate_evolves_its_two_coupled_levels(name, jk):
     # alone; the ideal forms are checked by the *_hits_ideal tests
     level = two_qubit.LABELS.index(jk)
     models = (None, TwoQubitErrorModel(0.05))
-    field = GATES[name].loops(GATES[name].recipe, 0.0, 0.0, jk, models)
+    field = GATES[name].fields(0.0, 0.0, jk, models)
     assert np.array_equal(pulses.loop_schedule(field, "square", 1).levels, [level, 4])
     others = [k for k in range(4) if k != level]
     for u in GATES[name].build(0.0, 0.0, jk, models):
