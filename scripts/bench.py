@@ -17,8 +17,9 @@ thread as the benchmark does:
   ``holgate gate`` path on a shaped pulse;
 - ``kicked_sample``, ``idle_sample``: one sample of the two kernels of a
   default ``holgate dfs`` run at ``n_samples`` KICK_SAMPLES, the kicked run
-  of the encoded plus-state and the idle run of the bare contrast state
-  (the time of a call divided by KICK_SAMPLES);
+  of the encoded plus-state (its summed-angle reduction: the schedule
+  commutes with the collective kicks) and the idle run of the bare contrast
+  state (the time of a call divided by KICK_SAMPLES);
 - ``certify_composite4``: one ``trace_evolution`` and ``check_holonomy`` of
   the composite4 schedule;
 - ``write_files``: ``cli.write_files`` of a ``holgate dfs`` record and CSV

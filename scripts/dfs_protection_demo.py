@@ -34,7 +34,7 @@ def build_parser():
 def protection_rows(args):
     """(kappa, encoded, bare, bare closed form) per kappa; a bad argument raises ValueError."""
     schedule = dfs.logical_composite_schedule(args.theta, args.phi)
-    cli.check_dfs_size("--n-samples", schedule, args.n_samples)
+    cli.check_dfs_size("--n-samples", schedule.n_segments, args.n_samples)
     rows = []
     for i, kappa in enumerate(args.kappas):
         channel = dfs.DephasingChannel(kappa, args.distribution, args.n_samples)

@@ -115,8 +115,9 @@ def check_sweep_size(key: str, points: int) -> None:
     check_run_size(key, 4096 * points)
 
 
-def check_dfs_size(key: str, schedule: linalg.Schedule, n_samples: int) -> None:
-    check_run_size(key, 16 * n_samples * (2 * schedule.generators.shape[-1] + schedule.n_segments))
+def check_dfs_size(key: str, n_kicks: int, n_samples: int) -> None:
+    # per sample: each kick's angle and finiteness flag, and a few float vectors
+    check_run_size(key, n_samples * (9 * n_kicks + 64))
 
 
 def get_choice(cfg: dict, key: str, choices, default=None) -> str:
@@ -317,7 +318,7 @@ def cmd_dfs(cfg: dict) -> tuple[dict, dict]:
 
     channel = dfs.DephasingChannel(kappa=kappa, distribution=distribution, n_samples=n_samples)
     schedule = dfs.logical_composite_schedule(theta, phi)
-    check_dfs_size("n_samples", schedule, n_samples)
+    check_dfs_size("n_samples", schedule.n_segments, n_samples)
 
     encoded, unencoded, closed_form = dfs.protection_run(schedule, channel, seed)
     outputs = {

@@ -8,7 +8,8 @@ untouched.  Effective three-level Hamiltonians act inside the encoded
 subspace with exactly the coupling structure of the bare three-level
 system, so each register schedule is a bare composite schedule placed
 on the encoded levels, and the composite-gate recipes run unchanged at
-the logical level.
+the logical level.  Such a schedule keeps each collective level, so it
+commutes with the kicks: a kicked run depends only on its summed angle.
 
 Bitstring convention: ion 1 is the leftmost character, and a bitstring
 indexes the register basis as a big-endian binary integer.
@@ -178,15 +179,16 @@ def _levels(n_ions: int) -> np.ndarray:
     return levels
 
 
-def _pair_sum(pops: np.ndarray, t):
-    """sum_jk p_j p_k t(k - j) = sum_j p_j^2 + 2 sum_{j<k} p_j p_k t(k - j), for t(0) = 1.
+def _pair_sum(pops: np.ndarray, t, shape=()):
+    """sum_jk p_j p_k t(k - j) = sum_j p_j^2 + 2 sum_{j<k} p_j p_k t(k - j), of the given shape.
 
     With p_j the population of collective-z level j and t(m) = cos(m Phi),
-    this is |<psi0|kicked psi0>|^2 after kicks summing to Phi.  t runs once
-    for each level distance m that occurs.
+    this is |<psi0|kicked psi0>|^2 after kicks summing to Phi.  The m = 0
+    term is exactly sum_j p_j^2 (t(0) = 1 even where m Phi is not finite),
+    and t runs once for each nonzero level distance m that occurs.
     """
     weights = np.correlate(pops, pops, "full")[pops.size - 1:]  # sum_j p_j p_{j+m}
-    value = weights[0] * t(0)
+    value = np.full(shape, weights[0])
     for m in np.flatnonzero(weights[1:]) + 1:
         value += 2 * weights[m] * t(m)
     return value
@@ -216,17 +218,33 @@ def _n_ions(psi0: np.ndarray) -> int:
     return n_ions
 
 
+def _summed_kick_fidelities(pops: np.ndarray, phis: np.ndarray, channel: DephasingChannel) -> DephasingResult:
+    """|<psi0|D(Phi)|psi0>|^2 for each row's summed kick angle Phi.
+
+    It depends on psi0 only through its population of each collective-z
+    level, and on a row of kicks only through their sum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = phis.sum(axis=1)
+        fids = _pair_sum(pops, lambda m: np.cos(m * total), total.shape)
+    if not np.isfinite(fids).all():
+        raise channel.overflow_error("summed kick angles")
+    return DephasingResult(fidelities=fids)
+
+
 def kicked_schedule_fidelities(
     schedule: linalg.Schedule, psi0, channel: DephasingChannel, seed: int
 ) -> DephasingResult:
     """State fidelities of kick-interleaved runs against the clean run.
 
-    One kick follows every segment of an unbatched schedule.  Fidelity is the
-    phase-insensitive overlap squared with the clean run, the ``linalg.product``
-    of the propagators on psi0.  Only the levels the schedule couples or psi0
-    occupies are evolved (``linalg.exponentials``): the others stay exactly
-    empty, and the diagonal kicks cannot fill them.  A kick takes one cos/sin
-    pair per distinct collective level among them (one for an encoded state).
+    One kick follows every segment of an unbatched schedule; fidelity is the
+    phase-insensitive overlap squared with the kick-free run U psi0.  A
+    schedule that couples two collective levels raises ValueError; any other
+    commutes with every collective kick D(phi) = exp(-i phi S_z / 2), so the
+    kicked run is U D(Phi) psi0 for the summed angle Phi, and its fidelity is
+    the idle run's |<psi0|D(Phi)|psi0>|^2.  A kick phase (n_ions/2 - j) phi
+    past the float range on a level j the schedule couples or psi0 occupies
+    raises the channel's overflow error.
     """
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
@@ -234,46 +252,26 @@ def kicked_schedule_fidelities(
     n_ions = _n_ions(psi0)
     if schedule.generators.shape[-1] != psi0.size:
         raise ValueError(f"schedule and psi0 must act on the {psi0.size} levels of {n_ions} ions")
-    levels, propagators = linalg.exponentials(schedule, psi0)
-    psi0 = psi0[levels]
-    clean = linalg.product(propagators) @ psi0
-
-    # Every kick sample is one column of a (n_levels, n_samples) state array;
-    # the columns evolve together and two buffers are swapped for the whole run.
-    distinct, level = np.unique(_levels(n_ions)[levels], return_inverse=True)
-    phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, len(propagators)))
-    states = np.repeat(psi0[:, None], channel.n_samples, axis=1)
-    scratch = np.empty_like(states)
-    phasors = np.empty((distinct.size, channel.n_samples), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, u in enumerate(propagators):
-            np.matmul(u, states, out=scratch)
-            states, scratch = scratch, states
-            # level j turns by -phi (2j - n_ions) / 2, held in the imaginary part
-            np.multiply.outer(0.5 * n_ions - distinct, phis[:, k], out=phasors.imag)
-            np.cos(phasors.imag, out=phasors.real)
-            np.sin(phasors.imag, out=phasors.imag)
-            # "clip" writes straight into scratch; the default mode buffers a copy
-            np.take(phasors, level, axis=0, out=scratch, mode="clip")
-            states *= scratch
-    fids = np.abs(clean.conj() @ states) ** 2
-    if not np.isfinite(fids).all():
+    level = _levels(n_ions)
+    rows, cols = np.nonzero(schedule.generators.any(axis=0))
+    mixed = level[rows] != level[cols]
+    if mixed.any():
+        coupled = sorted({*level[rows[mixed]].tolist(), *level[cols[mixed]].tolist()})
+        raise ValueError(f"the schedule couples collective levels {coupled}, which collective kicks dephase")
+    phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, schedule.n_segments))
+    kept = np.concatenate((schedule.levels, np.flatnonzero(psi0)))
+    turn = float(np.abs(0.5 * n_ions - level[kept]).max(initial=0))
+    if not math.isfinite(turn * float(max(phis.max(), -phis.min()))):
         raise channel.overflow_error("kick phases")
-    return DephasingResult(fidelities=fids)
+    return _summed_kick_fidelities(np.bincount(level, np.abs(psi0) ** 2), phis, channel)
 
 
 def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
     """Kicks only, no drive: the bare-register reference experiment."""
-    # |<psi0|kicked psi0>| depends on psi0 only through its population of
-    # each collective-z level, and on the kicks only through their sum
     psi0 = np.asarray(psi0)
     pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = channel.draw(np.random.default_rng(seed), (channel.n_samples, n_kicks)).sum(axis=1)
-        fids = _pair_sum(pops, lambda m: np.cos(m * total))
-    if not np.isfinite(fids).all():
-        raise channel.overflow_error("summed kick angles")
-    return DephasingResult(fidelities=fids)
+    phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, n_kicks))
+    return _summed_kick_fidelities(pops, phis, channel)
 
 
 def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> float:

@@ -633,24 +633,30 @@ def test_listed_epsilons_share_the_grid_size_limit(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["elementary", "composite4", "twoqubit_composite"])
+SIZED_RUNS = [
+    *(
+        (command, name, payload)
+        for command, payload in (
+            ("gate", {"envelope": "sine_squared", "steps": 500}),
+            ("sweep", {"epsilons": {"points": 2000}}),
+        )
+        for name in ("elementary", "composite4", "twoqubit_composite")
+    ),
+    ("dfs", None, {"kappa": 0.8, "distribution": "gaussian", "n_samples": 20000}),
+]
+
+
 @pytest.mark.parametrize(
-    "command, payload",
-    [
-        ("gate", {"envelope": "sine_squared", "steps": 500}),
-        ("sweep", {"epsilons": {"points": 2000}}),
-    ],
-    ids=["gate", "sweep"],
+    "command, name, payload", SIZED_RUNS, ids=["-".join(filter(None, case[:2])) for case in SIZED_RUNS]
 )
-def test_size_estimate_covers_the_measured_peak(tmp_path, monkeypatch, capsys, name, command, payload):
+def test_size_estimate_covers_the_measured_peak(tmp_path, monkeypatch, capsys, command, name, payload):
     # the byte estimate each size is checked against must bound what the run allocates
     estimates = []
     monkeypatch.setattr(cli, "check_run_size", lambda key, n_bytes: estimates.append(n_bytes))
-    gate = scaling.GATES[name]
     if command == "gate":
         payload = dict(payload, gate=name)
-    else:
-        payload = dict(payload, gate_kind=name, error_mode=sorted(gate.error_modes)[0])
+    elif command == "sweep":
+        payload = dict(payload, gate_kind=name, error_mode=sorted(scaling.GATES[name].error_modes)[0])
     tracemalloc.start()
     try:
         assert run([command, "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(tmp_path)]) == 0

@@ -349,7 +349,8 @@ def test_batched_idle_run_matches_per_sample_loop(rng, n_ions, distribution, kap
 
 
 @pytest.mark.parametrize("register", sorted(KICKED_REGISTERS))
-def test_kicked_run_holds_about_two_state_arrays(register):
+def test_kicked_run_holds_the_kick_angles_and_a_few_sample_vectors(register):
+    # the reduced run keeps no state array: its working set does not grow with the register
     build, n_ions = KICKED_REGISTERS[register]
     schedule, n_samples = build(), 4000
     psi = np.full(2**n_ions, 2 ** (-n_ions / 2), dtype=complex)
@@ -362,7 +363,7 @@ def test_kicked_run_holds_about_two_state_arrays(register):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**n_ions * n_samples * 16
+    assert peak <= 8 * n_samples * (schedule.n_segments + 6)
 
 
 # A level of each register that no generator couples, with a collective-z
@@ -402,6 +403,24 @@ def test_a_kick_phase_past_the_float_range_raises():
     channel = DephasingChannel(5e307, "uniform", 20)
     with pytest.raises(FloatingPointError, match="summed kick angles overflow at kappa=5e\\+307"):
         dfs.idle_contrast_run(psi, channel, 1, seed=0)
+
+
+def test_a_one_level_idle_run_ignores_an_overflowing_summed_angle():
+    # |<psi0|kicked psi0>| = 1 on one collective level whatever the summed angle,
+    # even where some of the eight summed angles past 5e307 overflow
+    psi = (dfs.register_ket("100") + dfs.register_ket("010") + dfs.register_ket("001")) / math.sqrt(3)
+    result = dfs.idle_contrast_run(psi, DephasingChannel(5e307, "uniform", 200), 8, seed=0)
+    assert np.max(np.abs(result.fidelities - 1)) < 1e-13
+
+
+def test_kicked_run_rejects_a_schedule_that_couples_two_collective_levels():
+    # a drive between |000> and |100> does not commute with the kicks, so the
+    # summed-angle reduction would not hold
+    g = np.zeros((1, 8, 8))
+    g[0, 0b000, 0b100] = g[0, 0b100, 0b000] = 1.0
+    channel = DephasingChannel(0.5, "uniform", 10)
+    with pytest.raises(ValueError, match="couples collective levels \\[2, 3\\]"):
+        dfs.kicked_schedule_fidelities(linalg.Schedule(g, [1.0]), dfs.register_ket("000"), channel, 0)
 
 
 def test_kicked_run_rejects_a_register_size_mismatch():

@@ -121,7 +121,7 @@ def test_script_size_limits_are_the_cli_estimates(monkeypatch):
     schedule = dfs.logical_composite_schedule(math.pi / 4, 0.0)
     expected = []
     monkeypatch.setattr(cli, "check_run_size", lambda key, n_bytes: expected.append((key, n_bytes)))
-    cli.check_dfs_size("--n-samples", schedule, 3000)
+    cli.check_dfs_size("--n-samples", schedule.n_segments, 3000)
     cli.check_sweep_size("--points", 40)
     assert checked == expected
 
