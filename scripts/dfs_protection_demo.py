@@ -9,7 +9,6 @@ the bare column decays toward the closed-form kick average.
 
 import argparse
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ def build_parser():
 
 
 def protection_rows(args):
-    """(kappa, encoded, bare, bare closed form) per kappa; a bad argument raises ValueError."""
+    """The CSV file and table of (kappa, encoded, bare, bare closed form); a bad argument raises ValueError."""
     schedule = dfs.logical_composite_schedule(args.theta, args.phi)
     cli.check_dfs_size("--n-samples", schedule.n_segments, args.n_samples)
     rows = []
@@ -41,33 +40,15 @@ def protection_rows(args):
         # row i is the CLI's dfs run at seed + 2i
         encoded, bare, exact = dfs.protection_run(schedule, channel, args.seed + 2 * i)
         rows.append((kappa, encoded.mean, bare.mean, exact))
-    return rows
-
-
-def main():
-    parser = build_parser()
-    args = parser.parse_args()
-    out_dir = Path(args.out)
-    # every row runs, and its file is written, before anything is printed
-    try:
-        with cli.strict_numerics():
-            rows = protection_rows(args)
-    except cli.NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        sys.exit(cli.EXIT_NUMERIC)
-    except ValueError as exc:
-        parser.error(str(exc))
     header = ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
-    try:
-        cli.write_files(out_dir, {"dfs_protection.csv": cli.csv_text(rows, header)})
-    except OSError as exc:
-        parser.error(f"argument --out: cannot write {out_dir}: {exc}")
-
-    print(f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}")
-    for kappa, encoded, bare, exact in rows:
-        print(f"{kappa:6.2f} {encoded:12.9f} {bare:12.9f} {exact:13.9f}")
-    print(f"\nwrote {out_dir / 'dfs_protection.csv'}")
+    lines = [
+        f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}",
+        *(f"{kappa:6.2f} {encoded:12.9f} {bare:12.9f} {exact:13.9f}" for kappa, encoded, bare, exact in rows),
+        "",
+        f"wrote {Path(args.out) / 'dfs_protection.csv'}",
+    ]
+    return {"dfs_protection.csv": cli.csv_text(rows, header)}, lines
 
 
 if __name__ == "__main__":
-    main()
+    cli.run_script(build_parser(), protection_rows)

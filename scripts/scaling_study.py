@@ -7,7 +7,6 @@ The composite gates should come out near slope 4, the plain ones near 2.
 
 import argparse
 import math
-import sys
 from pathlib import Path
 
 from hologate import cli, scaling
@@ -18,6 +17,7 @@ CASES = (
     ("single", "single_field"),
     ("composite2", "common"),
     ("composite2", "differential"),
+    ("composite2", "single_field"),
     ("composite4", "common"),
     ("composite4", "differential"),
     ("composite4", "single_field"),
@@ -44,10 +44,10 @@ def build_parser():
 
 
 def study(args):
-    """Each case's CSV text and summary line; a bad argument raises ValueError."""
+    """Each case's CSV file and the summary table; a bad argument raises ValueError."""
     cli.check_sweep_size("--points", args.points)
     grid = scaling.default_epsilon_grid(args.points)
-    csvs, lines = {}, []
+    csvs, lines = {}, [f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}"]
     for kind, mode in CASES:
         spec = scaling.SweepSpec(
             gate_kind=kind,
@@ -67,32 +67,8 @@ def study(args):
             f"{kind:<20} {mode:<14} {fit.slope:8.3f} {fit.r_squared:10.6f}"
             f" {len(fit.samples):7d}"
         )
-    return csvs, lines
-
-
-def main():
-    parser = build_parser()
-    args = parser.parse_args()
-    out_dir = Path(args.out)
-    # every case runs, and its files are written, before anything is printed
-    try:
-        with cli.strict_numerics():
-            csvs, lines = study(args)
-    except cli.NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        sys.exit(cli.EXIT_NUMERIC)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        cli.write_files(out_dir, csvs)
-    except OSError as exc:
-        parser.error(f"argument --out: cannot write {out_dir}: {exc}")
-
-    print(f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}")
-    for line in lines:
-        print(line)
-    print(f"\nCSV files in {out_dir}/")
+    return csvs, [*lines, "", f"CSV files in {Path(args.out)}/"]
 
 
 if __name__ == "__main__":
-    main()
+    cli.run_script(build_parser(), study)

@@ -390,5 +390,32 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run_script(parser: argparse.ArgumentParser, work) -> None:
+    """Run a study script under ``holgate``'s exit contract.
+
+    ``work(args)`` returns ``(texts, lines)``: the files to write into
+    ``--out``, by name, and the lines to print.  A numerical failure exits 3
+    with one line; any other ``ValueError``, and an ``--out`` that cannot be
+    written, is an argparse error naming the problem (exit 2).  Every file is
+    written before any line is printed, and a failed run writes none.
+    """
+    args = parser.parse_args()
+    try:
+        with strict_numerics():
+            texts, lines = work(args)
+    except NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_NUMERIC)
+    except ValueError as exc:
+        parser.error(str(exc))
+    out_dir = Path(args.out)
+    try:
+        write_files(out_dir, texts)
+    except OSError as exc:
+        parser.error(f"argument --out: cannot write {out_dir}: {exc}")
+    for line in lines:
+        print(line)
+
+
 if __name__ == "__main__":
     sys.exit(main())

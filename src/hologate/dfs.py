@@ -159,11 +159,10 @@ class DephasingChannel:
 
     def characteristic(self, t: float) -> float:
         """E[cos(phi t)] for one kick angle phi."""
-        if self.distribution == "uniform":
-            x = self.kappa * t
-            return float(np.sinc(x / math.pi))
-        # float products saturate at inf, where the exponential is exactly 0
+        # float products saturate at inf, where both characteristics are exactly 0
         x = self.kappa * float(t)
+        if self.distribution == "uniform":
+            return float(np.sinc(x / math.pi)) if math.isfinite(x) else 0.0
         return math.exp(-0.5 * x * x)
 
 

@@ -198,6 +198,16 @@ def test_channel_characteristic_values():
     assert abs(ch_g.characteristic(2.0) - math.exp(-0.5)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+def test_closed_form_saturates_where_kappa_times_the_level_distance_overflows(distribution):
+    # kappa * 6 is past the float range: each characteristic is exactly 0 there,
+    # so only sum_j p_j^2 = 1/2 is left
+    psi = (dfs.register_ket("000000") + dfs.register_ket("111111")) / math.sqrt(2)
+    value = dfs.idle_contrast_closed_form(psi, DephasingChannel(1e308, distribution, 10), 1)
+    assert abs(value - 0.5) < 1e-15
+
+
 def test_zero_noise_channel_is_transparent():
     psi = plus_state(ENC3, "0", "1")
     channel = DephasingChannel(0.0, n_samples=50)

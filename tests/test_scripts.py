@@ -158,6 +158,39 @@ def test_script_unwritable_out_exits_two_before_any_output(tmp_path, name, args)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_scaling_study_covers_every_error_mode_of_its_gates():
+    cases = load_script("scaling_study.py").CASES
+    expected = {(kind, mode) for kind, _ in cases for mode in scaling.GATES[kind].error_modes}
+    assert len(set(cases)) == len(cases) and set(cases) == expected
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (ValueError("bad value"), 2, "scaling_study.py: error: bad value"),
+        (np.linalg.LinAlgError("no convergence"), 3, "numerical failure: no convergence"),
+    ],
+    ids=["value_error", "linalg_error"],
+)
+def test_run_script_maps_work_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys, error, code, line):
+    # LinAlgError is a ValueError, so run_script must catch the numerical failures first
+    out = tmp_path / "out"
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(sys, "argv", ["scaling_study.py", "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.run_script(load_script("scaling_study.py").build_parser(), fail)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [text for text in captured.err.splitlines() if "error:" in text or "failure:" in text] == [line]
+    if code == 3:
+        assert captured.err == line + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 2), (None, 0)])
 def test_bench_writes_no_record_of_a_failing_run(tmp_path, monkeypatch, capsys, correct, failed):
     bench = load_script("bench.py")
