@@ -15,11 +15,11 @@ thread as the benchmark does:
 - ``composite4_shaped_build``: one ``GATES["composite4"].build`` of the
   ideal gate and one error point at ``sine_squared``, 32 steps, the
   ``holgate gate`` path on a shaped pulse;
-- ``kicked_sample``, ``idle_sample``: one sample of the two kernels of a
+- ``kicked_sample``, ``idle_sample``: one sample of the two runs of a
   default ``holgate dfs`` run at ``n_samples`` KICK_SAMPLES, the kicked run
-  of the encoded plus-state (its summed-angle reduction: the schedule
-  commutes with the collective kicks) and the idle run of the bare contrast
-  state (the time of a call divided by KICK_SAMPLES);
+  of the encoded plus-state (the commutation check plus the idle kernel:
+  the schedule commutes with the collective kicks) and the idle run of the
+  bare contrast state (the time of a call divided by KICK_SAMPLES);
 - ``certify_composite4``: one ``trace_evolution`` and ``check_holonomy`` of
   the composite4 schedule;
 - ``write_files``: ``cli.write_files`` of a ``holgate dfs`` record and CSV

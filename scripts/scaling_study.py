@@ -11,19 +11,8 @@ from pathlib import Path
 
 from hologate import cli, scaling
 
-CASES = (
-    ("single", "common"),
-    ("single", "differential"),
-    ("single", "single_field"),
-    ("composite2", "common"),
-    ("composite2", "differential"),
-    ("composite2", "single_field"),
-    ("composite4", "common"),
-    ("composite4", "differential"),
-    ("composite4", "single_field"),
-    ("twoqubit_single", "two_qubit"),
-    ("twoqubit_composite", "two_qubit"),
-)
+KINDS = ("single", "composite2", "composite4", "twoqubit_single", "twoqubit_composite")
+CASES = tuple((kind, mode) for kind in KINDS for mode in scaling.GATES[kind].error_modes)
 
 
 def grid_points(text: str) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -217,18 +218,15 @@ def _n_ions(psi0: np.ndarray) -> int:
     return n_ions
 
 
-def _summed_kick_fidelities(pops: np.ndarray, phis: np.ndarray, channel: DephasingChannel) -> DephasingResult:
-    """|<psi0|D(Phi)|psi0>|^2 for each row's summed kick angle Phi.
+def _populations(psi0) -> np.ndarray:
+    """Population of each collective-z level of a register state."""
+    psi0 = np.asarray(psi0)
+    return np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
 
-    It depends on psi0 only through its population of each collective-z
-    level, and on a row of kicks only through their sum.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = phis.sum(axis=1)
-        fids = _pair_sum(pops, lambda m: np.cos(m * total), total.shape)
-    if not np.isfinite(fids).all():
-        raise channel.overflow_error("summed kick angles")
-    return DephasingResult(fidelities=fids)
+
+def _check_n_kicks(n_kicks) -> None:
+    if not isinstance(n_kicks, numbers.Integral) or n_kicks < 0:
+        raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
 
 
 def kicked_schedule_fidelities(
@@ -240,14 +238,11 @@ def kicked_schedule_fidelities(
     phase-insensitive overlap squared with the kick-free run U psi0.  A
     schedule that couples two collective levels raises ValueError; any other
     commutes with every collective kick D(phi) = exp(-i phi S_z / 2), so the
-    kicked run is U D(Phi) psi0 for the summed angle Phi, and its fidelity is
-    the idle run's |<psi0|D(Phi)|psi0>|^2.  A kick phase (n_ions/2 - j) phi
-    past the float range on a level j the schedule couples or psi0 occupies
-    raises the channel's overflow error.
+    kicked run is U D(Phi) psi0 for the summed angle Phi: the idle run of psi0.
     """
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("kicks follow one schedule, not a batch")
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.asarray(psi0)
     n_ions = _n_ions(psi0)
     if schedule.generators.shape[-1] != psi0.size:
         raise ValueError(f"schedule and psi0 must act on the {psi0.size} levels of {n_ions} ions")
@@ -257,27 +252,30 @@ def kicked_schedule_fidelities(
     if mixed.any():
         coupled = sorted({*level[rows[mixed]].tolist(), *level[cols[mixed]].tolist()})
         raise ValueError(f"the schedule couples collective levels {coupled}, which collective kicks dephase")
-    phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, schedule.n_segments))
-    kept = np.concatenate((schedule.levels, np.flatnonzero(psi0)))
-    turn = float(np.abs(0.5 * n_ions - level[kept]).max(initial=0))
-    if not math.isfinite(turn * float(max(phis.max(), -phis.min()))):
-        raise channel.overflow_error("kick phases")
-    return _summed_kick_fidelities(np.bincount(level, np.abs(psi0) ** 2), phis, channel)
+    return idle_contrast_run(psi0, channel, schedule.n_segments, seed)
 
 
 def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
-    """Kicks only, no drive: the bare-register reference experiment."""
-    psi0 = np.asarray(psi0)
-    pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
+    """Kicks only, no drive: |<psi0|D(Phi)|psi0>|^2 for each sample's summed kick angle Phi.
+
+    A drawn angle or a fidelity that is not finite raises the channel's
+    FloatingPointError.
+    """
+    _check_n_kicks(n_kicks)
+    pops = _populations(psi0)
     phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, n_kicks))
-    return _summed_kick_fidelities(pops, phis, channel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = phis.sum(axis=1)
+        fids = _pair_sum(pops, lambda m: np.cos(m * total), total.shape)
+    if not np.isfinite(fids).all():
+        raise channel.overflow_error("summed kick angles")
+    return DephasingResult(fidelities=fids)
 
 
 def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> float:
     """Exact kick-averaged idle fidelity: each cos(m Phi) averages to E[cos(m phi)]^n_kicks."""
-    psi0 = np.asarray(psi0)
-    pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
-    return float(_pair_sum(pops, lambda m: channel.characteristic(m) ** n_kicks))
+    _check_n_kicks(n_kicks)
+    return float(_pair_sum(_populations(psi0), lambda m: channel.characteristic(m) ** n_kicks))
 
 
 def protection_run(

@@ -402,17 +402,25 @@ def test_kicked_run_carries_weight_on_uncoupled_levels(rng, register):
 
 
 def test_a_kick_phase_past_the_float_range_raises():
-    # level j of six ions turns by (3 - j) phi per kick: finite angles past
-    # 6e307 overflow the phase of |000000>, and 6 Phi past 3e307 overflows
-    # the pair of |000000> and |111111>
+    # |000000> sits on one collective level, so its fidelity is exactly 1 at
+    # any finite angles, as in the idle run; 6 Phi past 3e307 overflows the
+    # pair of |000000> and |111111>
     schedule = dfs.two_logical_composite_schedule(0.6, 0.3)
     channel = DephasingChannel(7e307, "uniform", 20)
-    with pytest.raises(FloatingPointError, match="kick phases overflow at kappa=7e\\+307"):
-        dfs.kicked_schedule_fidelities(schedule, dfs.register_ket("000000"), channel, 0)
+    result = dfs.kicked_schedule_fidelities(schedule, dfs.register_ket("000000"), channel, 0)
+    assert np.all(result.fidelities == 1)
     psi = (dfs.register_ket("000000") + dfs.register_ket("111111")) / math.sqrt(2)
     channel = DephasingChannel(5e307, "uniform", 20)
     with pytest.raises(FloatingPointError, match="summed kick angles overflow at kappa=5e\\+307"):
         dfs.idle_contrast_run(psi, channel, 1, seed=0)
+
+
+def test_a_kicked_run_past_the_float_range_raises_as_the_idle_run_does():
+    schedule = dfs.two_logical_composite_schedule(0.6, 0.3)
+    psi = (dfs.register_ket("000000") + dfs.register_ket("111111")) / math.sqrt(2)
+    channel = DephasingChannel(5e307, "uniform", 20)
+    with pytest.raises(FloatingPointError, match="summed kick angles overflow at kappa=5e\\+307"):
+        dfs.kicked_schedule_fidelities(schedule, psi, channel, 0)
 
 
 def test_a_one_level_idle_run_ignores_an_overflowing_summed_angle():
@@ -421,6 +429,43 @@ def test_a_one_level_idle_run_ignores_an_overflowing_summed_angle():
     psi = (dfs.register_ket("100") + dfs.register_ket("010") + dfs.register_ket("001")) / math.sqrt(3)
     result = dfs.idle_contrast_run(psi, DephasingChannel(5e307, "uniform", 200), 8, seed=0)
     assert np.max(np.abs(result.fidelities - 1)) < 1e-13
+
+
+def register_state(rng, register, kind):
+    """The encoded plus-state, a random state, or encoded weight plus weight on an uncoupled level."""
+    n_ions = KICKED_REGISTERS[register][1]
+    encoding = ENC3 if n_ions == 3 else ENC6
+    if kind == "encoded":
+        return plus_state(encoding, *(("0", "1") if n_ions == 3 else ("00", "11")))
+    if kind == "random":
+        return random_state(rng, 2**n_ions)
+    encoded = [encoding.index(name) for name in encoding.logical_labels]
+    psi = np.zeros(2**n_ions, dtype=complex)
+    psi[encoded] = random_state(rng, 2**n_ions)[encoded]
+    psi[int(UNCOUPLED_LEVEL[register], 2)] = 0.6
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("state", ["encoded", "random", "uncoupled"])
+@pytest.mark.parametrize("distribution", dfs.DISTRIBUTIONS)
+@pytest.mark.parametrize("register", sorted(KICKED_REGISTERS))
+def test_kicked_run_is_the_idle_run_of_the_same_draw(rng, register, distribution, state):
+    schedule = KICKED_REGISTERS[register][0]()
+    psi = register_state(rng, register, state)
+    channel = DephasingChannel(0.9, distribution, 300)
+    kicked = dfs.kicked_schedule_fidelities(schedule, psi, channel, 7)
+    idle = dfs.idle_contrast_run(psi, channel, schedule.n_segments, 7)
+    assert np.array_equal(kicked.fidelities, idle.fidelities)
+
+
+@pytest.mark.parametrize("n_kicks", [-1, 2.5])
+def test_a_kick_count_that_is_not_a_nonnegative_integer_is_rejected(n_kicks):
+    psi = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
+    channel = DephasingChannel(0.5)
+    with pytest.raises(ValueError, match="n_kicks must be a nonnegative integer"):
+        dfs.idle_contrast_closed_form(psi, channel, n_kicks)
+    with pytest.raises(ValueError, match="n_kicks must be a nonnegative integer"):
+        dfs.idle_contrast_run(psi, channel, n_kicks, seed=0)
 
 
 def test_kicked_run_rejects_a_schedule_that_couples_two_collective_levels():
