@@ -17,9 +17,11 @@ thread as the benchmark does:
   ``holgate gate`` path on a shaped pulse;
 - ``kicked_sample``, ``idle_sample``: one sample of the two runs of a
   default ``holgate dfs`` run at ``n_samples`` KICK_SAMPLES, the kicked run
-  of the encoded plus-state (the commutation check plus the idle kernel:
-  the schedule commutes with the collective kicks) and the idle run of the
-  bare contrast state (the time of a call divided by KICK_SAMPLES);
+  of the encoded plus-state (the commutation check and no draw: the state
+  sits on one collective level) and the idle run of the bare contrast state
+  (the time of a call divided by KICK_SAMPLES);
+- ``dfs_call``: one ``cli.cmd_dfs`` at gaussian kappa 0.5 and ``n_samples``
+  KICK_SAMPLES, the shape of the ``dfs`` workload's slowest calls;
 - ``certify_composite4``: one ``trace_evolution`` and ``check_holonomy`` of
   the composite4 schedule;
 - ``write_files``: ``cli.write_files`` of a ``holgate dfs`` record and CSV
@@ -112,6 +114,7 @@ def kernel_timings() -> dict:
             "composite4_shaped_build": (lambda: gate.build(0.9, 0.3, "11", models[:2], "sine_squared", 32), 1),
             "kicked_sample": (lambda: dfs.kicked_schedule_fidelities(register, encoded, channel, SEED), KICK_SAMPLES),
             "idle_sample": (lambda: dfs.idle_contrast_run(bare, channel, register.n_segments, SEED + 1), KICK_SAMPLES),
+            "dfs_call": (lambda: cli.cmd_dfs({"distribution": "gaussian", "n_samples": KICK_SAMPLES}), 1),
             "certify_composite4": (lambda: holonomy.check_holonomy(holonomy.trace_evolution(certified, basis)), 1),
             "write_files": (lambda: cli.write_files(Path(out), texts), 1),
         }

@@ -139,6 +139,8 @@ class DephasingChannel:
             raise ValueError("kappa must be finite and nonnegative")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if not isinstance(self.n_samples, numbers.Integral) or isinstance(self.n_samples, bool):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -258,15 +260,20 @@ def kicked_schedule_fidelities(
 def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
     """Kicks only, no drive: |<psi0|D(Phi)|psi0>|^2 for each sample's summed kick angle Phi.
 
-    A drawn angle or a fidelity that is not finite raises the channel's
-    FloatingPointError.
+    A state on one collective level reads exactly sum_j p_j^2 and draws no
+    angle; a seed numpy rejects raises ValueError either way.  A drawn angle
+    or a fidelity that is not finite raises the channel's FloatingPointError.
     """
     _check_n_kicks(n_kicks)
     pops = _populations(psi0)
-    phis = channel.draw(np.random.default_rng(seed), (channel.n_samples, n_kicks))
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = phis.sum(axis=1)
-        fids = _pair_sum(pops, lambda m: np.cos(m * total), total.shape)
+    rng = np.random.default_rng(seed)
+    if np.count_nonzero(pops) < 2:  # the pair sum is its m = 0 term alone
+        fids = np.full(channel.n_samples, pops @ pops)
+    else:
+        phis = channel.draw(rng, (channel.n_samples, n_kicks))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = phis.sum(axis=1)
+            fids = _pair_sum(pops, lambda m: np.cos(m * total), total.shape)
     if not np.isfinite(fids).all():
         raise channel.overflow_error("summed kick angles")
     return DephasingResult(fidelities=fids)
@@ -284,8 +291,9 @@ def protection_run(
     """Dephasing protection on the three-ion register: (encoded, bare, bare closed form).
 
     The encoded (|0_L> + |1_L>)/sqrt(2) runs the schedule with a kick after
-    every segment, drawn at ``seed``; the bare (|000> + |100>)/sqrt(2) idles
-    through as many kicks, drawn at ``seed + 1``.
+    every segment at ``seed``, on one collective level, so it draws nothing;
+    the bare (|000> + |100>)/sqrt(2) idles through as many kicks, drawn at
+    ``seed + 1``.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")

@@ -190,6 +190,17 @@ def test_channel_validation():
         DephasingChannel(0.5, n_samples=0)
 
 
+@pytest.mark.parametrize("n_samples", [2.5, True, "3"])
+def test_a_sample_count_that_is_not_an_integer_is_rejected(n_samples):
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        DephasingChannel(0.5, n_samples=n_samples)
+
+
+def test_a_numpy_integer_sample_count_is_accepted():
+    channel = DephasingChannel(0.5, n_samples=np.int64(3))
+    assert dfs.idle_contrast_run(plus_state(ENC3, "0", "1"), channel, 8, seed=0).fidelities.shape == (3,)
+
+
 def test_channel_characteristic_values():
     ch_u = DephasingChannel(0.5, "uniform")
     assert ch_u.characteristic(0.0) == 1.0
@@ -500,3 +511,64 @@ def test_register_size_comes_from_a_power_of_two_state_length(psi):
         dfs.idle_contrast_run(psi, channel, 3, seed=0)
     with pytest.raises(ValueError, match="2\\*\\*n_ions"):
         dfs.idle_contrast_closed_form(psi, channel, 3)
+
+
+def forbid_draw(monkeypatch):
+    def fail(self, rng, size):
+        raise AssertionError("kick angles drawn")
+
+    monkeypatch.setattr(DephasingChannel, "draw", fail)
+
+
+@pytest.mark.parametrize("register", sorted(KICKED_REGISTERS))
+def test_a_one_level_run_draws_no_kick_angle(monkeypatch, register):
+    # the encoded pair sum is its m = 0 term sum_j p_j^2, the value a drawn run returns
+    schedule = KICKED_REGISTERS[register][0]()
+    psi = register_state(None, register, "encoded")
+    channel = DephasingChannel(0.8, "gaussian", 300)
+    forbid_draw(monkeypatch)
+    result = dfs.kicked_schedule_fidelities(schedule, psi, channel, 7)
+    # on one level the closed form is sum_j p_j^2 too, whatever the kick count
+    exact = dfs.idle_contrast_closed_form(psi, channel, schedule.n_segments)
+    assert np.array_equal(result.fidelities, np.full(300, exact))
+
+
+def test_the_protection_run_draws_only_for_the_bare_state(monkeypatch):
+    forbid_draw(monkeypatch)
+    with pytest.raises(AssertionError, match="kick angles drawn"):
+        dfs.protection_run(dfs.logical_composite_schedule(math.pi / 4, 0.0), DephasingChannel(0.5), 0)
+
+
+def test_a_one_level_run_reads_its_value_where_the_draw_would_overflow():
+    # a gaussian kappa of 1e308 overflows the draw, which only a state on two levels makes
+    channel = DephasingChannel(1e308, "gaussian", 20)
+    result = dfs.idle_contrast_run(plus_state(ENC3, "0", "1"), channel, 8, seed=0)
+    assert np.all(result.fidelities == result.fidelities[0])
+    assert abs(result.fidelities[0] - 1) < 1e-15
+    bare = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
+    with pytest.raises(FloatingPointError, match="kick angles overflow at kappa=1e\\+308"):
+        dfs.idle_contrast_run(bare, channel, 8, seed=0)
+
+
+def test_the_seed_is_checked_when_nothing_is_drawn():
+    psi = plus_state(ENC3, "0", "1")
+    channel = DephasingChannel(0.5, "uniform", 8)
+    with pytest.raises(ValueError):
+        dfs.idle_contrast_run(psi, channel, 8, seed=-1)
+    with pytest.raises(ValueError):
+        dfs.kicked_schedule_fidelities(dfs.logical_composite_schedule(math.pi / 4, 0.0), psi, channel, -1)
+
+
+def test_a_one_level_run_holds_one_float_vector():
+    n_samples = 4000
+    psi = plus_state(ENC3, "0", "1")
+    channel = DephasingChannel(0.8, "gaussian", n_samples)
+    run = lambda: dfs.idle_contrast_run(psi, channel, 8, seed=3)
+    run()  # module-level caches fill outside the measurement
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_samples

@@ -1,10 +1,14 @@
-"""No module under src/, scripts/ or tests/ imports a name it never uses.
+"""No module under src/, scripts/ or tests/ imports a name it never uses,
+and importing the CLI loads nothing beyond the standard library and numpy.
 
 A name listed in the module's ``__all__`` counts as used, and
 ``from __future__`` imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,20 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_only_the_standard_library_numpy_and_hologate():
+    # every holgate run and script starts with this import, so a heavy one
+    # (scipy, say) would add to the start-up time of each
+    code = (
+        "import sys; before = set(sys.modules); import hologate.cli; "
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"hologate", "numpy"} <= loaded
+    assert loaded - sys.stdlib_module_names - {"hologate", "numpy"} == set()
