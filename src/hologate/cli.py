@@ -30,14 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dfs, holonomy, linalg, pulses, qutrit, scaling, two_qubit
-from .scaling import DegenerateFitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # Every failure exit 3 reports, caught before ValueError (LinAlgError is one).
-NUMERICAL_FAILURES = (DegenerateFitError, FloatingPointError, OverflowError, np.linalg.LinAlgError)
+NUMERICAL_FAILURES = (scaling.DegenerateFitError, FloatingPointError, OverflowError, np.linalg.LinAlgError)
 
 # Largest working set, in bytes, that a run may ask for.  Each size a config
 # sets is turned into a byte estimate (the memory formulas in the README),

@@ -221,9 +221,12 @@ def _n_ions(psi0: np.ndarray) -> int:
 
 
 def _populations(psi0) -> np.ndarray:
-    """Population of each collective-z level of a register state."""
+    """Population of each collective-z level of a register state, a unit vector."""
     psi0 = np.asarray(psi0)
-    return np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
+    pops = np.bincount(_levels(_n_ions(psi0)), np.abs(psi0) ** 2)
+    if not abs(pops.sum() - 1) <= 1e-10:  # the bound trace_evolution sets; NaN fails it too
+        raise ValueError(f"a register state is a unit vector, got squared norm {pops.sum():.6g}")
+    return pops
 
 
 def _check_n_kicks(n_kicks) -> None:

@@ -66,6 +66,8 @@ def trace_evolution(
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
         raise ValueError("a trace follows one schedule, not a batch")
     basis = np.array([np.asarray(v, dtype=complex) for v in subspace_basis])
+    if basis.ndim != 2 or len(basis) == 0:
+        raise ValueError(f"subspace basis must hold at least one vector, got shape {basis.shape}")
     if np.linalg.norm(basis.conj() @ basis.T - np.eye(len(basis))) > 1e-10:
         raise ValueError("subspace basis is not orthonormal")
     if basis.shape[1] != schedule.generators.shape[-1]:
@@ -85,7 +87,7 @@ def peak_rabi(trace: EvolutionTrace) -> float:
 
 def check_holonomy(trace: EvolutionTrace, tolerance: float = 1e-8) -> HolonomyReport:
     """Evaluate loop closure and dynamical-phase residuals for a trace."""
-    cond1 = linalg.frobenius_distance(trace.projector(-1), trace.projector(0))
+    cond1 = float(np.linalg.norm(trace.projector(-1) - trace.projector(0)))
     # every <b_k| G_k |c_k> over the states b_k, c_k at the start of segment k
     starts = trace.states[:, :-1, :]
     worst = float(np.max(np.abs(np.einsum("bkx,kxy,cky->kbc", starts.conj(), trace.generators, starts))))
@@ -104,4 +106,4 @@ def grassmannian_midpoint_check(trace: EvolutionTrace) -> float:
     """
     if trace.n_segments != 2:
         raise ValueError("midpoint check expects a two-segment trace")
-    return linalg.frobenius_distance(trace.projector(1), trace.projector(0))
+    return float(np.linalg.norm(trace.projector(1) - trace.projector(0)))

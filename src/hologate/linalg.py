@@ -33,23 +33,6 @@ CUBE_RTOL = 1e-12
 _TINY = np.finfo(float).tiny
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2D complex ndarray without copying when possible."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    return a
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-norm distance between two equally shaped matrices."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def _squared_norms(m: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix in a C-contiguous (..., d, d) stack."""
     v = m.view(float)

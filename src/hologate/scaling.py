@@ -27,10 +27,13 @@ class DegenerateFitError(RuntimeError):
 
 def gate_fidelity(u_ideal: np.ndarray, v_actual: np.ndarray) -> float:
     """Trace overlap |Tr(U^dag V)| / Tr(U^dag U), global-phase invariant."""
-    u = linalg.as_complex_matrix(u_ideal)
-    v = linalg.as_complex_matrix(v_actual)
-    if u.shape != v.shape or u.shape[0] != u.shape[1]:
+    u = np.asarray(u_ideal, dtype=complex)
+    v = np.asarray(v_actual, dtype=complex)
+    if u.ndim != 2 or u.shape != v.shape or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    norm2 = np.vdot(u, u).real
+    if not norm2 > 0:  # zero, underflowed or NaN
+        raise ValueError(f"ideal gate has squared norm {norm2}, need a positive one")
     return float(_fidelities(u, v))
 
 

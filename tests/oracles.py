@@ -203,6 +203,19 @@ def schedule_pairs(schedule) -> list:
     return list(zip(schedule.generators, schedule.areas))
 
 
+def frobenius_distance(a, b) -> float:
+    """Frobenius-norm distance between two matrices of one shape.
+
+    A plain np.linalg.norm(a - b) would broadcast a wrong-shaped comparison
+    silently; here it raises ValueError.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"expected two matrices of one shape, got {a.shape} and {b.shape}")
+    return float(np.linalg.norm(a - b))
+
+
 def is_unitary(m, tol: float = 1e-10) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -16,6 +16,7 @@ from hologate.qutrit import BrightDarkFrame, ErrorModel
 
 from oracles import (
     bch_residual,
+    frobenius_distance,
     logical_rotation_target,
     residual_norm_ratio,
     stretched_tilted_pairs,
@@ -48,19 +49,19 @@ def test_criterion_1_ideal_gate_exactness():
     for theta in THETA_GRID:
         for phi in PHI_GRID:
             frame = BrightDarkFrame(theta, phi)
-            worst = max(worst, linalg.frobenius_distance(
+            worst = max(worst, frobenius_distance(
                 frame_basis_matrix(gate("elementary", frame), frame),
                 np.diag([-1j, 1j, 1.0]),
             ))
-            worst = max(worst, linalg.frobenius_distance(
+            worst = max(worst, frobenius_distance(
                 frame_basis_matrix(gate("composite2", frame), frame),
                 np.diag([-1.0, -1.0, 1.0]).astype(complex),
             ))
-            worst = max(worst, linalg.frobenius_distance(
+            worst = max(worst, frobenius_distance(
                 gate("composite4", frame),
                 logical_rotation_target(theta, phi),
             ))
-    worst = max(worst, linalg.frobenius_distance(
+    worst = max(worst, frobenius_distance(
         gate("twoqubit_composite", frame), np.diag([1, 1, 1, -1, -1]).astype(complex)
     ))
     ok = worst <= 1e-10
@@ -135,7 +136,7 @@ def test_criterion_5_error_route_equivalence():
         # against the package's drive-field route
         for route in (two_field_pairs, stretched_tilted_pairs):
             pairs = route(frame.theta, frame.phi, model.eps0, model.eps1)
-            d = linalg.frobenius_distance(linalg.evolve(linalg.Schedule(*zip(*pairs))), built)
+            d = frobenius_distance(linalg.evolve(linalg.Schedule(*zip(*pairs))), built)
             worst = max(worst, d)
     ok = worst <= 1e-9
     assert report(ok, "criterion 5: raw and reparametrized error routes", f"worst {worst:.2e}")
@@ -146,7 +147,7 @@ def test_criterion_6_pulse_shape_independence():
     frame = BrightDarkFrame(0.8, 1.1)
     names = ("elementary", "composite2", "composite4", "twoqubit_elementary", "twoqubit_composite")
     for name in names:
-        worst = max(worst, linalg.frobenius_distance(
+        worst = max(worst, frobenius_distance(
             gate(name, frame), gate(name, frame, envelope="sine_squared", steps=32)
         ))
     ok = worst <= 1e-9
@@ -188,7 +189,7 @@ def test_criterion_8_register_vs_bare_composite():
         idx = [encoding.index(name) for name in ("0", "1", "a")]
         block = register[np.ix_(idx, idx)]
         bare = gate("composite4", BrightDarkFrame(theta, phi), model)
-        worst = max(worst, linalg.frobenius_distance(block, bare))
+        worst = max(worst, frobenius_distance(block, bare))
     ok = worst <= 1e-9
     assert report(ok, "criterion 8: register gate matches bare composite", f"worst {worst:.2e}")
 

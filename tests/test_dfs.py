@@ -12,6 +12,7 @@ from oracles import (
     CONTRAST_UNIFORM_HALF_8_KICKS,
     eigh_expm,
     entangling_power_check,
+    frobenius_distance,
     is_unitary,
     kicked_fidelities_loop,
     logical_rotation_target,
@@ -112,7 +113,7 @@ def test_effective_coupling_reproduces_bare_three_level_generator():
     assert register.n_segments == len(raw)
     for embedded, area, (gen, duration) in zip(register.generators, register.areas, raw):
         block = encoded_block(embedded, ENC3, ("0", "1", "a"))
-        assert linalg.frobenius_distance(block * (area / duration), gen) < 1e-15
+        assert frobenius_distance(block * (area / duration), gen) < 1e-15
 
 
 def complement_is_identity(gate, encoding):
@@ -121,7 +122,7 @@ def complement_is_identity(gate, encoding):
     block = gate[np.ix_(rest, rest)]
     off = gate[np.ix_(rest, live)]
     return (
-        linalg.frobenius_distance(block, np.eye(len(rest))) < 1e-10
+        frobenius_distance(block, np.eye(len(rest))) < 1e-10
         and np.linalg.norm(off) < 1e-10
     )
 
@@ -137,8 +138,8 @@ def test_logical_composite_block_matches_bare_composite():
     gate = logical_composite_gate(theta, phi)
     block = encoded_block(gate, ENC3, ("0", "1", "a"))
     bare = bare_composite_four(theta, phi)
-    assert linalg.frobenius_distance(block, bare) < 1e-10
-    assert linalg.frobenius_distance(block, logical_rotation_target(theta, phi)) < 1e-10
+    assert frobenius_distance(block, bare) < 1e-10
+    assert frobenius_distance(block, logical_rotation_target(theta, phi)) < 1e-10
 
 
 def test_logical_composite_block_tracks_error_model(rng):
@@ -149,7 +150,7 @@ def test_logical_composite_block_tracks_error_model(rng):
         gate = logical_composite_gate(theta, phi, model)
         block = encoded_block(gate, ENC3, ("0", "1", "a"))
         bare = bare_composite_four(theta, phi, model)
-        assert linalg.frobenius_distance(block, bare) < 1e-9
+        assert frobenius_distance(block, bare) < 1e-9
 
 
 def test_two_logical_gate_is_block_structured():
@@ -166,7 +167,7 @@ def test_two_logical_trivial_angle_gives_product_gate():
     gate = dfs.two_logical_composite_gate(0.0, 0.0)
     block = encoded_block(gate, ENC6, ("00", "01", "10", "11"))
     minus_zz = -np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-    assert linalg.frobenius_distance(block, minus_zz) < 1e-10
+    assert frobenius_distance(block, minus_zz) < 1e-10
     assert not entangling_power_check(block)
 
 
@@ -257,6 +258,40 @@ def test_protection_run_draws_the_encoded_kicks_at_seed_and_the_bare_at_seed_plu
     assert exact == dfs.idle_contrast_closed_form(psi_raw, channel, 8)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         dfs.protection_run(schedule, channel, -1)
+
+
+def _bare_plus():
+    return (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
+
+
+KERNELS = {
+    "kicked": (
+        lambda psi, channel: dfs.kicked_schedule_fidelities(dfs.logical_composite_schedule(0.7, 0.1), psi, channel, 0),
+        lambda: plus_state(ENC3, "0", "1"),
+    ),
+    "idle": (lambda psi, channel: dfs.idle_contrast_run(psi, channel, 8, 0), _bare_plus),
+    "closed_form": (lambda psi, channel: dfs.idle_contrast_closed_form(psi, channel, 8), _bare_plus),
+}
+
+
+def _with_nan(psi):
+    psi = psi.astype(complex)
+    psi[0] = math.nan
+    return psi
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "spoil, norm2",
+    [(lambda psi: 2 * psi, "4$"), (lambda psi: 0 * psi, "0$"), (_with_nan, "nan$")],
+    ids=["2psi", "0psi", "nan"],
+)
+def test_every_kick_kernel_rejects_a_state_that_is_not_a_unit_vector(kernel, spoil, norm2):
+    run, state = KERNELS[kernel]
+    channel = DephasingChannel(0.5, n_samples=20)
+    run(state(), channel)  # the unit vector runs
+    with pytest.raises(ValueError, match=f"unit vector, got squared norm {norm2}"):
+        run(spoil(state()), channel)
 
 
 def test_idle_contrast_closed_form_trivia():

@@ -8,6 +8,7 @@ from hologate import cli, dfs, holonomy, linalg, qutrit, scaling
 from hologate.qutrit import BrightDarkFrame
 
 from oracles import (
+    frobenius_distance,
     phase_residual_loop,
     rk4_propagator,
     projector_residual_curve,
@@ -66,7 +67,7 @@ def test_trace_endpoint_matches_time_ordered_product(rng):
     basis = np.eye(4, dtype=complex)
     trace = holonomy.trace_evolution(schedule, basis, samples_per_segment=32)
     u = linalg.evolve(schedule)
-    assert linalg.frobenius_distance(trace.states[:, -1, :].T, u) < 1e-10
+    assert frobenius_distance(trace.states[:, -1, :].T, u) < 1e-10
 
 
 def test_trace_starts_at_the_given_basis():
@@ -179,6 +180,12 @@ def test_midpoint_requires_two_segments():
         holonomy.grassmannian_midpoint_check(trace)
 
 
+@pytest.mark.parametrize("basis", [[], np.zeros((0, 3))], ids=["list", "array"])
+def test_trace_rejects_an_empty_basis(basis):
+    with pytest.raises(ValueError, match="at least one vector"):
+        holonomy.trace_evolution(elementary_schedule(), basis)
+
+
 def test_four_pulse_schedule_closes_after_every_gate():
     # each back-to-back segment pair is itself a closed loop, so the
     # projector returns to its origin at every second boundary
@@ -187,7 +194,7 @@ def test_four_pulse_schedule_closes_after_every_gate():
     assert trace.n_segments == 8
     p0 = trace.projector(0)
     for boundary in (2, 4, 6, 8):
-        assert linalg.frobenius_distance(trace.projector(boundary), p0) < 1e-10
+        assert frobenius_distance(trace.projector(boundary), p0) < 1e-10
 
 
 def test_trace_input_validation():

@@ -1,5 +1,6 @@
 """No module under src/, scripts/ or tests/ imports a name it never uses,
-and importing the CLI loads nothing beyond the standard library and numpy.
+importing the CLI loads nothing beyond the standard library and numpy, and
+importing the package loads none of its submodules.
 
 A name listed in the module's ``__all__`` counts as used, and
 ``from __future__`` imports are exempt.
@@ -46,18 +47,29 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_importing_the_cli_loads_only_the_standard_library_numpy_and_hologate():
-    # every holgate run and script starts with this import, so a heavy one
-    # (scipy, say) would add to the start-up time of each
-    code = (
-        "import sys; before = set(sys.modules); import hologate.cli; "
-        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
-    )
+def new_modules(statement: str) -> set[str]:
+    """Every module the statement adds to sys.modules in a fresh interpreter."""
+    code = f"import sys; before = set(sys.modules); {statement}; print(*sorted(set(sys.modules) - before))"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_only_the_standard_library_numpy_and_hologate():
+    # every holgate run and script starts with this import, so a heavy one
+    # (scipy, say) would add to the start-up time of each
+    loaded = {name.partition(".")[0] for name in new_modules("import hologate.cli")}
     assert {"hologate", "numpy"} <= loaded
     assert loaded - sys.stdlib_module_names - {"hologate", "numpy"} == set()
+
+
+def test_the_import_graph_is_the_dependency_graph():
+    # the package root re-exports nothing, so a submodule loads only what it imports
+    def submodules(statement):
+        return {name for name in new_modules(statement) if name.startswith("hologate.")}
+
+    assert submodules("import hologate") == set()
+    assert submodules("import hologate.holonomy") == {"hologate.linalg", "hologate.holonomy"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hologate import linalg, pulses, qutrit
 from hologate.scaling import GATES
 
-from oracles import two_qubit_ket
+from oracles import frobenius_distance, two_qubit_ket
 
 
 def random_bright(rng, loops, d):
@@ -71,7 +71,7 @@ def test_envelope_only_redistributes_area(seed, steps, d):
     field = 1.3 / (math.pi / 2) * bright
     for envelope in pulses.ENVELOPES:
         u = linalg.evolve(pulses.loop_schedule(field, envelope, steps))
-        assert linalg.frobenius_distance(u, loop_unitary(bright[0], 1.3)) < 1e-9
+        assert frobenius_distance(u, loop_unitary(bright[0], 1.3)) < 1e-9
 
 
 def test_schedule_unitary_orders_left(rng):
@@ -82,7 +82,7 @@ def test_schedule_unitary_orders_left(rng):
     assert schedule.n_segments == 20
     u = linalg.evolve(schedule)
     expected = loop_unitary(bright[1], 1.1) @ loop_unitary(bright[0], 0.4)
-    assert linalg.frobenius_distance(u, expected) < 1e-12
+    assert frobenius_distance(u, expected) < 1e-12
 
 
 def test_schedule_unitary_rejects_empty():

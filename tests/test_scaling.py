@@ -9,7 +9,7 @@ from hologate import holonomy, linalg, pulses, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError, SweepSpec
 
-from oracles import bch_residual, haar_unitary, order_ratio, residual_norm_ratio
+from oracles import bch_residual, frobenius_distance, haar_unitary, order_ratio, residual_norm_ratio
 
 
 def gate(name, frame, model=None):
@@ -55,6 +55,16 @@ def test_fidelity_shape_checks():
         scaling.gate_fidelity(np.eye(3), np.eye(4))
     with pytest.raises(ValueError):
         scaling.gate_fidelity(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_fidelity_rejects_a_vector():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        scaling.gate_fidelity(np.ones(3), np.ones(3))
+
+
+def test_fidelity_rejects_an_ideal_gate_of_zero_norm():
+    with pytest.raises(ValueError, match="squared norm 0.0"):
+        scaling.gate_fidelity(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def test_sweep_spec_validation():
@@ -163,11 +173,11 @@ def test_batched_sweep_gates_match_single_gate_builders(kind, mode):
     gate = scaling.GATES[kind]
     models = [None] + [gate.error_modes[mode](eps) for eps in spec.epsilons]
     ideal, *actual = gate.build(theta, phi, jk, models)
-    assert linalg.frobenius_distance(ideal, single_gate(kind, mode, 0.0, theta, phi, jk)) < 1e-13
+    assert frobenius_distance(ideal, single_gate(kind, mode, 0.0, theta, phi, jk)) < 1e-13
     assert len(actual) == len(spec.epsilons) and ideal.shape == (len(gate.labels),) * 2
     for eps, u in zip(spec.epsilons, actual):
         expected = single_gate(kind, mode, eps, theta, phi, jk)
-        assert linalg.frobenius_distance(u, expected) < 1e-13
+        assert frobenius_distance(u, expected) < 1e-13
     samples = scaling.sweep_samples(spec)
     assert [e for e, _ in samples] == list(spec.epsilons)
     for (eps, infid), u in zip(samples, actual):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hologate import holonomy, linalg, pulses, two_qubit
+from hologate import holonomy, pulses, two_qubit
 from hologate.scaling import GATES
 from hologate.two_qubit import TwoQubitErrorModel
 
 from oracles import (
     entangling_power_check,
+    frobenius_distance,
     is_unitary,
     ideal_two_qubit_composite,
     ideal_two_qubit_elementary,
@@ -47,7 +48,7 @@ def test_error_model_bound():
 @pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
 def test_elementary_gate_hits_ideal(jk):
     u = gate("twoqubit_elementary", jk)
-    assert linalg.frobenius_distance(u, ideal_two_qubit_elementary(jk)) < 1e-12
+    assert frobenius_distance(u, ideal_two_qubit_elementary(jk)) < 1e-12
 
 
 def test_ideal_elementary_values():
@@ -57,21 +58,21 @@ def test_ideal_elementary_values():
 
 def test_elementary_gate_is_fourth_root_of_identity():
     u = gate("twoqubit_elementary", "11")
-    assert linalg.frobenius_distance(np.linalg.matrix_power(u, 4), np.eye(5)) < 1e-12
+    assert frobenius_distance(np.linalg.matrix_power(u, 4), np.eye(5)) < 1e-12
 
 
 def test_elementary_gate_matches_integrator():
     model = TwoQubitErrorModel(0.05)
     u = gate("twoqubit_elementary", "11", model)
     ref = rk4_propagator(schedule_pairs(elementary_schedule("11", model)))
-    assert linalg.frobenius_distance(u, ref) < 1e-10
+    assert frobenius_distance(u, ref) < 1e-10
 
 
 @pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
 def test_composite_gate_hits_ideal(jk):
     u = gate("twoqubit_composite", jk)
     ideal = ideal_two_qubit_composite(jk)
-    assert linalg.frobenius_distance(u, ideal) < 1e-12
+    assert frobenius_distance(u, ideal) < 1e-12
     assert ideal[two_qubit.LABELS.index(jk), two_qubit.LABELS.index(jk)] == -1.0
     assert ideal[4, 4] == -1.0
 
@@ -96,26 +97,26 @@ def test_composite_gate_matches_integrator():
     model = TwoQubitErrorModel(0.1)
     u = gate("twoqubit_composite", "01", model)
     schedule = schedule_pairs(elementary_schedule("01", model)) * 2
-    assert linalg.frobenius_distance(u, rk4_propagator(schedule)) < 1e-10
+    assert frobenius_distance(u, rk4_propagator(schedule)) < 1e-10
     models = (None, model, TwoQubitErrorModel(-0.05))
     gates = GATES["twoqubit_composite"].build(0.0, 0.0, "01", models)
     assert gates.shape == (len(models), 5, 5)
     for model, built in zip(models, gates):
         schedule = schedule_pairs(elementary_schedule("01", model)) * 2
-        assert linalg.frobenius_distance(built, rk4_propagator(schedule)) < 1e-10
+        assert frobenius_distance(built, rk4_propagator(schedule)) < 1e-10
 
 
 def test_composite_deviation_is_second_order():
     ideal = ideal_two_qubit_composite("11")
-    d1 = linalg.frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.02)), ideal)
-    d2 = linalg.frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.01)), ideal)
+    d1 = frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.02)), ideal)
+    d2 = frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.01)), ideal)
     assert 3.8 < d1 / d2 < 4.2
 
 
 def test_elementary_deviation_is_first_order():
     ideal = ideal_two_qubit_elementary("11")
-    d1 = linalg.frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.02)), ideal)
-    d2 = linalg.frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.01)), ideal)
+    d1 = frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.02)), ideal)
+    d2 = frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.01)), ideal)
     assert 1.9 < d1 / d2 < 2.1
 
 
