@@ -14,10 +14,15 @@ and writes under ``DIR/<workload>/seed<seed>/<entry>/``:
   (``certificate``);
 - the six-ion gate's bytes (``gate.bin``).
 
+It also runs each study script of ``SCRIPTS`` at its defaults and writes
+its exit code, standard output and CSV files under
+``DIR/scripts/<script>/``.  A script runs from a fixed working directory
+with a relative ``--out``, so no absolute path gets into its output.
+
 Two checkouts give the same outputs when ``diff -r`` of their directories
 is empty.  Nothing is written outside ``DIR``; the calls' scratch
 directory ``DIR/.work`` is removed at the end.  Exits 1 if any ``holgate``
-call exits nonzero.
+call or study script exits nonzero.
 
 ``--compare A B`` checks that two such trees differ at most in the
 rounding of floats.  Byte-identical files pass.  A differing record,
@@ -25,8 +30,9 @@ rounding of floats.  Byte-identical files pass.  A differing record,
 as complex128: strings, booleans, integers, keys and shapes must match,
 and for floats it prints the largest relative difference
 ``|a - b| / max(|a|, |b|)`` and the largest absolute difference ``|a - b|``
-per workload, file and key.  Exits 1 on any other difference, or on a
-file that only one tree has.
+per workload, file and key.  A study script's ``stdout`` is a text table,
+not JSON lines, so any difference in it is one that does not parse.
+Exits 1 on any other difference, or on a file that only one tree has.
 """
 
 import argparse
@@ -38,12 +44,14 @@ import math
 import os
 import shutil
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SCRIPTS = ("scaling_study.py", "dfs_protection_demo.py")
 
 
 def write_outputs(workloads, workload: str, seed: int, work: Path, dest: Path) -> bool:
@@ -69,6 +77,22 @@ def write_outputs(workloads, workload: str, seed: int, work: Path, dest: Path) -
         else:
             (entry / "gate.bin").write_bytes(result.tobytes())
     return ok
+
+
+def write_script_outputs(name: str, work: Path, dest: Path) -> bool:
+    """Run one study script at its defaults; False if it exited nonzero."""
+    work.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--out", "out"],
+        cwd=work, env=env, capture_output=True, text=True,
+    )
+    dest.mkdir(parents=True)
+    (dest / "exit_code").write_text(f"{result.returncode}\n")
+    (dest / "stdout").write_text(result.stdout)
+    for path in sorted((work / "out").glob("*")):  # a failed run writes none
+        shutil.copyfile(path, dest / path.name)
+    return result.returncode == 0
 
 
 def cell(text: str):
@@ -189,7 +213,13 @@ def main() -> int:
             shutil.rmtree(out / ".work")
     if not ok:
         print("a holgate call exited nonzero; see the exit_code files", file=sys.stderr)
-    return 0 if ok else 1
+    scripts_ok = True
+    for name in SCRIPTS:
+        scripts_ok &= write_script_outputs(name, out / ".work", out / "scripts" / name.removesuffix(".py"))
+        shutil.rmtree(out / ".work")
+    if not scripts_ok:
+        print("a study script exited nonzero; see the exit_code files under scripts/", file=sys.stderr)
+    return 0 if ok and scripts_ok else 1
 
 
 if __name__ == "__main__":

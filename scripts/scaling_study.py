@@ -38,14 +38,7 @@ def study(args):
     grid = scaling.default_epsilon_grid(args.points)
     csvs, lines = {}, [f"{'gate':<20} {'mode':<14} {'slope':>8} {'r^2':>10} {'points':>7}"]
     for kind, mode in CASES:
-        spec = scaling.SweepSpec(
-            gate_kind=kind,
-            theta=args.theta,
-            phi=args.phi,
-            error_mode=mode,
-            epsilons=grid,
-        )
-        samples = scaling.sweep_samples(spec)
+        samples = scaling.sweep_samples(scaling.GATES[kind], mode, grid, args.theta, args.phi)
         csvs[f"{kind}_{mode}.csv"] = cli.csv_text(samples, ("epsilon", "infidelity"))
         try:
             fit = scaling.fit_power_law(samples)

@@ -44,41 +44,37 @@ NUMERICAL_FAILURES = (scaling.DegenerateFitError, FloatingPointError, OverflowEr
 MAX_RUN_BYTES = 2**30
 
 
-class ConfigError(ValueError):
-    """Anything wrong with the run configuration."""
-
-
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ConfigError("config nests too deeply to parse") from exc
+        raise ValueError("config nests too deeply to parse") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return cfg
 
 
 def check_keys(cfg: dict, allowed: set[str], required: set[str]) -> None:
     unknown = set(cfg) - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     missing = required - set(cfg)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise ValueError(f"missing config keys: {sorted(missing)}")
 
 
 def get_number(cfg: dict, key: str, default=None) -> float:
     value = cfg.get(key, default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer no float holds
-        raise ConfigError(f"config key {key!r} must be a finite float, got {value!r}")
+        raise ValueError(f"config key {key!r} must be a finite float, got {value!r}")
     return float(value)
 
 
@@ -98,13 +94,13 @@ def strict_numerics() -> np.errstate:
 def get_int(cfg: dict, key: str, default=None) -> int:
     value = cfg.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
     return value
 
 
 def check_run_size(key: str, n_bytes: int) -> None:
     if n_bytes > MAX_RUN_BYTES:
-        raise ConfigError(
+        raise ValueError(
             f"{key!r} asks for about {n_bytes // 2**20} MB, over the {MAX_RUN_BYTES // 2**20} MB limit"
         )
 
@@ -122,7 +118,7 @@ def check_dfs_size(key: str, n_kicks: int, n_samples: int) -> None:
 def get_choice(cfg: dict, key: str, choices, default=None) -> str:
     value = cfg.get(key, default)
     if not isinstance(value, str) or value not in choices:
-        raise ConfigError(f"config key {key!r} must be one of {sorted(choices)}, got {value!r}")
+        raise ValueError(f"config key {key!r} must be one of {sorted(choices)}, got {value!r}")
     return value
 
 
@@ -182,16 +178,16 @@ def parse_error_model(cfg: dict, gate: scaling.Gate):
     if spec is None:
         return None
     if not isinstance(spec, dict):
-        raise ConfigError("config key 'error' must be an object or null")
+        raise ValueError("config key 'error' must be an object or null")
     keys = [f.name for f in dataclasses.fields(gate.error_model)]
     check_keys(spec, set(keys), set(keys))
     return gate.error_model(*(get_number(spec, key) for key in keys))
 
 
-def parse_gate(cfg: dict, key: str):
-    """The gate named by ``cfg[key]`` and its (theta, phi, jk) parameters."""
+def parse_gate(cfg: dict, key: str, theta=math.pi / 2):
+    """The gate named by ``cfg[key]`` and its (theta, phi, jk) parameters; ``theta`` is the default."""
     gate = scaling.GATES[get_choice(cfg, key, scaling.GATES)]
-    theta = get_number(cfg, "theta", math.pi / 2)
+    theta = get_number(cfg, "theta", theta)
     phi = get_number(cfg, "phi", 0.0)
     jk = get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11")
     return gate, theta, phi, jk
@@ -210,7 +206,7 @@ def parse_segments(cfg: dict, dim: int) -> tuple[str, int]:
 def get_tolerance(cfg: dict) -> float:
     tolerance = get_number(cfg, "tolerance", 1e-8)
     if tolerance <= 0:
-        raise ConfigError(f"tolerance must be finite and positive, got {tolerance!r}")
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     return tolerance
 
 
@@ -251,10 +247,10 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
     elif isinstance(raw, list):
         points = len(raw)
     else:
-        raise ConfigError("config key 'epsilons' must be a list or a {points: N} object")
+        raise ValueError("config key 'epsilons' must be a list or a {points: N} object")
     # a grid and a list are held to the same count and size
     if points < 2:
-        raise ConfigError("epsilon grid needs at least 2 points")
+        raise ValueError("epsilon grid needs at least 2 points")
     check_sweep_size("epsilons", points)
     if isinstance(raw, dict):
         return scaling.default_epsilon_grid(points)
@@ -264,16 +260,9 @@ def parse_epsilons(cfg: dict) -> tuple[float, ...]:
 
 def cmd_sweep(cfg: dict) -> tuple[dict, dict]:
     check_keys(cfg, {"gate_kind", "theta", "phi", "jk", "error_mode", "epsilons"}, {"gate_kind", "error_mode"})
-    gate_kind = get_choice(cfg, "gate_kind", scaling.GATES)
-    spec = scaling.SweepSpec(
-        gate_kind=gate_kind,
-        theta=get_number(cfg, "theta", math.pi / 4),
-        phi=get_number(cfg, "phi", 0.0),
-        error_mode=get_choice(cfg, "error_mode", scaling.GATES[gate_kind].error_modes),
-        epsilons=parse_epsilons(cfg),
-        jk=get_choice(cfg, "jk", two_qubit.COMPUTATIONAL_LABELS, "11"),
-    )
-    samples = scaling.sweep_samples(spec)
+    gate, theta, phi, jk = parse_gate(cfg, "gate_kind", theta=math.pi / 4)
+    error_mode = get_choice(cfg, "error_mode", gate.error_modes)
+    samples = scaling.sweep_samples(gate, error_mode, parse_epsilons(cfg), theta, phi, jk)
     fit = scaling.fit_power_law(samples)
     outputs = {
         "slope": fit.slope,
@@ -294,7 +283,7 @@ def cmd_check_holonomy(cfg: dict) -> tuple[dict, dict]:
     if cfg.get("truncate_segments") is not None:
         truncate = get_int(cfg, "truncate_segments")
         if not 1 <= truncate <= schedule.n_segments:
-            raise ConfigError("truncate_segments out of range for this schedule")
+            raise ValueError("truncate_segments out of range for this schedule")
         schedule = linalg.Schedule(schedule.generators[:truncate], schedule.areas[:truncate])
     # samples_per_segment is checked but changes nothing: the certificate is exact
     trace = holonomy.trace_evolution(schedule, gate.subspace_basis(), samples)
@@ -373,7 +362,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # a ConfigError, or a library check rejecting a config value;
+        # a config check or a library check rejecting a config value;
         # LinAlgError is a ValueError too, so it is caught first
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

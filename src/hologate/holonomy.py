@@ -68,7 +68,7 @@ def trace_evolution(
     basis = np.array([np.asarray(v, dtype=complex) for v in subspace_basis])
     if basis.ndim != 2 or len(basis) == 0:
         raise ValueError(f"subspace basis must hold at least one vector, got shape {basis.shape}")
-    if np.linalg.norm(basis.conj() @ basis.T - np.eye(len(basis))) > 1e-10:
+    if not np.linalg.norm(basis.conj() @ basis.T - np.eye(len(basis))) <= 1e-10:  # NaN fails it too
         raise ValueError("subspace basis is not orthonormal")
     if basis.shape[1] != schedule.generators.shape[-1]:
         raise ValueError("basis dimension does not match schedule generators")

@@ -12,6 +12,7 @@ re-multiplied, must land on the single-exponential result.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,6 +33,8 @@ def slice_areas(envelope: str, steps: int) -> np.ndarray:
     """
     if envelope not in ENVELOPES:
         raise ValueError(f"unknown envelope {envelope!r}")
+    if not isinstance(steps, numbers.Integral) or isinstance(steps, bool):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     # fraction of the area accumulated by scaled time u in [0, 1]

@@ -10,6 +10,7 @@ log-log fit is the measured order.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -127,35 +128,6 @@ GATES["twoqubit_single"] = GATES["twoqubit_elementary"]
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One error sweep: which gate, which error channel, which grid.
-
-    error_mode names one of the gate's ``error_modes``, which fixes how a
-    single scalar eps feeds the error model.
-    """
-
-    gate_kind: str
-    theta: float
-    phi: float
-    error_mode: str
-    epsilons: tuple[float, ...]
-    jk: str = "11"
-
-    def __post_init__(self):
-        if self.gate_kind not in GATES:
-            raise ValueError(f"unknown gate kind {self.gate_kind!r}")
-        if self.error_mode not in GATES[self.gate_kind].error_modes:
-            raise ValueError(
-                f"error mode {self.error_mode!r} does not fit gate kind {self.gate_kind!r}"
-            )
-        eps = tuple(self.epsilons)
-        if not eps or not all(0 < e < 1 for e in eps):
-            raise ValueError("epsilons must be a nonempty list of values in (0, 1)")
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class ScalingFit:
     samples: tuple[tuple[float, float], ...]
     slope: float
@@ -170,21 +142,30 @@ def default_epsilon_grid(points: int = 12) -> tuple[float, ...]:
     the double-precision floor; the upper edge stays below where
     higher-order terms start bending the power law.
     """
+    if not isinstance(points, numbers.Integral) or isinstance(points, bool):
+        raise ValueError(f"points must be an integer, got {points!r}")
     return tuple(float(e) for e in np.logspace(-3.0, -1.5, points))
 
 
-def sweep_samples(spec: SweepSpec) -> list[tuple[float, float]]:
+def sweep_samples(gate: Gate, error_mode: str, epsilons, theta, phi, jk="11") -> list[tuple[float, float]]:
     """(eps, infidelity) points in grid order, floor points included.
 
-    Every gate, the ideal (no error model) first, comes from one call of
-    the gate's batched builder, so the grid shares its evolutions.
+    ``error_mode`` names one of the gate's ``error_modes``, which fixes how
+    a single scalar eps feeds the error model.  Every gate, the ideal (no
+    error model) first, comes from one call of the gate's batched builder,
+    so the grid shares its evolutions.
     """
-    gate = GATES[spec.gate_kind]
-    mode = gate.error_modes[spec.error_mode]
-    models = [None] + [mode(eps) for eps in spec.epsilons]
-    gates = gate.build(spec.theta, spec.phi, spec.jk, models)
+    if error_mode not in gate.error_modes:
+        raise ValueError(f"error mode {error_mode!r} does not fit a gate with modes {sorted(gate.error_modes)}")
+    eps = tuple(epsilons)
+    if not eps or not all(0 < e < 1 for e in eps):
+        raise ValueError("epsilons must be a nonempty list of values in (0, 1)")
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilons must be strictly increasing")
+    mode = gate.error_modes[error_mode]
+    gates = gate.build(theta, phi, jk, [None] + [mode(e) for e in eps])
     infidelities = 1.0 - _fidelities(gates[0], gates[1:])
-    return list(zip(spec.epsilons, infidelities.tolist()))
+    return list(zip(eps, infidelities.tolist()))
 
 
 def fit_power_law(samples) -> ScalingFit:

@@ -104,14 +104,8 @@ def test_criterion_3_scaling_orders():
     ok = True
     details = []
     for kind, mode, target, width in SLOPE_CASES:
-        spec = scaling.SweepSpec(
-            gate_kind=kind,
-            theta=math.pi / 4,
-            phi=0.0,
-            error_mode=mode,
-            epsilons=scaling.default_epsilon_grid(),
-        )
-        fit = scaling.fit_power_law(scaling.sweep_samples(spec))
+        samples = scaling.sweep_samples(scaling.GATES[kind], mode, scaling.default_epsilon_grid(), math.pi / 4, 0.0)
+        fit = scaling.fit_power_law(samples)
         case_ok = abs(fit.slope - target) <= width and fit.r_squared >= 0.999
         ok = ok and case_ok
         details.append(f"{kind}/{mode} {fit.slope:.3f}")

@@ -303,7 +303,7 @@ def test_main_maps_library_exceptions_to_exit_codes(tmp_path, capsys, monkeypatc
     cfg = write_cfg(tmp_path, "c.json", SWEEP_CFG)
     out = tmp_path / "out"
 
-    def fail(spec):
+    def fail(*args):
         raise error
 
     monkeypatch.setattr(scaling, "sweep_samples", fail)
@@ -617,7 +617,7 @@ def test_check_holonomy_samples_per_segment_allocates_nothing(tmp_path, capsys):
 
 def test_run_size_limit_is_inclusive():
     cli.check_run_size("n_samples", cli.MAX_RUN_BYTES)
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli.check_run_size("n_samples", cli.MAX_RUN_BYTES + 1)
 
 

@@ -294,6 +294,15 @@ def test_every_kick_kernel_rejects_a_state_that_is_not_a_unit_vector(kernel, spo
         run(spoil(state()), channel)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_every_kick_kernel_rejects_an_overflowing_state_without_a_warning(kernel):
+    # each squared amplitude overflows to inf, and an inf norm is not 1
+    run, state = KERNELS[kernel]
+    with pytest.raises(ValueError, match="unit vector, got squared norm inf$"):
+        run(1e200 * state(), DephasingChannel(0.5, n_samples=20))
+
+
 def test_idle_contrast_closed_form_trivia():
     channel = DephasingChannel(0.7)
     assert abs(dfs.idle_contrast_closed_form(dfs.register_ket("101"), channel, 5) - 1.0) < 1e-14

@@ -186,6 +186,12 @@ def test_trace_rejects_an_empty_basis(basis):
         holonomy.trace_evolution(elementary_schedule(), basis)
 
 
+def test_trace_rejects_a_nan_basis():
+    # NaN fails every comparison, so the orthonormality bound must be met, not merely not exceeded
+    with pytest.raises(ValueError, match="not orthonormal"):
+        holonomy.trace_evolution(elementary_schedule(), [[math.nan, 0, 0], [0, 1, 0]])
+
+
 def test_four_pulse_schedule_closes_after_every_gate():
     # each back-to-back segment pair is itself a closed loop, so the
     # projector returns to its origin at every second boundary

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hologate import holonomy, linalg, pulses, qutrit, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
-from hologate.scaling import DegenerateFitError, SweepSpec
+from hologate.scaling import DegenerateFitError
 
 from oracles import bch_residual, frobenius_distance, haar_unitary, order_ratio, residual_norm_ratio
 
@@ -68,22 +68,17 @@ def test_fidelity_rejects_an_ideal_gate_of_zero_norm():
 
 
 def test_sweep_spec_validation():
-    good = dict(theta=0.8, phi=0.0, epsilons=(0.01, 0.02))
-    SweepSpec(gate_kind="single", error_mode="common", **good)
+    single, twoqubit = scaling.GATES["single"], scaling.GATES["twoqubit_composite"]
+    scaling.sweep_samples(single, "common", (0.01, 0.02), 0.8, 0.0)
     with pytest.raises(ValueError):
-        SweepSpec(gate_kind="triple", error_mode="common", **good)
+        scaling.sweep_samples(single, "sideways", (0.01, 0.02), 0.8, 0.0)
     with pytest.raises(ValueError):
-        SweepSpec(gate_kind="single", error_mode="sideways", **good)
+        scaling.sweep_samples(single, "two_qubit", (0.01, 0.02), 0.8, 0.0)
     with pytest.raises(ValueError):
-        SweepSpec(gate_kind="single", error_mode="two_qubit", **good)
-    with pytest.raises(ValueError):
-        SweepSpec(gate_kind="twoqubit_composite", error_mode="common", **good)
+        scaling.sweep_samples(twoqubit, "common", (0.01, 0.02), 0.8, 0.0)
     for bad_eps in ((), (0.0, 0.1), (-0.01, 0.1), (0.02, 0.01), (0.01, 0.01), (0.5, 1.5), (1.0,)):
         with pytest.raises(ValueError):
-            SweepSpec(
-                gate_kind="single", error_mode="common",
-                theta=0.8, phi=0.0, epsilons=bad_eps,
-            )
+            scaling.sweep_samples(single, "common", bad_eps, 0.8, 0.0)
 
 
 def test_default_grid_properties():
@@ -93,6 +88,20 @@ def test_default_grid_properties():
     assert abs(grid[-1] - 10**-1.5) < 1e-16
     assert all(b > a for a, b in zip(grid, grid[1:]))
     assert all(type(e) is float for e in grid)
+
+
+SIZED = {
+    "slice_areas": lambda n: pulses.slice_areas("square", n),
+    "default_epsilon_grid": scaling.default_epsilon_grid,
+}
+
+
+@pytest.mark.parametrize("size", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy_float"])
+@pytest.mark.parametrize("name", SIZED)
+def test_library_sizes_must_be_integers(name, size):
+    assert len(SIZED[name](np.int64(3))) == 3  # numpy integers pass
+    with pytest.raises(ValueError, match="must be an integer"):
+        SIZED[name](size)
 
 
 def test_one_qubit_model_modes():
@@ -117,11 +126,7 @@ def test_gate_table_aliases_share_entries():
 
 
 def test_sweep_gates_dispatch():
-    spec = SweepSpec(
-        gate_kind="twoqubit_single", theta=0.0, phi=0.0,
-        error_mode="two_qubit", epsilons=(0.01, 0.05), jk="01",
-    )
-    samples = scaling.sweep_samples(spec)
+    samples = scaling.sweep_samples(scaling.GATES["twoqubit_single"], "two_qubit", (0.01, 0.05), 0.0, 0.0, "01")
     ideal, actual = scaling.GATES["twoqubit_elementary"].build(
         0.0, 0.0, "01", [None, two_qubit.TwoQubitErrorModel(0.05)]
     )
@@ -129,11 +134,7 @@ def test_sweep_gates_dispatch():
     assert [e for e, _ in samples] == [0.01, 0.05]
     assert abs(samples[1][1] - (1.0 - scaling.gate_fidelity(ideal, actual))) < 1e-15
     assert samples[1][1] > 1e-5
-    spec1 = SweepSpec(
-        gate_kind="composite4", theta=0.8, phi=0.1,
-        error_mode="differential", epsilons=(0.05,),
-    )
-    [(eps1, infid1)] = scaling.sweep_samples(spec1)
+    [(eps1, infid1)] = scaling.sweep_samples(scaling.GATES["composite4"], "differential", (0.05,), 0.8, 0.1)
     ideal1, actual1 = scaling.GATES["composite4"].build(
         0.8, 0.1, "11", [None, qutrit.ErrorModel(0.05, -0.05)]
     )
@@ -166,20 +167,17 @@ def single_gate(kind, mode, eps, theta, phi, jk):
 @pytest.mark.parametrize("kind,mode", SWEEP_CASES)
 def test_batched_sweep_gates_match_single_gate_builders(kind, mode):
     theta, phi, jk = 0.7, 0.3, "10"
-    spec = SweepSpec(
-        gate_kind=kind, theta=theta, phi=phi, error_mode=mode,
-        epsilons=scaling.default_epsilon_grid(), jk=jk,
-    )
+    epsilons = scaling.default_epsilon_grid()
     gate = scaling.GATES[kind]
-    models = [None] + [gate.error_modes[mode](eps) for eps in spec.epsilons]
+    models = [None] + [gate.error_modes[mode](eps) for eps in epsilons]
     ideal, *actual = gate.build(theta, phi, jk, models)
     assert frobenius_distance(ideal, single_gate(kind, mode, 0.0, theta, phi, jk)) < 1e-13
-    assert len(actual) == len(spec.epsilons) and ideal.shape == (len(gate.labels),) * 2
-    for eps, u in zip(spec.epsilons, actual):
+    assert len(actual) == len(epsilons) and ideal.shape == (len(gate.labels),) * 2
+    for eps, u in zip(epsilons, actual):
         expected = single_gate(kind, mode, eps, theta, phi, jk)
         assert frobenius_distance(u, expected) < 1e-13
-    samples = scaling.sweep_samples(spec)
-    assert [e for e, _ in samples] == list(spec.epsilons)
+    samples = scaling.sweep_samples(gate, mode, epsilons, theta, phi, jk)
+    assert [e for e, _ in samples] == list(epsilons)
     for (eps, infid), u in zip(samples, actual):
         assert abs(infid - (1.0 - scaling.gate_fidelity(ideal, u))) < 1e-15
 
@@ -225,21 +223,17 @@ def test_fit_matches_polyfit_on_random_lines(rng):
 
 
 def test_single_gate_common_mode_slope():
-    spec = SweepSpec(
-        gate_kind="single", theta=math.pi / 4, phi=0.0,
-        error_mode="common", epsilons=scaling.default_epsilon_grid(),
-    )
-    fit = scaling.fit_power_law(scaling.sweep_samples(spec))
+    samples = scaling.sweep_samples(scaling.GATES["single"], "common", scaling.default_epsilon_grid(), math.pi / 4, 0.0)
+    fit = scaling.fit_power_law(samples)
     assert abs(fit.slope - 2.0) < 0.1
     assert fit.r_squared > 0.999
 
 
 def test_composite_four_differential_mode_slope():
-    spec = SweepSpec(
-        gate_kind="composite4", theta=math.pi / 4, phi=0.0,
-        error_mode="differential", epsilons=scaling.default_epsilon_grid(),
+    samples = scaling.sweep_samples(
+        scaling.GATES["composite4"], "differential", scaling.default_epsilon_grid(), math.pi / 4, 0.0
     )
-    fit = scaling.fit_power_law(scaling.sweep_samples(spec))
+    fit = scaling.fit_power_law(samples)
     assert abs(fit.slope - 4.0) < 0.2
     assert fit.r_squared > 0.999
 

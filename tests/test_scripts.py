@@ -158,6 +158,18 @@ def test_script_unwritable_out_exits_two_before_any_output(tmp_path, name, args)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_scaling_study_csvs_are_the_cli_sweeps(tmp_path, capsys):
+    # both paths end in one scaling.sweep_samples call, at theta pi/4 and phi 0
+    run_script("scaling_study.py", "--points", "4", "--out", str(tmp_path / "study"))
+    for kind, mode in load_script("scaling_study.py").CASES:
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"gate_kind": kind, "error_mode": mode, "epsilons": {"points": 4}}))
+        out = tmp_path / "cli" / f"{kind}_{mode}"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "study" / f"{kind}_{mode}.csv").read_text() == (out / "sweep.csv").read_text()
+
+
 def test_scaling_study_covers_every_error_mode_of_its_gates():
     cases = load_script("scaling_study.py").CASES
     expected = {(kind, mode) for kind, _ in cases for mode in scaling.GATES[kind].error_modes}
@@ -222,7 +234,7 @@ def test_outputs_writes_every_benchmark_entry_once(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert sorted(p.name for p in out.iterdir()) == ["certify", "dfs", "sweep"]
+    assert sorted(p.name for p in out.iterdir()) == ["certify", "dfs", "scripts", "sweep"]
     # 45 entries per seed: 20 sweep, 12 dfs and 13 certify calls
     entries = list(out.glob("*/seed*/*"))
     assert len(entries) == 135
@@ -230,6 +242,13 @@ def test_outputs_writes_every_benchmark_entry_once(tmp_path):
     assert len(list(out.rglob("certificate"))) == 6 and len(list(out.rglob("gate.bin"))) == 3
     for path in out.rglob("*.json"):
         assert "timestamp" not in json.loads(path.read_text())
+    # both study scripts at their defaults, with no absolute path in what they print
+    scripts = out / "scripts"
+    assert sorted(p.name for p in scripts.iterdir()) == ["dfs_protection_demo", "scaling_study"]
+    assert len(list((scripts / "scaling_study").glob("*.csv"))) == len(load_script("scaling_study.py").CASES)
+    assert (scripts / "dfs_protection_demo" / "dfs_protection.csv").is_file()
+    for script in scripts.iterdir():
+        assert str(ROOT) not in (script / "stdout").read_text() and str(out) not in (script / "stdout").read_text()
     again = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "outputs.py"), "--out", str(out)], capture_output=True, text=True
     )
