@@ -95,14 +95,14 @@ def kernel_timings() -> dict:
     six_ion = dfs.two_logical_composite_schedule(0.9, 0.3)
     generators, areas = np.array(six_ion.generators), np.array(six_ion.areas)
     gate = scaling.GATES["composite4"]
-    models = [None] + [gate.error_modes["common"](eps) for eps in scaling.default_epsilon_grid(12)]
-    sweep = pulses.loop_schedule(gate.fields(0.9, 0.3, "11", models)[..., None, :], "square", 1)
+    errors = np.outer((0.0,) + scaling.default_epsilon_grid(12), gate.error_modes["common"])
+    sweep = pulses.loop_schedule(gate.fields(0.9, 0.3, "11", errors)[..., None, :], "square", 1)
     register = dfs.logical_composite_schedule(math.pi / 4, 0.0)
     encoding = dfs.three_ion_encoding()
     encoded = (encoding.logical_ket("0") + encoding.logical_ket("1")) / math.sqrt(2)
     bare = (dfs.register_ket("000") + dfs.register_ket("100")) / math.sqrt(2)
     channel = dfs.DephasingChannel(0.5, "uniform", KICK_SAMPLES)
-    certified, basis = gate.schedule(0.9, 0.3, "11"), gate.subspace_basis()
+    certified, basis = gate.schedule(0.9, 0.3, "11", (0.0, 0.0)), gate.subspace_basis()
     outputs, texts = cli.cmd_dfs({"n_samples": 100})
     texts["dfs_result.json"] = json.dumps(cli.make_record("dfs", {"n_samples": 100}, outputs), sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as out:
@@ -111,7 +111,7 @@ def kernel_timings() -> dict:
             "six_ion_evolve": (lambda: linalg.evolve(six_ion), 1),
             "six_ion_schedule": (lambda: linalg.Schedule(generators, areas), 1),
             "composite4_sweep_evolve": (lambda: linalg.evolve(sweep), 1),
-            "composite4_shaped_build": (lambda: gate.build(0.9, 0.3, "11", models[:2], "sine_squared", 32), 1),
+            "composite4_shaped_build": (lambda: gate.build(0.9, 0.3, "11", errors[:2], "sine_squared", 32), 1),
             "kicked_sample": (lambda: dfs.kicked_schedule_fidelities(register, encoded, channel, SEED), KICK_SAMPLES),
             "idle_sample": (lambda: dfs.idle_contrast_run(bare, channel, register.n_segments, SEED + 1), KICK_SAMPLES),
             "dfs_call": (lambda: cli.cmd_dfs({"distribution": "gaussian", "n_samples": KICK_SAMPLES}), 1),

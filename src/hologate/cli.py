@@ -173,15 +173,15 @@ def write_files(out_dir: Path, texts: dict[str, str]) -> None:
                 os.remove(temp)
 
 
-def parse_error_model(cfg: dict, gate: scaling.Gate):
+def parse_error_model(cfg: dict, gate: scaling.Gate) -> tuple[float, ...]:
+    """The gate's error row, one number per key of ``gate.error_keys``; zeros without one."""
     spec = cfg.get("error")
     if spec is None:
-        return None
+        return (0.0,) * len(gate.error_keys)
     if not isinstance(spec, dict):
         raise ValueError("config key 'error' must be an object or null")
-    keys = [f.name for f in dataclasses.fields(gate.error_model)]
-    check_keys(spec, set(keys), set(keys))
-    return gate.error_model(*(get_number(spec, key) for key in keys))
+    check_keys(spec, set(gate.error_keys), set(gate.error_keys))
+    return tuple(get_number(spec, key) for key in gate.error_keys)
 
 
 def parse_gate(cfg: dict, key: str, theta=math.pi / 2):
@@ -197,7 +197,7 @@ def parse_segments(cfg: dict, dim: int) -> tuple[str, int]:
     """The pulse shape (envelope, steps) of each area-pi/2 segment."""
     envelope = get_choice(cfg, "envelope", pulses.ENVELOPES, "square")
     steps = get_int(cfg, "steps", 1 if envelope == "square" else 32)
-    # two error models times up to two distinct loops (composite4) times two
+    # two error rows times up to two distinct loops (composite4) times two
     # segments of `steps` slices each, all evolved in one batch
     check_run_size("steps", 16 * 8 * steps * (3 * dim * dim + 32))
     return envelope, steps
@@ -214,9 +214,9 @@ def cmd_gate(cfg: dict) -> tuple[dict, dict]:
     check_keys(cfg, {"gate", "theta", "phi", "jk", "error", "envelope", "steps", "tolerance"}, {"gate"})
     tolerance = get_tolerance(cfg)
     gate, theta, phi, jk = parse_gate(cfg, "gate")
-    model = parse_error_model(cfg, gate)
+    error = parse_error_model(cfg, gate)
     envelope, steps = parse_segments(cfg, len(gate.labels))
-    ideal, actual = gate.build(theta, phi, jk, [None, model], envelope, steps)
+    ideal, actual = gate.build(theta, phi, jk, [(0.0,) * len(error), error], envelope, steps)
 
     fidelity = scaling.gate_fidelity(ideal, actual)
     distance = float(np.linalg.norm(actual - ideal))
@@ -279,7 +279,7 @@ def cmd_check_holonomy(cfg: dict) -> tuple[dict, dict]:
     samples = get_int(cfg, "samples_per_segment", 128)
     tolerance = get_tolerance(cfg)
     gate, theta, phi, jk = parse_gate(cfg, "schedule")
-    schedule = gate.schedule(theta, phi, jk)
+    schedule = gate.schedule(theta, phi, jk, (0.0,) * len(gate.error_keys))
     if cfg.get("truncate_segments") is not None:
         truncate = get_int(cfg, "truncate_segments")
         if not 1 <= truncate <= schedule.n_segments:

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg, qutrit, scaling
+from . import linalg, scaling
 
 THREE_ION_LABELS = {"0": "100", "1": "001", "a": "010"}
 SIX_ION_LABELS = {
@@ -94,25 +94,19 @@ def _embedded(schedule: linalg.Schedule, encoding: DfsEncoding, blocks) -> linal
     return linalg.Schedule(g, schedule.areas)
 
 
-def logical_composite_schedule(
-    theta: float, phi: float, model: qutrit.ErrorModel | None = None
-) -> linalg.Schedule:
+def logical_composite_schedule(theta: float, phi: float, error=(0.0, 0.0)) -> linalg.Schedule:
     """Eight-segment three-ion schedule: the four-pulse composite on levels (0, 1, a)."""
-    bare = scaling.GATES["composite4"].schedule(theta, phi, None, model)
+    bare = scaling.GATES["composite4"].schedule(theta, phi, None, error)
     return _embedded(bare, three_ion_encoding(), [("0", "1", "a")])
 
 
-def two_logical_composite_schedule(
-    theta: float, phi: float, model: qutrit.ErrorModel | None = None
-) -> linalg.Schedule:
+def two_logical_composite_schedule(theta: float, phi: float, error=(0.0, 0.0)) -> linalg.Schedule:
     """Four-segment six-ion schedule: the repeated elementary gate on two blocks of levels."""
-    bare = scaling.GATES["composite2"].schedule(theta, phi, None, model)
+    bare = scaling.GATES["composite2"].schedule(theta, phi, None, error)
     return _embedded(bare, six_ion_encoding(), [("00", "01", "a1"), ("11", "10", "a2")])
 
 
-def two_logical_composite_gate(
-    theta: float, phi: float, model: qutrit.ErrorModel | None = None
-) -> np.ndarray:
+def two_logical_composite_gate(theta: float, phi: float, error=(0.0, 0.0)) -> np.ndarray:
     """Repeated-elementary composite on the six-ion register.
 
     The two three-level blocks see mirrored drive frames, so the logical
@@ -120,7 +114,7 @@ def two_logical_composite_gate(
     to the product gate -Z x Z, while generic angles give an entangling
     diagonal-block pair.
     """
-    return linalg.evolve(two_logical_composite_schedule(theta, phi, model))
+    return linalg.evolve(two_logical_composite_schedule(theta, phi, error))
 
 
 DISTRIBUTIONS = ("uniform", "gaussian")

@@ -59,8 +59,10 @@ def trace_evolution(
 
     Each segment is exponentiated once, on the coupled and occupied
     levels, and the states are kept at every boundary.  samples_per_segment
-    must be at least 1 and changes nothing: no state inside a segment is needed.
+    must be an integer >= 1 and changes nothing: no state inside a segment is needed.
     """
+    if not isinstance(samples_per_segment, (int, np.integer)) or isinstance(samples_per_segment, bool):
+        raise ValueError(f"samples_per_segment must be an integer, got {samples_per_segment!r}")
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     if schedule.generators.ndim != 3 or schedule.areas.ndim != 1:
@@ -68,8 +70,9 @@ def trace_evolution(
     basis = np.array([np.asarray(v, dtype=complex) for v in subspace_basis])
     if basis.ndim != 2 or len(basis) == 0:
         raise ValueError(f"subspace basis must hold at least one vector, got shape {basis.shape}")
-    if not np.linalg.norm(basis.conj() @ basis.T - np.eye(len(basis))) <= 1e-10:  # NaN fails it too
-        raise ValueError("subspace basis is not orthonormal")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN fails it, unwarned
+        if not np.linalg.norm(basis.conj() @ basis.T - np.eye(len(basis))) <= 1e-10:
+            raise ValueError("subspace basis is not orthonormal")
     if basis.shape[1] != schedule.generators.shape[-1]:
         raise ValueError("basis dimension does not match schedule generators")
     levels, steps = linalg.exponentials(schedule, basis)

@@ -47,9 +47,10 @@ class Schedule:
     leading batch axes broadcast against each other, and segment 0 acts
     first.  Both are stored as read-only copies once the generators are
     found square, at most DIM_CAP wide and Hermitian to HERMITIAN_RTOL
-    relative to their largest entry, with one area per segment and at
-    least one segment.  Anything else raises ``ValueError``.  The Hermitian
-    check reads only the block of ``levels``, which holds every nonzero entry.
+    relative to their largest entry, with finite entries and areas, one
+    area per segment and at least one segment.  Anything else raises
+    ``ValueError``.  The Hermitian check reads only the block of ``levels``,
+    which holds every nonzero entry.
     """
 
     generators: np.ndarray
@@ -74,7 +75,12 @@ class Schedule:
         nonzero = g.any(axis=tuple(range(g.ndim - 2)))  # a NaN entry is nonzero too
         levels = np.flatnonzero((nonzero | nonzero.T).any(axis=0))
         b = g if len(levels) == d else g[..., levels[:, None], levels].copy()  # C order, as _squared_norms needs
-        h = b / np.maximum(np.abs(b).max(axis=(-2, -1), initial=0), _TINY)[..., None, None]
+        peak = np.abs(b).max(axis=(-2, -1), initial=0)  # NaN or inf if any entry is
+        if not np.isfinite(peak).all():
+            raise ValueError("generator entries must be finite")
+        if not np.isfinite(a).all():
+            raise ValueError("areas must be finite")
+        h = b / np.maximum(peak, _TINY)[..., None, None]
         if not (_squared_norms(h - h.conj().swapaxes(-1, -2)) <= HERMITIAN_RTOL**2).all():
             raise ValueError("generator is not Hermitian within tolerance")
         g.flags.writeable = a.flags.writeable = levels.flags.writeable = False

@@ -8,10 +8,10 @@ segments with drive phases pi/2 then 0, which traces a closed loop of the
 computational subspace and imprints a purely geometric unitary.
 
 Pulse-strength errors enter as constant fractional deviations (eps0,
-eps1) of the two field amplitudes, an ``ErrorModel`` whose ``scale`` is
-each field's factor.  ``loops`` gives the ideal bright vector of each loop,
-the drive field ``pulses.loop_schedule`` drives; each ``scaling.GATES``
-entry lists its loops' angles and applies the scale.
+eps1) of the two field amplitudes, which each ``scaling.GATES`` entry of
+this family applies as the factors 1 + eps0 and 1 + eps1.  ``loops``
+gives the ideal bright vector of each loop, the drive field
+``pulses.loop_schedule`` drives; each entry lists its loops' angles.
 """
 
 from __future__ import annotations
@@ -48,29 +48,6 @@ class BrightDarkFrame:
     def dark(self) -> np.ndarray:
         c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
         return np.array([s, -c * np.exp(1j * self.phi), 0.0], dtype=complex)
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Constant fractional amplitude deviations of the two drive fields.
-
-    The strict bound |eps| < 1 keeps both scaled amplitudes 1 + eps
-    positive: an error never removes or reverses a field.
-    """
-
-    eps0: float
-    eps1: float
-
-    def __post_init__(self):
-        if not (abs(self.eps0) < 1 and abs(self.eps1) < 1):
-            raise ValueError(
-                f"error fractions must satisfy |eps| < 1, got ({self.eps0}, {self.eps1})"
-            )
-
-    @property
-    def scale(self) -> tuple[float, float, float]:
-        """Each level's drive-field factor: 1 + eps0, 1 + eps1, and 1 on |e>."""
-        return (1.0 + self.eps0, 1.0 + self.eps1, 1.0)
 
 
 def loops(angles, phi: float) -> np.ndarray:

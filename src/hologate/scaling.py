@@ -43,7 +43,7 @@ def _fidelities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("ij,...ij->...", u.conj(), v)) / np.vdot(u, u).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     """One gate of the scheme: the only way the package builds a gate.
 
@@ -51,45 +51,51 @@ class Gate:
     distinct loops (loops, d), which ``pulses.loop_schedule`` drives, and
     ``order`` the time order they run in, first in time first.  The last of
     the ``labels`` is the auxiliary level and the others span the holonomy
-    subspace; ``error_modes`` maps a sweep mode to the ``error_model`` of
-    one eps.
+    subspace.  An error is a row of fractional amplitude deviations, one
+    per name in ``error_keys``; row k of ``error_levels`` (keys, d) is 1 on
+    each level whose field key k scales.  The zero row is the ideal gate,
+    and ``error_modes`` maps a sweep mode to the row of one unit eps.
     """
 
     loops: Callable[[float, float, str], np.ndarray]
     order: tuple[int, ...]
     labels: tuple[str, ...]
-    error_model: type
-    error_modes: dict[str, Callable[[float], object]]
+    error_keys: tuple[str, ...]
+    error_levels: np.ndarray
+    error_modes: dict[str, tuple[float, ...]]
 
-    def fields(self, theta, phi, jk, models) -> np.ndarray:
-        """Each loop's drive field under each error model, (len(models), loops, d).
+    def fields(self, theta, phi, jk, errors) -> np.ndarray:
+        """Each loop's drive field under each error row, (len(errors), loops, d).
 
-        The ideal field times the model's ``scale``, 1 + eps per level (None
-        for no error): the one place an amplitude error enters a gate.
+        The ideal field times 1 + eps on the levels each eps scales: the one
+        place an amplitude error enters a gate, and the one check of it.  The
+        strict bound |eps| < 1 keeps each 1 + eps positive: an error never
+        removes or reverses a field.
         """
-        ideal = self.loops(theta, phi, jk)
-        scale = np.ones((len(models), ideal.shape[-1]))
-        for row, model in zip(scale, models):
-            if model is not None:
-                row[:] = model.scale
-        return scale[:, None, :] * ideal
+        eps = np.array(errors, dtype=float)
+        if eps.ndim != 2 or eps.shape[1] != len(self.error_keys):
+            raise ValueError(f"an error row holds one value per key of {self.error_keys}, got shape {eps.shape}")
+        ok = (np.abs(eps) < 1).all(axis=1)  # NaN fails it too
+        if not ok.all():
+            raise ValueError(f"error fractions must satisfy |eps| < 1, got {tuple(eps[~ok][0].tolist())}")
+        return (1.0 + eps @ self.error_levels)[:, None, :] * self.loops(theta, phi, jk)
 
-    def build(self, theta, phi, jk, models, envelope="square", steps=1) -> np.ndarray:
-        """One gate per error model (None for ideal), shape (len(models), d, d).
+    def build(self, theta, phi, jk, errors, envelope="square", steps=1) -> np.ndarray:
+        """One gate per error row, shape (len(errors), d, d).
 
-        Each distinct loop of every model is evolved once, as its own batch
+        Each distinct loop of every row is evolved once, as its own batch
         entry; the gate is the ``linalg.product`` of their unitaries in ``order``.
         """
-        field = self.fields(theta, phi, jk, models)
+        field = self.fields(theta, phi, jk, errors)
         unitaries = linalg.evolve(pulses.loop_schedule(field[..., None, :], envelope, steps))
         return linalg.product(unitaries[:, list(self.order)])
 
-    def schedule(self, theta, phi, jk, model=None) -> linalg.Schedule:
-        """The loops under one error model back to back in time order, square pulses.
+    def schedule(self, theta, phi, jk, error) -> linalg.Schedule:
+        """The loops under one error row back to back in time order, square pulses.
 
-        With no model this is the schedule check-holonomy certifies.
+        At the zero row this is the schedule check-holonomy certifies.
         """
-        field = self.fields(theta, phi, jk, (model,))
+        field = self.fields(theta, phi, jk, (error,))
         return pulses.loop_schedule(field[0, list(self.order)], "square", 1)
 
     def subspace_basis(self) -> np.ndarray:
@@ -98,14 +104,12 @@ class Gate:
 
 _QUTRIT = (
     qutrit.BASIS_LABELS,
-    qutrit.ErrorModel,
-    {
-        "common": lambda eps: qutrit.ErrorModel(eps, eps),
-        "differential": lambda eps: qutrit.ErrorModel(eps, -eps),
-        "single_field": lambda eps: qutrit.ErrorModel(eps, 0.0),
-    },
+    ("eps0", "eps1"),
+    np.eye(2, qutrit.DIM),  # eps0 scales the |0> field and eps1 the |1> field
+    {"common": (1.0, 1.0), "differential": (1.0, -1.0), "single_field": (1.0, 0.0)},
 )
-_TWO_QUBIT = (two_qubit.LABELS, two_qubit.TwoQubitErrorModel, {"two_qubit": two_qubit.TwoQubitErrorModel})
+# eps_jk scales the one active field, on whichever level jk drives
+_TWO_QUBIT = (two_qubit.LABELS, ("eps_jk",), np.ones((1, two_qubit.DIM)), {"two_qubit": (1.0,)})
 
 GATES = {
     # ideal values: the elementary gate is -i|e><e| + i|b><b| + |d><d|
@@ -150,10 +154,9 @@ def default_epsilon_grid(points: int = 12) -> tuple[float, ...]:
 def sweep_samples(gate: Gate, error_mode: str, epsilons, theta, phi, jk="11") -> list[tuple[float, float]]:
     """(eps, infidelity) points in grid order, floor points included.
 
-    ``error_mode`` names one of the gate's ``error_modes``, which fixes how
-    a single scalar eps feeds the error model.  Every gate, the ideal (no
-    error model) first, comes from one call of the gate's batched builder,
-    so the grid shares its evolutions.
+    ``error_mode`` names one of the gate's ``error_modes``, the error row
+    of a unit eps.  Every gate, the ideal (the zero row) first, comes from
+    one call of the gate's batched builder, so the grid shares its evolutions.
     """
     if error_mode not in gate.error_modes:
         raise ValueError(f"error mode {error_mode!r} does not fit a gate with modes {sorted(gate.error_modes)}")
@@ -162,8 +165,7 @@ def sweep_samples(gate: Gate, error_mode: str, epsilons, theta, phi, jk="11") ->
         raise ValueError("epsilons must be a nonempty list of values in (0, 1)")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly increasing")
-    mode = gate.error_modes[error_mode]
-    gates = gate.build(theta, phi, jk, [None] + [mode(e) for e in eps])
+    gates = gate.build(theta, phi, jk, np.outer((0.0,) + eps, gate.error_modes[error_mode]))
     infidelities = 1.0 - _fidelities(gates[0], gates[1:])
     return list(zip(eps, infidelities.tolist()))
 

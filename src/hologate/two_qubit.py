@@ -7,15 +7,13 @@ two-segment loop with |jk> playing the bright state: ``loops`` gives that
 ideal drive field.  Squaring the elementary gate yields a diagonal
 entangling gate (CZ-class for jk=11).
 
-The error model is a single fractional deviation eps_jk of the one
-active Rabi frequency, whose ``scale`` 1 + eps_jk each ``scaling.GATES``
-entry applies: with only one field there is no analog of the
+The error is a single fractional deviation eps_jk of the one active
+Rabi frequency, which each ``scaling.GATES`` entry of this family applies
+as the factor 1 + eps_jk: with only one field there is no analog of the
 bright-angle tilt, so the repetition alone cancels the leading error.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +21,6 @@ DIM = 5
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
 ANCILLA_LABEL = "a"
 LABELS = COMPUTATIONAL_LABELS + (ANCILLA_LABEL,)
-
-
-@dataclass(frozen=True)
-class TwoQubitErrorModel:
-    """Fractional deviation of the single active Rabi frequency."""
-
-    eps_jk: float
-
-    def __post_init__(self):
-        if not abs(self.eps_jk) < 1:
-            raise ValueError(f"|eps_jk| must be < 1, got {self.eps_jk}")
-
-    @property
-    def scale(self) -> float:
-        """The active drive field's factor, 1 + eps_jk."""
-        return 1.0 + self.eps_jk
 
 
 def loops(labels) -> np.ndarray:

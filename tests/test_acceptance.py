@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from hologate import cli, dfs, holonomy, linalg, qutrit, scaling
-from hologate.qutrit import BrightDarkFrame, ErrorModel
+from hologate.qutrit import BrightDarkFrame
 
 from oracles import (
     bch_residual,
@@ -35,8 +35,10 @@ def report(ok: bool, label: str, detail: str = "") -> bool:
     return ok
 
 
-def gate(name, frame, model=None, envelope="square", steps=1):
-    return scaling.GATES[name].build(frame.theta, frame.phi, "11", [model], envelope, steps)[0]
+def gate(name, frame, error=(), envelope="square", steps=1):
+    """The gate at one error row, by default its family's zero row."""
+    entry = scaling.GATES[name]
+    return entry.build(frame.theta, frame.phi, "11", [error or [0.0] * len(entry.error_keys)], envelope, steps)[0]
 
 
 def frame_basis_matrix(u, frame):
@@ -71,12 +73,12 @@ def test_criterion_1_ideal_gate_exactness():
 def test_criterion_2_holonomy_certification():
     one, two = scaling.GATES["elementary"], scaling.GATES["twoqubit_elementary"]
     trace1 = holonomy.trace_evolution(
-        one.schedule(math.pi / 4, 0.3, "11"), one.subspace_basis(), samples_per_segment=128
+        one.schedule(math.pi / 4, 0.3, "11", (0.0, 0.0)), one.subspace_basis(), samples_per_segment=128
     )
     rep1 = holonomy.check_holonomy(trace1, tolerance=1e-8)
 
     trace2 = holonomy.trace_evolution(
-        two.schedule(0.0, 0.0, "11"), two.subspace_basis(), samples_per_segment=128
+        two.schedule(0.0, 0.0, "11", (0.0,)), two.subspace_basis(), samples_per_segment=128
     )
     rep2 = holonomy.check_holonomy(trace2, tolerance=1e-8)
 
@@ -124,12 +126,12 @@ def test_criterion_5_error_route_equivalence():
     worst = 0.0
     for _ in range(100):
         frame = BrightDarkFrame(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        model = ErrorModel(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        built = gate("elementary", frame, model)
+        error = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        built = gate("elementary", frame, error)
         # the raw two-field route and the stretched-and-tilted route, each
         # against the package's drive-field route
         for route in (two_field_pairs, stretched_tilted_pairs):
-            pairs = route(frame.theta, frame.phi, model.eps0, model.eps1)
+            pairs = route(frame.theta, frame.phi, *error)
             d = frobenius_distance(linalg.evolve(linalg.Schedule(*zip(*pairs))), built)
             worst = max(worst, d)
     ok = worst <= 1e-9
@@ -178,11 +180,11 @@ def test_criterion_8_register_vs_bare_composite():
     for _ in range(20):
         theta = rng.uniform(0, math.pi)
         phi = rng.uniform(0, 2 * math.pi)
-        model = ErrorModel(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        register = linalg.evolve(dfs.logical_composite_schedule(theta, phi, model))
+        error = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        register = linalg.evolve(dfs.logical_composite_schedule(theta, phi, error))
         idx = [encoding.index(name) for name in ("0", "1", "a")]
         block = register[np.ix_(idx, idx)]
-        bare = gate("composite4", BrightDarkFrame(theta, phi), model)
+        bare = gate("composite4", BrightDarkFrame(theta, phi), error)
         worst = max(worst, frobenius_distance(block, bare))
     ok = worst <= 1e-9
     assert report(ok, "criterion 8: register gate matches bare composite", f"worst {worst:.2e}")

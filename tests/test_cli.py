@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -674,7 +673,7 @@ ALL_ERROR_MODES = {mode for gate in scaling.GATES.values() for mode in gate.erro
 def test_every_gate_name_runs_through_the_cli(tmp_path, capsys, name):
     gate = scaling.GATES[name]
     angles = {"theta": 0.7, "phi": 0.3, "jk": "01"}
-    error = {f.name: 0.03 for f in dataclasses.fields(gate.error_model)}
+    error = {key: 0.03 for key in gate.error_keys}
     matrices = {}
     for with_error in (False, True):
         for envelope in ("square", "sine_squared"):
@@ -717,10 +716,7 @@ def test_matrix_payload_round_trips_losslessly(tmp_path):
     )
     assert run(["gate", "--config", cfg, "--out", str(tmp_path)]) == 0
     record = load_record(tmp_path, "gate_result.json")
-    from hologate import qutrit
-
-    model = qutrit.ErrorModel(0.05, -0.02)
-    expected = scaling.GATES["elementary"].build(0.9, 0.3, "11", [model])[0]
+    expected = scaling.GATES["elementary"].build(0.9, 0.3, "11", [(0.05, -0.02)])[0]
     assert np.array_equal(payload_to_matrix(record["outputs"]["matrix"]), expected)
 
 

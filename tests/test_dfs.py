@@ -6,7 +6,6 @@ import pytest
 
 from hologate import dfs, linalg, pulses, scaling
 from hologate.dfs import DephasingChannel, DfsEncoding
-from hologate.qutrit import ErrorModel
 
 from oracles import (
     CONTRAST_UNIFORM_HALF_8_KICKS,
@@ -33,8 +32,8 @@ def logical_composite_gate(*args):
     return linalg.evolve(dfs.logical_composite_schedule(*args))
 
 
-def bare_composite_four(theta, phi, model=None):
-    return scaling.GATES["composite4"].build(theta, phi, "11", [model])[0]
+def bare_composite_four(theta, phi, error=(0.0, 0.0)):
+    return scaling.GATES["composite4"].build(theta, phi, "11", [error])[0]
 
 
 def plus_state(encoding, a, b):
@@ -85,13 +84,13 @@ REGISTER_SCHEDULES = {
 
 
 @pytest.mark.parametrize("name", sorted(REGISTER_SCHEDULES))
-@pytest.mark.parametrize("model", [None, ErrorModel(0.05, -0.02)], ids=["ideal", "error"])
-def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
+@pytest.mark.parametrize("error", [(0.0, 0.0), (0.05, -0.02)], ids=["ideal", "error"])
+def test_register_schedule_is_the_bare_schedule_on_its_levels(name, error):
     gate_kind, build, encoding, blocks = REGISTER_SCHEDULES[name]
     gate = scaling.GATES[gate_kind]
-    field = gate.fields(0.8, 1.1, None, (model,))
+    field = gate.fields(0.8, 1.1, None, (error,))
     bare = pulses.loop_schedule(field[0, list(gate.order)], "square", 1)
-    register = build(0.8, 1.1, model)
+    register = build(0.8, 1.1, error)
     assert np.array_equal(register.areas, bare.areas)
     within = np.zeros((encoding.dim, encoding.dim), dtype=bool)
     for names in blocks:
@@ -106,10 +105,16 @@ def test_register_schedule_is_the_bare_schedule_on_its_levels(name, model):
     assert sum(len(names) for names in blocks) == len(encoding.logical_labels)
 
 
+@pytest.mark.parametrize("name", sorted(REGISTER_SCHEDULES))
+def test_register_schedule_defaults_to_the_zero_error_row(name):
+    build = REGISTER_SCHEDULES[name][1]
+    assert np.array_equal(build(0.8, 1.1).generators, build(0.8, 1.1, (0.0, 0.0)).generators)
+
+
 def test_effective_coupling_reproduces_bare_three_level_generator():
     # generator times area per unit time is the raw two-field drive
     raw = two_field_composite_pairs(0.8, 1.1, 4, 0.05, -0.02)
-    register = dfs.logical_composite_schedule(0.8, 1.1, ErrorModel(0.05, -0.02))
+    register = dfs.logical_composite_schedule(0.8, 1.1, (0.05, -0.02))
     assert register.n_segments == len(raw)
     for embedded, area, (gen, duration) in zip(register.generators, register.areas, raw):
         block = encoded_block(embedded, ENC3, ("0", "1", "a"))
@@ -146,10 +151,10 @@ def test_logical_composite_block_tracks_error_model(rng):
     for _ in range(5):
         theta = rng.uniform(0.2, math.pi - 0.2)
         phi = rng.uniform(0, 2 * math.pi)
-        model = ErrorModel(rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15))
-        gate = logical_composite_gate(theta, phi, model)
+        error = (rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15))
+        gate = logical_composite_gate(theta, phi, error)
         block = encoded_block(gate, ENC3, ("0", "1", "a"))
-        bare = bare_composite_four(theta, phi, model)
+        bare = bare_composite_four(theta, phi, error)
         assert frobenius_distance(block, bare) < 1e-9
 
 
@@ -340,7 +345,7 @@ def random_state(rng, dim):
 
 
 KICKED_REGISTERS = {
-    "three_ion": (lambda: dfs.logical_composite_schedule(0.7, 0.2, ErrorModel(0.05, -0.03)), 3),
+    "three_ion": (lambda: dfs.logical_composite_schedule(0.7, 0.2, (0.05, -0.03)), 3),
     "six_ion": (lambda: dfs.two_logical_composite_schedule(0.6, 0.3), 6),
 }
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ COMP_BASIS = (qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1))
 
 
 def gate_schedule(name, theta=math.pi / 2, phi=0.0, jk="11"):
-    return scaling.GATES[name].schedule(theta, phi, jk)
+    gate = scaling.GATES[name]
+    return gate.schedule(theta, phi, jk, (0.0,) * len(gate.error_keys))
 
 
 def elementary_schedule(theta=math.pi / 2, phi=0.0):
@@ -190,6 +192,21 @@ def test_trace_rejects_a_nan_basis():
     # NaN fails every comparison, so the orthonormality bound must be met, not merely not exceeded
     with pytest.raises(ValueError, match="not orthonormal"):
         holonomy.trace_evolution(elementary_schedule(), [[math.nan, 0, 0], [0, 1, 0]])
+
+
+def test_trace_rejects_an_overflowing_basis_without_a_warning():
+    # the Gram matrix of a 1e200 entry overflows; that fails the check, unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not orthonormal"):
+            holonomy.trace_evolution(elementary_schedule(), [[1e200, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("samples", [math.nan, 2.5, True], ids=["nan", "float", "bool"])
+def test_trace_samples_per_segment_must_be_an_integer(samples):
+    assert holonomy.trace_evolution(elementary_schedule(), COMP_BASIS, np.int64(3)).n_segments == 2
+    with pytest.raises(ValueError, match="must be an integer"):
+        holonomy.trace_evolution(elementary_schedule(), COMP_BASIS, samples)
 
 
 def test_four_pulse_schedule_closes_after_every_gate():
@@ -372,7 +389,7 @@ def certify_cases() -> dict:
     for name in ("elementary", "composite2", "composite4", "twoqubit_elementary", "twoqubit_composite"):
         gate = scaling.GATES[name]
         cfg = {"schedule": name, "theta": 0.9, "phi": 0.3, "jk": "01"}
-        cases[name] = (gate.schedule(0.9, 0.3, "01"), gate.subspace_basis(), cfg)
+        cases[name] = (gate_schedule(name, 0.9, 0.3, "01"), gate.subspace_basis(), cfg)
     for name, (schedule, basis, cfg) in list(cases.items()):
         cut = schedule.n_segments - 1
         cut_cfg = None if cfg is None else dict(cfg, truncate_segments=cut)

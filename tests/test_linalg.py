@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import dfs, linalg, qutrit
+from hologate import dfs, linalg, scaling
 from hologate.scaling import GATES
 
 from oracles import (
@@ -186,14 +187,40 @@ def test_lone_bad_entry_of_a_register_generator_is_rejected(entry, value):
     g = np.zeros((2, 64, 64), dtype=complex)
     g[0, 10, 11] = g[0, 11, 10] = 1.0
     g[1][entry] = value
-    # the Hermitian guard itself rejects it, not a floating-point warning
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        linalg.Schedule(g, [0.3, 0.9])
+    # the Schedule's own checks reject it, not a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            linalg.Schedule(g, [0.3, 0.9])
+
+
+ONE_DRIVE = np.array([[[0, 0, 1], [0, 0, 0], [1, 0, 0]]], dtype=complex)
+
+NON_FINITE_PROBES = {
+    "sweep_nan_theta": lambda: scaling.sweep_samples(GATES["composite4"], "common", (0.01,), math.nan, 0.0),
+    "sweep_nan_phi": lambda: scaling.sweep_samples(GATES["composite4"], "common", (0.01,), 0.8, math.nan),
+    "build_nan_theta": lambda: GATES["single"].build(math.nan, 0.0, "11", [(0.0, 0.0)]),
+    "build_nan_phi": lambda: GATES["single"].build(0.8, math.nan, "11", [(0.0, 0.0)]),
+    "register_nan_theta": lambda: dfs.logical_composite_schedule(math.nan, 0.0),
+    "register_nan_phi": lambda: dfs.logical_composite_schedule(0.8, math.nan),
+    "nan_generator": lambda: linalg.Schedule(ONE_DRIVE * [[[1, 1, math.nan]]], [1.0]),
+    "inf_generator": lambda: linalg.Schedule(ONE_DRIVE + [[[0, 0, 0], [0, math.inf, 0], [0, 0, 0]]], [1.0]),
+    "nan_area": lambda: linalg.Schedule(ONE_DRIVE, [math.nan]),
+    "inf_area": lambda: linalg.Schedule(ONE_DRIVE, [math.inf]),
+}
+
+
+@pytest.mark.parametrize("probe", NON_FINITE_PROBES)
+def test_non_finite_schedule_input_is_rejected_before_any_scaling(probe):
+    # a NaN angle or area once ended in a divide or sin warning, or in a NaN gate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            NON_FINITE_PROBES[probe]()
 
 
 def test_coupled_levels_are_read_only_and_match_the_restriction():
-    model = qutrit.ErrorModel(0.05, -0.03)
-    six_ion = dfs.two_logical_composite_schedule(0.8, 0.4, model)
+    six_ion = dfs.two_logical_composite_schedule(0.8, 0.4, (0.05, -0.03))
     enc = dfs.six_ion_encoding()
     expected = sorted(enc.index(name) for name in ("00", "01", "a1", "11", "10", "a2"))
     assert np.array_equal(six_ion.levels, expected)
@@ -201,7 +228,7 @@ def test_coupled_levels_are_read_only_and_match_the_restriction():
     g[1, 2, 0, 2, 2] = 1.0  # one batch entry couples level 2 to itself
     batch = linalg.Schedule(g, np.ones((3, 1)))
     assert np.array_equal(batch.levels, [2])
-    for schedule in (six_ion, batch, GATES["composite4"].schedule(0.8, 0.3, "11")):
+    for schedule in (six_ion, batch, GATES["composite4"].schedule(0.8, 0.3, "11", (0.0, 0.0))):
         assert np.array_equal(schedule.levels, linalg.exponentials(schedule)[0])
         with pytest.raises(ValueError):
             schedule.levels[0] = 1
@@ -247,16 +274,16 @@ def test_restriction_keeps_rows_columns_and_vectors():
 
 def package_generators():
     """name -> generators from every builder family, at generic angles and errors."""
-    model = qutrit.ErrorModel(0.05, -0.03)
+    error = (0.05, -0.03)
     return {
-        "qutrit": list(1.3 * GATES["composite4"].schedule(0.8, 0.3, "11").generators),
+        "qutrit": list(1.3 * GATES["composite4"].schedule(0.8, 0.3, "11", (0.0, 0.0)).generators),
         "two_field": [h for h, _ in two_field_composite_pairs(0.8, 0.4, 4, 0.05, -0.03)],
         "five_level": [
-            h for jk in ("00", "11") for h in GATES["twoqubit_composite"].schedule(0.0, 0.0, jk).generators
+            h for jk in ("00", "11") for h in GATES["twoqubit_composite"].schedule(0.0, 0.0, jk, (0.0,)).generators
         ],
-        "three_ion": list(dfs.logical_composite_schedule(0.8, 0.4, model).generators),
+        "three_ion": list(dfs.logical_composite_schedule(0.8, 0.4, error).generators),
         # +-W has multiplicity two here, where W^2 = tr(H^2)/2 would be wrong
-        "six_ion": list(dfs.two_logical_composite_schedule(0.8, 0.4, model).generators),
+        "six_ion": list(dfs.two_logical_composite_schedule(0.8, 0.4, error).generators),
     }
 
 
@@ -314,7 +341,7 @@ def test_generators_off_the_cube_identity_take_the_eigh_fallback(make, rng, monk
 def test_exponential_is_exact_at_extreme_generator_scales(scale, closed_form, rng):
     # squared norms of H^2 and H^3 would underflow or overflow at these scales
     if closed_form:
-        g = GATES["elementary"].schedule(0.8, 0.3, "11").generators[0]
+        g = GATES["elementary"].schedule(0.8, 0.3, "11", (0.0, 0.0)).generators[0]
     else:
         g = random_hermitian(rng, 4)
     u = expm(g * scale, 0.9 / scale)
@@ -346,7 +373,7 @@ def scattered_register_schedule(rng):
 @pytest.mark.parametrize("name", ["six_ion", "scattered"])
 def test_evolve_on_the_coupled_block_matches_the_dense_product(name, rng):
     if name == "six_ion":
-        schedule = dfs.two_logical_composite_schedule(0.8, 0.4, qutrit.ErrorModel(0.05, -0.03))
+        schedule = dfs.two_logical_composite_schedule(0.8, 0.4, (0.05, -0.03))
     else:
         schedule = scattered_register_schedule(rng)
     assert len(schedule.levels) == 6
@@ -365,7 +392,7 @@ def test_batched_evolution_matches_one_matrix_at_a_time(rng):
     # a batch mixing closed-form and fallback generators, broadcast areas
     gens = np.array(
         [
-            GATES["elementary"].schedule(0.6, 1.1, "11").generators[0],
+            GATES["elementary"].schedule(0.6, 1.1, "11", (0.0, 0.0)).generators[0],
             random_hermitian(rng, 3),
             np.diag([1.0, 2.0, 3.0]),
         ]

@@ -115,13 +115,13 @@ def test_every_error_mode_scales_each_drive_field_by_one_plus_eps(name, theta, p
     else:
         ideal = np.eye(5)[[int(jk, 2)]]
     for mode in gate.error_modes.values():
-        model = mode(0.03)
+        error = [0.03 * x for x in mode]
         if name in BRIGHT_ANGLES:
             # each field by its own 1 + eps, nothing on the auxiliary level
-            expected = ideal * np.array([1 + model.eps0, 1 + model.eps1, 0.0])
+            expected = ideal * np.array([1 + error[0], 1 + error[1], 0.0])
         else:
-            expected = (1 + model.eps_jk) * ideal
-        field = gate.fields(theta, phi, jk, (None, model))
+            expected = (1 + error[0]) * ideal
+        field = gate.fields(theta, phi, jk, ([0.0] * len(error), error))
         assert field.shape == (2,) + ideal.shape
         assert np.max(np.abs(field[0] - ideal)) <= 1e-15
         assert np.max(np.abs(field[1] - expected)) <= 1e-15
@@ -131,7 +131,8 @@ def test_every_error_mode_scales_each_drive_field_by_one_plus_eps(name, theta, p
 @pytest.mark.parametrize("theta, phi, jk", [(0.0, 0.0, "00"), (0.8, 1.1, "01"), (2.3, -0.4, "11")])
 def test_every_gate_generator_drives_its_bright_vector(name, theta, phi, jk):
     gate = GATES[name]
-    gens = gate.schedule(theta, phi, jk).generators
+    zero = (0.0,) * len(gate.error_keys)
+    gens = gate.schedule(theta, phi, jk, zero).generators
     d = len(gate.labels)
     assert gens.shape == (2 * len(gate.order), d, d)
     assert np.array_equal(gens, gens.conj().swapaxes(-1, -2))
@@ -154,4 +155,4 @@ def test_every_gate_generator_drives_its_bright_vector(name, theta, phi, jk):
                 assert np.count_nonzero(g) == 2
     if name not in BRIGHT_ANGLES:
         with pytest.raises(ValueError, match="not a computational label"):
-            gate.schedule(theta, phi, "a")
+            gate.schedule(theta, phi, "a", zero)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hologate import linalg, qutrit
-from hologate.qutrit import BrightDarkFrame, ErrorModel
+from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import GATES
 
 from oracles import (
@@ -27,8 +27,8 @@ phases = st.floats(0.0, 2 * math.pi)
 small_eps = st.floats(-0.2, 0.2)
 
 
-def gate(name, frame, model=None, envelope="square", steps=1):
-    return GATES[name].build(frame.theta, frame.phi, "11", [model], envelope, steps)[0]
+def gate(name, frame, error=(0.0, 0.0), envelope="square", steps=1):
+    return GATES[name].build(frame.theta, frame.phi, "11", [error], envelope, steps)[0]
 
 
 def drive_pair(frame):
@@ -53,11 +53,17 @@ def test_frame_vectors_are_orthonormal(theta, phi):
 
 
 def test_error_model_bounds():
-    ErrorModel(0.99, -0.99)
-    with pytest.raises(ValueError):
-        ErrorModel(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ErrorModel(0.0, -1.0)
+    f = BrightDarkFrame(0.9, 0.3)
+    for entry in (GATES["elementary"], GATES["composite2"], GATES["composite4"]):
+        fields = entry.fields(f.theta, f.phi, "11", [(0.99, -0.99)])
+        assert np.array_equal(fields, entry.loops(f.theta, f.phi, "11")[None] * [1 + 0.99, 1 - 0.99, 1.0])
+        for error in [(1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.inf)]:
+            with pytest.raises(ValueError, match=r"\|eps\| < 1"):
+                entry.fields(f.theta, f.phi, "11", [(0.0, 0.0), error])
+        # a wrong-length row is named by the gate's keys, not by numpy
+        for errors in [[(0.1,)], [(0.1, 0.2, 0.3)], (0.1, 0.2)]:
+            with pytest.raises(ValueError, match=r"\('eps0', 'eps1'\)"):
+                entry.fields(f.theta, f.phi, "11", errors)
 
 
 @given(theta=angles, delta=st.floats(-0.5, 0.5))
@@ -131,22 +137,16 @@ def test_elementary_gate_fixes_dark_state(theta, phi):
 
 def test_error_gate_without_model_is_ideal():
     f = BrightDarkFrame(1.0, 0.2)
-    # the ideal gate of a batch does not depend on the other models in it
-    batch = GATES["elementary"].build(f.theta, f.phi, "11", [None, ErrorModel(0.1, -0.1)])
+    # the ideal gate of a batch does not depend on the other rows in it
+    batch = GATES["elementary"].build(f.theta, f.phi, "11", [(0.0, 0.0), (0.1, -0.1)])
     assert np.array_equal(batch[0], gate("elementary", f))
-    assert (
-        frobenius_distance(
-            gate("elementary", f, ErrorModel(0.0, 0.0)),
-            gate("elementary", f),
-        )
-        < 1e-14
-    )
+    assert frobenius_distance(gate("elementary", f, (-0.0, 0.0)), gate("elementary", f)) < 1e-14
 
 
 def test_common_mode_gate_is_area_stretched_ideal():
     f = BrightDarkFrame(0.9, 0.4)
     eps = 0.07
-    direct = gate("elementary", f, ErrorModel(eps, eps))
+    direct = gate("elementary", f, (eps, eps))
     stretched = linalg.evolve(
         linalg.Schedule(
             drive_pair(f),
@@ -158,9 +158,9 @@ def test_common_mode_gate_is_area_stretched_ideal():
 
 def test_error_gate_matches_raw_two_field_evolution():
     f = BrightDarkFrame(math.pi / 4, math.pi / 3)
-    model = ErrorModel(0.02, -0.01)
-    built = gate("elementary", f, model)
-    pairs = two_field_pairs(f.theta, f.phi, model.eps0, model.eps1)
+    error = (0.02, -0.01)
+    built = gate("elementary", f, error)
+    pairs = two_field_pairs(f.theta, f.phi, *error)
     raw = linalg.evolve(linalg.Schedule(*zip(*pairs)))
     assert frobenius_distance(built, raw) < 1e-9
     assert frobenius_distance(built, rk4_propagator(pairs)) < 1e-9
@@ -173,13 +173,13 @@ def test_reparametrized_route_equals_raw_route(theta, phi, e0, e1):
     raw = linalg.evolve(linalg.Schedule(*zip(*two_field_pairs(theta, phi, e0, e1))))
     tilted = linalg.evolve(linalg.Schedule(*zip(*stretched_tilted_pairs(theta, phi, e0, e1))))
     assert frobenius_distance(tilted, raw) < 1e-9
-    built = gate("elementary", BrightDarkFrame(theta, phi), ErrorModel(e0, e1))
+    built = gate("elementary", BrightDarkFrame(theta, phi), (e0, e1))
     assert frobenius_distance(built, raw) < 1e-9
 
 
 def test_composite_two_is_elementary_squared():
     f = BrightDarkFrame(0.7, 1.9)
-    u = gate("elementary", f, None)
+    u = gate("elementary", f)
     assert np.array_equal(gate("composite2", f), u @ u)
 
 
@@ -193,8 +193,8 @@ def test_composite_two_ideal_value():
 def test_composite_two_common_mode_residual_is_second_order():
     f = BrightDarkFrame(0.9, 0.0)
     ideal = gate("composite2", f)
-    d1 = frobenius_distance(gate("composite2", f, ErrorModel(0.02, 0.02)), ideal)
-    d2 = frobenius_distance(gate("composite2", f, ErrorModel(0.01, 0.01)), ideal)
+    d1 = frobenius_distance(gate("composite2", f, (0.02, 0.02)), ideal)
+    d2 = frobenius_distance(gate("composite2", f, (0.01, 0.01)), ideal)
     assert 3.5 < d1 / d2 < 4.5
 
 
@@ -203,8 +203,8 @@ def test_composite_two_differential_mode_residual_is_first_order():
     # linear in the differential error
     f = BrightDarkFrame(0.9, 0.0)
     ideal = gate("composite2", f)
-    d1 = frobenius_distance(gate("composite2", f, ErrorModel(0.01, -0.01)), ideal)
-    d2 = frobenius_distance(gate("composite2", f, ErrorModel(0.005, -0.005)), ideal)
+    d1 = frobenius_distance(gate("composite2", f, (0.01, -0.01)), ideal)
+    d2 = frobenius_distance(gate("composite2", f, (0.005, -0.005)), ideal)
     assert 1.8 < d1 / d2 < 2.2
 
 
@@ -212,13 +212,13 @@ def test_composite_two_error_factorizes_into_tilted_loop_times_commutators():
     # U' U' splits exactly into the tilted mirror-symmetric gate times the
     # four-factor commutator product built in the tilted frame
     f = BrightDarkFrame(1.1, 0.6)
-    model = ErrorModel(0.08, -0.03)
-    eps, theta_prime = effective_error_params(f.theta, model.eps0, model.eps1)
+    error = (0.08, -0.03)
+    eps, theta_prime = effective_error_params(f.theta, *error)
     tilted = BrightDarkFrame(theta_prime, f.phi)
     e = qutrit.ket(qutrit.IDX_E)
     u_theta = -projector(e) - projector(tilted.bright) + projector(tilted.dark)
     u_omega = bch_residual(tilted.theta, tilted.phi, eps) + np.eye(3)
-    actual = gate("composite2", f, model)
+    actual = gate("composite2", f, error)
     assert frobenius_distance(actual, u_theta @ u_omega) < 1e-12
     assert frobenius_distance(actual, u_omega @ u_theta) < 1e-12
 
@@ -230,12 +230,11 @@ def test_composites_follow_raw_two_field_order(name, n_pulses):
     # The pulse order of the raw two-field route is written out in the
     # oracle, independently of the recipe's loops and order.
     f = BrightDarkFrame(0.7, 0.3)
-    models = (None, ErrorModel(0.03, -0.02), ErrorModel(0.01, 0.01))
-    gates = GATES[name].build(f.theta, f.phi, "11", models)
-    assert gates.shape == (len(models), 3, 3)
-    for model, built in zip(models, gates):
-        eps = (model.eps0, model.eps1) if model else ()
-        pairs = two_field_composite_pairs(f.theta, f.phi, n_pulses, *eps)
+    errors = ((0.0, 0.0), (0.03, -0.02), (0.01, 0.01))
+    gates = GATES[name].build(f.theta, f.phi, "11", errors)
+    assert gates.shape == (len(errors), 3, 3)
+    for error, built in zip(errors, gates):
+        pairs = two_field_composite_pairs(f.theta, f.phi, n_pulses, *error)
         assert frobenius_distance(built, linalg.evolve(linalg.Schedule(*zip(*pairs)))) < 1e-12
         assert frobenius_distance(built, rk4_propagator(pairs)) < 1e-10
 
@@ -259,13 +258,13 @@ def test_composite_four_halving_error_cuts_infidelity_sixteenfold():
     f = BrightDarkFrame(math.pi / 4, 0.0)
     ideal = gate("composite4", f)
 
-    def infid(model):
-        u = gate("composite4", f, model)
+    def infid(error):
+        u = gate("composite4", f, error)
         d = np.asarray(ideal, dtype=complex)
         val = abs(np.trace(d.conj().T @ u)) / 3.0
         return 1.0 - val
 
-    r = infid(ErrorModel(0.03, 0.01)) / infid(ErrorModel(0.015, 0.005))
+    r = infid((0.03, 0.01)) / infid((0.015, 0.005))
     assert 13.0 < r < 19.0
 
 
@@ -317,7 +316,7 @@ def test_composite_four_has_no_first_order_error_term():
     ideal = gate("composite4", f)
     eps_grid = np.linspace(2e-4, 1e-3, 6)
     dists = [
-        frobenius_distance(gate("composite4", f, ErrorModel(e, -e)), ideal)
+        frobenius_distance(gate("composite4", f, (e, -e)), ideal)
         for e in eps_grid
     ]
     design = np.column_stack([eps_grid, eps_grid**2])
@@ -359,5 +358,5 @@ def test_bch_residual_rejects_large_eps():
 def test_gates_do_not_depend_on_envelope(theta, phi, envelope_steps):
     f = BrightDarkFrame(theta, phi)
     square = gate("composite4", f)
-    shaped = gate("composite4", f, None, "sine_squared", envelope_steps)
+    shaped = gate("composite4", f, (0.0, 0.0), "sine_squared", envelope_steps)
     assert frobenius_distance(square, shaped) < 1e-9

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import holonomy, linalg, pulses, qutrit, scaling, two_qubit
+from hologate import holonomy, linalg, pulses, scaling, two_qubit
 from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError
 
 from oracles import bch_residual, frobenius_distance, haar_unitary, order_ratio, residual_norm_ratio
 
 
-def gate(name, frame, model=None):
-    return scaling.GATES[name].build(frame.theta, frame.phi, "11", [model])[0]
+def gate(name, frame, error=(0.0, 0.0)):
+    return scaling.GATES[name].build(frame.theta, frame.phi, "11", [error])[0]
 
 
 def test_fidelity_of_identical_gates_is_one():
@@ -37,7 +37,7 @@ def test_fidelity_known_value():
 
 def test_fidelity_is_invariant_under_a_common_rotation(rng):
     u = gate("elementary", BrightDarkFrame(1.0, 0.5))
-    v = gate("elementary", BrightDarkFrame(1.0, 0.5), qutrit.ErrorModel(0.05, -0.05))
+    v = gate("elementary", BrightDarkFrame(1.0, 0.5), (0.05, -0.05))
     w = haar_unitary(rng, 3)
     before = scaling.gate_fidelity(u, v)
     after = scaling.gate_fidelity(w @ u, w @ v)
@@ -105,14 +105,23 @@ def test_library_sizes_must_be_integers(name, size):
 
 
 def test_one_qubit_model_modes():
-    modes = scaling.GATES["composite4"].error_modes
-    assert modes["common"](0.1) == qutrit.ErrorModel(0.1, 0.1)
-    assert modes["differential"](0.1) == qutrit.ErrorModel(0.1, -0.1)
-    assert modes["single_field"](0.1) == qutrit.ErrorModel(0.1, 0.0)
-    assert "two_qubit" not in modes
-    assert scaling.GATES["twoqubit_composite"].error_modes["two_qubit"](0.1) == (
-        two_qubit.TwoQubitErrorModel(0.1)
-    )
+    gate = scaling.GATES["composite4"]
+    assert gate.error_keys == ("eps0", "eps1")
+    assert gate.error_modes == {"common": (1.0, 1.0), "differential": (1.0, -1.0), "single_field": (1.0, 0.0)}
+    two = scaling.GATES["twoqubit_composite"]
+    assert two.error_keys == ("eps_jk",) and two.error_modes == {"two_qubit": (1.0,)}
+    # a sweep point is its mode's row times eps
+    [(_, infid)] = scaling.sweep_samples(gate, "single_field", (0.1,), 0.8, 0.1)
+    ideal, actual = gate.build(0.8, 0.1, "11", [(0.0, 0.0), (0.1, 0.0)])
+    assert infid == 1.0 - scaling.gate_fidelity(ideal, actual)
+
+
+@pytest.mark.parametrize("name", sorted(scaling.GATES))
+def test_zero_error_row_gives_the_ideal_fields_bit_for_bit(name):
+    gate = scaling.GATES[name]
+    for jk in two_qubit.COMPUTATIONAL_LABELS:
+        zero = (0.0,) * len(gate.error_keys)
+        assert np.array_equal(gate.fields(0.9, 0.3, jk, [zero])[0], gate.loops(0.9, 0.3, jk))
 
 
 def test_gate_table_aliases_share_entries():
@@ -127,17 +136,13 @@ def test_gate_table_aliases_share_entries():
 
 def test_sweep_gates_dispatch():
     samples = scaling.sweep_samples(scaling.GATES["twoqubit_single"], "two_qubit", (0.01, 0.05), 0.0, 0.0, "01")
-    ideal, actual = scaling.GATES["twoqubit_elementary"].build(
-        0.0, 0.0, "01", [None, two_qubit.TwoQubitErrorModel(0.05)]
-    )
+    ideal, actual = scaling.GATES["twoqubit_elementary"].build(0.0, 0.0, "01", [(0.0,), (0.05,)])
     assert ideal.shape == (5, 5)
     assert [e for e, _ in samples] == [0.01, 0.05]
     assert abs(samples[1][1] - (1.0 - scaling.gate_fidelity(ideal, actual))) < 1e-15
     assert samples[1][1] > 1e-5
     [(eps1, infid1)] = scaling.sweep_samples(scaling.GATES["composite4"], "differential", (0.05,), 0.8, 0.1)
-    ideal1, actual1 = scaling.GATES["composite4"].build(
-        0.8, 0.1, "11", [None, qutrit.ErrorModel(0.05, -0.05)]
-    )
+    ideal1, actual1 = scaling.GATES["composite4"].build(0.8, 0.1, "11", [(0.0, 0.0), (0.05, -0.05)])
     assert ideal1.shape == (3, 3)
     assert eps1 == 0.05
     assert abs(infid1 - (1.0 - scaling.gate_fidelity(ideal1, actual1))) < 1e-15
@@ -160,8 +165,8 @@ SWEEP_CASES = (
 
 def single_gate(kind, mode, eps, theta, phi, jk):
     """One sweep point's gate, built on its own from the gate table."""
-    model = scaling.GATES[kind].error_modes[mode](eps) if eps else None
-    return scaling.GATES[kind].build(theta, phi, jk, [model])[0]
+    error = [eps * x for x in scaling.GATES[kind].error_modes[mode]]
+    return scaling.GATES[kind].build(theta, phi, jk, [error])[0]
 
 
 @pytest.mark.parametrize("kind,mode", SWEEP_CASES)
@@ -169,8 +174,8 @@ def test_batched_sweep_gates_match_single_gate_builders(kind, mode):
     theta, phi, jk = 0.7, 0.3, "10"
     epsilons = scaling.default_epsilon_grid()
     gate = scaling.GATES[kind]
-    models = [None] + [gate.error_modes[mode](eps) for eps in epsilons]
-    ideal, *actual = gate.build(theta, phi, jk, models)
+    errors = [[eps * x for x in gate.error_modes[mode]] for eps in (0.0,) + epsilons]
+    ideal, *actual = gate.build(theta, phi, jk, errors)
     assert frobenius_distance(ideal, single_gate(kind, mode, 0.0, theta, phi, jk)) < 1e-13
     assert len(actual) == len(epsilons) and ideal.shape == (len(gate.labels),) * 2
     for eps, u in zip(epsilons, actual):
@@ -242,7 +247,7 @@ def test_order_ratio_for_fourth_order_gate():
     frame = BrightDarkFrame(math.pi / 4, 0.0)
 
     def builder(eps):
-        return gate("composite4", frame, qutrit.ErrorModel(eps, eps) if eps else None)
+        return gate("composite4", frame, (eps, eps))
 
     assert abs(order_ratio(builder, 0.02) - 16.0) < 2.0
 
@@ -251,7 +256,7 @@ def test_order_ratio_for_second_order_gate():
     frame = BrightDarkFrame(math.pi / 4, 0.0)
 
     def builder(eps):
-        return gate("elementary", frame, qutrit.ErrorModel(eps, eps) if eps else None)
+        return gate("elementary", frame, (eps, eps))
 
     assert abs(order_ratio(builder, 0.02) - 4.0) < 0.5
 
@@ -277,10 +282,10 @@ def test_residual_norm_ratio_is_quadratic():
 @pytest.mark.parametrize("envelope, steps", [("square", 1), ("sine_squared", 8)])
 def test_build_is_the_product_of_its_loop_unitaries_in_recipe_order(name, envelope, steps):
     gate = scaling.GATES[name]
-    models = [None] + [mode(0.03) for mode in gate.error_modes.values()]
-    built = gate.build(0.7, 0.3, "10", models, envelope, steps)
-    field = gate.fields(0.7, 0.3, "10", models)
-    for m in range(len(models)):
+    errors = [[0.0] * len(gate.error_keys)] + [[0.03 * x for x in row] for row in gate.error_modes.values()]
+    built = gate.build(0.7, 0.3, "10", errors, envelope, steps)
+    field = gate.fields(0.7, 0.3, "10", errors)
+    for m in range(len(errors)):
         # each distinct loop evolved on its own, then multiplied in time order
         loops = [linalg.evolve(pulses.loop_schedule(f[None], envelope, steps)) for f in field[m]]
         expected = linalg.product(np.array([loops[k] for k in gate.order]))
@@ -294,8 +299,9 @@ def test_recipe_schedule_evolves_to_built_gate(name, rng):
     for _ in range(5):
         theta, phi = rng.uniform(0, math.pi), rng.uniform(-7, 7)
         jk = two_qubit.COMPUTATIONAL_LABELS[rng.integers(4)]
-        schedule = gate.schedule(theta, phi, jk)
-        built = gate.build(theta, phi, jk, [None])[0]
+        zero = (0.0,) * len(gate.error_keys)
+        schedule = gate.schedule(theta, phi, jk, zero)
+        built = gate.build(theta, phi, jk, [zero])[0]
         assert np.max(np.abs(linalg.evolve(schedule) - built)) < 1e-13
         report = holonomy.check_holonomy(
             holonomy.trace_evolution(schedule, gate.subspace_basis(), 32), tolerance=1e-8

@@ -5,7 +5,6 @@ import pytest
 
 from hologate import holonomy, pulses, two_qubit
 from hologate.scaling import GATES
-from hologate.two_qubit import TwoQubitErrorModel
 
 from oracles import (
     entangling_power_check,
@@ -22,12 +21,12 @@ from oracles import (
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
-def gate(name, jk, model=None):
-    return GATES[name].build(0.0, 0.0, jk, [model])[0]
+def gate(name, jk, error=(0.0,)):
+    return GATES[name].build(0.0, 0.0, jk, [error])[0]
 
 
-def elementary_schedule(jk, model=None):
-    return GATES["twoqubit_elementary"].schedule(0.0, 0.0, jk, model)
+def elementary_schedule(jk, error=(0.0,)):
+    return GATES["twoqubit_elementary"].schedule(0.0, 0.0, jk, error)
 
 
 def test_labels_and_kets():
@@ -40,9 +39,16 @@ def test_labels_and_kets():
 
 
 def test_error_model_bound():
-    TwoQubitErrorModel(-0.5)
-    with pytest.raises(ValueError):
-        TwoQubitErrorModel(1.0)
+    for entry in (GATES["twoqubit_elementary"], GATES["twoqubit_composite"]):
+        fields = entry.fields(0.0, 0.0, "10", [(-0.5,)])
+        assert np.array_equal(fields, two_qubit.loops(("10",))[None] * 0.5)
+        for eps in (1.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"\|eps\| < 1"):
+                entry.fields(0.0, 0.0, "10", [(0.0,), (eps,)])
+        # a wrong-length row is named by the gate's keys, not by numpy
+        for errors in [[(0.1, 0.2)], [()], (0.1,)]:
+            with pytest.raises(ValueError, match=r"\('eps_jk',\)"):
+                entry.fields(0.0, 0.0, "10", errors)
 
 
 @pytest.mark.parametrize("jk", two_qubit.COMPUTATIONAL_LABELS)
@@ -62,9 +68,8 @@ def test_elementary_gate_is_fourth_root_of_identity():
 
 
 def test_elementary_gate_matches_integrator():
-    model = TwoQubitErrorModel(0.05)
-    u = gate("twoqubit_elementary", "11", model)
-    ref = rk4_propagator(schedule_pairs(elementary_schedule("11", model)))
+    u = gate("twoqubit_elementary", "11", (0.05,))
+    ref = rk4_propagator(schedule_pairs(elementary_schedule("11", (0.05,))))
     assert frobenius_distance(u, ref) < 1e-10
 
 
@@ -83,47 +88,46 @@ def test_five_level_gate_evolves_its_two_coupled_levels(name, jk):
     # the loops drive |jk> to the auxiliary level and leave the other three
     # alone; the ideal forms are checked by the *_hits_ideal tests
     level = two_qubit.LABELS.index(jk)
-    models = (None, TwoQubitErrorModel(0.05))
-    field = GATES[name].fields(0.0, 0.0, jk, models)
+    errors = ((0.0,), (0.05,))
+    field = GATES[name].fields(0.0, 0.0, jk, errors)
     assert np.array_equal(pulses.loop_schedule(field, "square", 1).levels, [level, 4])
     others = [k for k in range(4) if k != level]
-    for u in GATES[name].build(0.0, 0.0, jk, models):
+    for u in GATES[name].build(0.0, 0.0, jk, errors):
         assert is_unitary(u, 1e-14)
         assert np.array_equal(u[others], np.eye(5)[others])
         assert np.array_equal(u[:, others], np.eye(5)[:, others])
 
 
 def test_composite_gate_matches_integrator():
-    model = TwoQubitErrorModel(0.1)
-    u = gate("twoqubit_composite", "01", model)
-    schedule = schedule_pairs(elementary_schedule("01", model)) * 2
+    u = gate("twoqubit_composite", "01", (0.1,))
+    schedule = schedule_pairs(elementary_schedule("01", (0.1,))) * 2
     assert frobenius_distance(u, rk4_propagator(schedule)) < 1e-10
-    models = (None, model, TwoQubitErrorModel(-0.05))
-    gates = GATES["twoqubit_composite"].build(0.0, 0.0, "01", models)
-    assert gates.shape == (len(models), 5, 5)
-    for model, built in zip(models, gates):
-        schedule = schedule_pairs(elementary_schedule("01", model)) * 2
+    errors = ((0.0,), (0.1,), (-0.05,))
+    gates = GATES["twoqubit_composite"].build(0.0, 0.0, "01", errors)
+    assert gates.shape == (len(errors), 5, 5)
+    for error, built in zip(errors, gates):
+        schedule = schedule_pairs(elementary_schedule("01", error)) * 2
         assert frobenius_distance(built, rk4_propagator(schedule)) < 1e-10
 
 
 def test_composite_deviation_is_second_order():
     ideal = ideal_two_qubit_composite("11")
-    d1 = frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.02)), ideal)
-    d2 = frobenius_distance(gate("twoqubit_composite", "11", TwoQubitErrorModel(0.01)), ideal)
+    d1 = frobenius_distance(gate("twoqubit_composite", "11", (0.02,)), ideal)
+    d2 = frobenius_distance(gate("twoqubit_composite", "11", (0.01,)), ideal)
     assert 3.8 < d1 / d2 < 4.2
 
 
 def test_elementary_deviation_is_first_order():
     ideal = ideal_two_qubit_elementary("11")
-    d1 = frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.02)), ideal)
-    d2 = frobenius_distance(gate("twoqubit_elementary", "11", TwoQubitErrorModel(0.01)), ideal)
+    d1 = frobenius_distance(gate("twoqubit_elementary", "11", (0.02,)), ideal)
+    d2 = frobenius_distance(gate("twoqubit_elementary", "11", (0.01,)), ideal)
     assert 1.9 < d1 / d2 < 2.1
 
 
 def test_error_scales_the_coupling_not_the_areas():
     # an amplitude error is a stronger |jk> coupling for the same envelope
     clean = elementary_schedule("10")
-    dirty = elementary_schedule("10", TwoQubitErrorModel(0.2))
+    dirty = elementary_schedule("10", (0.2,))
     assert np.array_equal(clean.areas, dirty.areas)
     assert np.max(np.abs(dirty.generators - 1.2 * clean.generators)) < 1e-15
 
@@ -168,6 +172,5 @@ def test_gate_schedule_is_holonomic():
 
 
 def test_composite_is_elementary_squared():
-    model = TwoQubitErrorModel(0.07)
-    u = gate("twoqubit_elementary", "00", model)
-    assert np.array_equal(gate("twoqubit_composite", "00", model), u @ u)
+    u = gate("twoqubit_elementary", "00", (0.07,))
+    assert np.array_equal(gate("twoqubit_composite", "00", (0.07,)), u @ u)
