@@ -39,7 +39,7 @@ def protection_rows(args):
         channel = dfs.DephasingChannel(kappa, args.distribution, args.n_samples)
         # row i is the CLI's dfs run at seed + 2i
         encoded, bare, exact = dfs.protection_run(schedule, channel, args.seed + 2 * i)
-        rows.append((kappa, encoded.mean, bare.mean, exact))
+        rows.append((kappa, float(np.mean(encoded)), float(np.mean(bare)), exact))
     header = ("kappa", "encoded_fidelity", "unencoded_fidelity", "unencoded_closed_form")
     lines = [
         f"{'kappa':>6} {'encoded':>12} {'bare (MC)':>12} {'bare (exact)':>13}",

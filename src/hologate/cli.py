@@ -229,11 +229,10 @@ def cmd_gate(cfg: dict) -> tuple[dict, dict]:
         "distance_to_ideal": distance,
         "within_tolerance": distance <= tolerance,
     }
-    if len(gate.labels) == qutrit.DIM:
+    if gate.labels == qutrit.BASIS_LABELS:
         # same gate viewed in the rotated (excited, bright, dark) basis,
         # where the ideal forms are diagonal
-        frame = qutrit.BrightDarkFrame(theta, phi)
-        change = np.column_stack([qutrit.ket(qutrit.IDX_E), frame.bright, frame.dark])
+        change = qutrit.frame(theta, phi)
         outputs["frame_basis"] = ["e", "b", "d"]
         outputs["matrix_frame_basis"] = matrix_payload(change.conj().T @ actual @ change)
     return outputs, {}
@@ -309,16 +308,18 @@ def cmd_dfs(cfg: dict) -> tuple[dict, dict]:
     check_dfs_size("n_samples", schedule.n_segments, n_samples)
 
     encoded, unencoded, closed_form = dfs.protection_run(schedule, channel, seed)
+    encoded_mean, unencoded_mean = float(np.mean(encoded)), float(np.mean(unencoded))
+    std_error = float(np.std(unencoded, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     outputs = {
-        "encoded_mean_fidelity": encoded.mean,
-        "encoded_min_fidelity": float(np.min(encoded.fidelities)),
-        "unencoded_mean_fidelity": unencoded.mean,
-        "unencoded_std_error": unencoded.std_error,
+        "encoded_mean_fidelity": encoded_mean,
+        "encoded_min_fidelity": float(np.min(encoded)),
+        "unencoded_mean_fidelity": unencoded_mean,
+        "unencoded_std_error": std_error,
         "unencoded_closed_form": closed_form,
         "n_kicks": schedule.n_segments,
         "seed": seed,
     }
-    rows = [(kappa, encoded.mean, unencoded.mean)]
+    rows = [(kappa, encoded_mean, unencoded_mean)]
     return outputs, {"dfs.csv": csv_text(rows, ("kappa", "encoded_fidelity", "unencoded_fidelity"))}
 
 

@@ -190,22 +190,6 @@ def _pair_sum(pops: np.ndarray, t, shape=()):
     return value
 
 
-@dataclass(frozen=True)
-class DephasingResult:
-    fidelities: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.fidelities))
-
-    @property
-    def std_error(self) -> float:
-        n = len(self.fidelities)
-        if n < 2:
-            return 0.0
-        return float(np.std(self.fidelities, ddof=1) / math.sqrt(n))
-
-
 def _n_ions(psi0: np.ndarray) -> int:
     """Ions in a register from the length 2**n_ions of its state vector."""
     n_ions = psi0.size.bit_length() - 1
@@ -225,14 +209,14 @@ def _populations(psi0) -> np.ndarray:
 
 
 def _check_n_kicks(n_kicks) -> None:
-    if not isinstance(n_kicks, numbers.Integral) or n_kicks < 0:
+    if not isinstance(n_kicks, numbers.Integral) or isinstance(n_kicks, bool) or n_kicks < 0:
         raise ValueError(f"n_kicks must be a nonnegative integer, got {n_kicks!r}")
 
 
 def kicked_schedule_fidelities(
     schedule: linalg.Schedule, psi0, channel: DephasingChannel, seed: int
-) -> DephasingResult:
-    """State fidelities of kick-interleaved runs against the clean run.
+) -> np.ndarray:
+    """State fidelities of kick-interleaved runs against the clean run, (n_samples,).
 
     One kick follows every segment of an unbatched schedule; fidelity is the
     phase-insensitive overlap squared with the kick-free run U psi0.  A
@@ -255,8 +239,8 @@ def kicked_schedule_fidelities(
     return idle_contrast_run(psi0, channel, schedule.n_segments, seed)
 
 
-def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> DephasingResult:
-    """Kicks only, no drive: |<psi0|D(Phi)|psi0>|^2 for each sample's summed kick angle Phi.
+def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) -> np.ndarray:
+    """Kicks only, no drive: |<psi0|D(Phi)|psi0>|^2 for each sample's summed kick angle Phi, (n_samples,).
 
     A state on one collective level reads exactly sum_j p_j^2 and draws no
     angle; a seed numpy rejects raises ValueError either way.  A drawn angle
@@ -274,7 +258,7 @@ def idle_contrast_run(psi0, channel: DephasingChannel, n_kicks: int, seed: int) 
             fids = _pair_sum(pops, lambda m: np.cos(m * total), total.shape)
     if not np.isfinite(fids).all():
         raise channel.overflow_error("summed kick angles")
-    return DephasingResult(fidelities=fids)
+    return fids
 
 
 def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> float:
@@ -285,8 +269,8 @@ def idle_contrast_closed_form(psi0, channel: DephasingChannel, n_kicks: int) -> 
 
 def protection_run(
     schedule: linalg.Schedule, channel: DephasingChannel, seed: int
-) -> tuple[DephasingResult, DephasingResult, float]:
-    """Dephasing protection on the three-ion register: (encoded, bare, bare closed form).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Three-ion dephasing protection: the encoded and bare (n_samples,) fidelities, and the bare closed form.
 
     The encoded (|0_L> + |1_L>)/sqrt(2) runs the schedule with a kick after
     every segment at ``seed``, on one collective level, so it draws nothing;

@@ -89,7 +89,12 @@ def peak_rabi(trace: EvolutionTrace) -> float:
 
 
 def check_holonomy(trace: EvolutionTrace, tolerance: float = 1e-8) -> HolonomyReport:
-    """Evaluate loop closure and dynamical-phase residuals for a trace."""
+    """Evaluate loop closure and dynamical-phase residuals for a trace.
+
+    A tolerance that is not finite and positive raises ValueError.
+    """
+    if not 0 < tolerance < np.inf:  # NaN fails it too
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     cond1 = float(np.linalg.norm(trace.projector(-1) - trace.projector(0)))
     # every <b_k| G_k |c_k> over the states b_k, c_k at the start of segment k
     starts = trace.states[:, :-1, :]

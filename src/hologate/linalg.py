@@ -30,7 +30,7 @@ HERMITIAN_RTOL = 1e-12
 # matrix is of order one.
 CUBE_RTOL = 1e-12
 
-_TINY = np.finfo(float).tiny
+_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _squared_norms(m: np.ndarray) -> np.ndarray:
@@ -47,10 +47,10 @@ class Schedule:
     leading batch axes broadcast against each other, and segment 0 acts
     first.  Both are stored as read-only copies once the generators are
     found square, at most DIM_CAP wide and Hermitian to HERMITIAN_RTOL
-    relative to their largest entry, with finite entries and areas, one
-    area per segment and at least one segment.  Anything else raises
-    ``ValueError``.  The Hermitian check reads only the block of ``levels``,
-    which holds every nonzero entry.
+    relative to their largest entry, with finite entries, finite areas
+    for which d |a_k| max|g_k| is finite too, one area per segment and at
+    least one segment.  Anything else raises ``ValueError``.  The Hermitian
+    check reads only the block of ``levels``, which holds every nonzero entry.
     """
 
     generators: np.ndarray
@@ -78,8 +78,9 @@ class Schedule:
         peak = np.abs(b).max(axis=(-2, -1), initial=0)  # NaN or inf if any entry is
         if not np.isfinite(peak).all():
             raise ValueError("generator entries must be finite")
-        if not np.isfinite(a).all():
-            raise ValueError("areas must be finite")
+        # no phase exponentials evaluates exceeds d |a| peak, which must not overflow
+        if not (np.abs(a) <= _MAX / (d * np.maximum(peak, 1))).all():  # NaN fails it too
+            raise ValueError("areas must be finite, and so must d |area| max|g_ij|")
         h = b / np.maximum(peak, _TINY)[..., None, None]
         if not (_squared_norms(h - h.conj().swapaxes(-1, -2)) <= HERMITIAN_RTOL**2).all():
             raise ValueError("generator is not Hermitian within tolerance")

@@ -3,9 +3,10 @@
 Basis ordering is (|0>, |1>, |e>) with |e> the ancillary excited level.
 A two-tone drive couples both ground states to |e>; in the rotated frame
 only the bright superposition |b> couples, the orthogonal dark state |d>
-is a spectator.  Each elementary gate is two back-to-back area-pi/2
-segments with drive phases pi/2 then 0, which traces a closed loop of the
-computational subspace and imprints a purely geometric unitary.
+is a spectator.  ``frame`` gives that rotated basis.  Each elementary
+gate is two back-to-back area-pi/2 segments with drive phases pi/2 then
+0, which traces a closed loop of the computational subspace and imprints
+a purely geometric unitary.
 
 Pulse-strength errors enter as constant fractional deviations (eps0,
 eps1) of the two field amplitudes, which each ``scaling.GATES`` entry of
@@ -16,43 +17,29 @@ gives the ideal bright vector of each loop, the drive field
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-DIM = 3
-IDX_0, IDX_1, IDX_E = 0, 1, 2
 BASIS_LABELS = ("0", "1", "e")
 
 
-def ket(index: int) -> np.ndarray:
-    v = np.zeros(DIM, dtype=complex)
-    v[index] = 1.0
-    return v
+def frame(theta, phi: float) -> np.ndarray:
+    """The rotated basis (|e>, |b>, |d>) as the columns of a (..., 3, 3) unitary, one per theta.
 
-
-@dataclass(frozen=True)
-class BrightDarkFrame:
-    """Mixing angle theta and relative phase phi of the two-tone drive."""
-
-    theta: float
-    phi: float
-
-    @property
-    def bright(self) -> np.ndarray:
-        c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
-        return np.array([c, s * np.exp(1j * self.phi), 0.0], dtype=complex)
-
-    @property
-    def dark(self) -> np.ndarray:
-        c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
-        return np.array([s, -c * np.exp(1j * self.phi), 0.0], dtype=complex)
+    At mixing angle t and relative phase phi of the two-tone drive the
+    bright vector is (cos(t/2), sin(t/2) e^{i phi}, 0) and the dark vector
+    (sin(t/2), -cos(t/2) e^{i phi}, 0).  A non-finite angle or phase raises ValueError.
+    """
+    half = np.asarray(theta, dtype=float) / 2
+    if not (np.isfinite(half).all() and np.isfinite(phi)):
+        raise ValueError(f"bright angles and phase must be finite, got theta={theta!r}, phi={phi!r}")
+    c, s, z = np.cos(half), np.sin(half), np.exp(1j * phi)
+    basis = np.zeros(half.shape + (3, 3), dtype=complex)
+    basis[..., 2, 0] = 1.0
+    basis[..., 0, 1], basis[..., 1, 1] = c, s * z
+    basis[..., 0, 2], basis[..., 1, 2] = s, -c * z
+    return basis
 
 
 def loops(angles, phi: float) -> np.ndarray:
-    """The ideal drive field of a loop at each bright angle t, (loops, 3).
-
-    It is the bright vector (cos(t/2), sin(t/2) e^{i phi}, 0).
-    """
-    return np.array([BrightDarkFrame(t, phi).bright for t in angles])
+    """The ideal drive field of a loop at each bright angle: its bright vector, (loops, 3)."""
+    return frame(angles, phi)[..., 1]

@@ -105,11 +105,11 @@ class Gate:
 _QUTRIT = (
     qutrit.BASIS_LABELS,
     ("eps0", "eps1"),
-    np.eye(2, qutrit.DIM),  # eps0 scales the |0> field and eps1 the |1> field
+    np.eye(2, len(qutrit.BASIS_LABELS)),  # eps0 scales the |0> field and eps1 the |1> field
     {"common": (1.0, 1.0), "differential": (1.0, -1.0), "single_field": (1.0, 0.0)},
 )
 # eps_jk scales the one active field, on whichever level jk drives
-_TWO_QUBIT = (two_qubit.LABELS, ("eps_jk",), np.ones((1, two_qubit.DIM)), {"two_qubit": (1.0,)})
+_TWO_QUBIT = (two_qubit.LABELS, ("eps_jk",), np.ones((1, len(two_qubit.LABELS))), {"two_qubit": (1.0,)})
 
 GATES = {
     # ideal values: the elementary gate is -i|e><e| + i|b><b| + |d><d|

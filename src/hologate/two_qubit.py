@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-DIM = 5
 COMPUTATIONAL_LABELS = ("00", "01", "10", "11")
-ANCILLA_LABEL = "a"
-LABELS = COMPUTATIONAL_LABELS + (ANCILLA_LABEL,)
+LABELS = COMPUTATIONAL_LABELS + ("a",)
 
 
 def loops(labels) -> np.ndarray:
@@ -28,4 +26,4 @@ def loops(labels) -> np.ndarray:
     for jk in labels:
         if jk not in COMPUTATIONAL_LABELS:
             raise ValueError(f"{jk!r} is not a computational label")
-    return np.eye(DIM)[[LABELS.index(jk) for jk in labels]]
+    return np.eye(len(LABELS))[[LABELS.index(jk) for jk in labels]]

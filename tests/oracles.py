@@ -15,7 +15,7 @@ and the stretched-and-tilted pulses the same loop as one field of unit
 shape at a tilted bright angle and stretched area: two reference routes
 for the package's error-affected gates.  The ideal four-pulse rotation
 and the commutator-product residual are closed-form references for the
-composites.
+composites.  ``bright_dark`` writes the three-level frame out by hand.
 """
 
 import math
@@ -229,6 +229,21 @@ TWO_QUBIT_LABELS = ("00", "01", "10", "11")
 def two_qubit_ket(label: str) -> np.ndarray:
     """Basis vector of the five-level model, ordered (00, 01, 10, 11, a)."""
     return np.eye(5, dtype=complex)[(TWO_QUBIT_LABELS + ("a",)).index(label)]
+
+
+# |e>, the last level of the three-level basis (|0>, |1>, |e>)
+EXCITED = np.array([0.0, 0.0, 1.0], dtype=complex)
+
+
+def bright_dark(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bright and dark vectors of a two-tone drive of mixing angle theta and phase phi.
+
+    bright = (cos(theta/2), sin(theta/2) e^{i phi}, 0) and
+    dark = (sin(theta/2), -cos(theta/2) e^{i phi}, 0).
+    """
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    z = np.exp(1j * phi)
+    return np.array([c, s * z, 0.0], dtype=complex), np.array([s, -c * z, 0.0], dtype=complex)
 
 
 def two_field_pairs(theta: float, phi: float, eps0: float = 0.0, eps1: float = 0.0) -> list:

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hologate import cli, dfs, holonomy, linalg, qutrit, scaling
-from hologate.qutrit import BrightDarkFrame
+from hologate import cli, dfs, holonomy, linalg, scaling
 
 from oracles import (
+    EXCITED,
+    bright_dark,
     frobenius_distance,
     phase_residual_loop,
     rk4_propagator,
@@ -22,7 +23,7 @@ from oracles import (
     two_qubit_ket,
 )
 
-COMP_BASIS = (qutrit.ket(qutrit.IDX_0), qutrit.ket(qutrit.IDX_1))
+COMP_BASIS = tuple(np.eye(3, dtype=complex)[:2])  # |0> and |1>
 
 
 def gate_schedule(name, theta=math.pi / 2, phi=0.0, jk="11"):
@@ -34,9 +35,9 @@ def elementary_schedule(theta=math.pi / 2, phi=0.0):
     return gate_schedule("elementary", theta, phi)
 
 
-def drive(frame):
+def drive(theta, phi):
     """The phase-0 (second) segment generator of the elementary loop."""
-    return two_field_pairs(frame.theta, frame.phi)[1][0]
+    return two_field_pairs(theta, phi)[1][0]
 
 
 def one_segment(gen, area):
@@ -58,10 +59,10 @@ def test_zero_generator_trace_is_static_and_passes():
 
 
 def test_half_pi_segment_rotates_bright_into_excited():
-    f = BrightDarkFrame(0.9, 0.3)
-    trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 2), [f.bright])
+    bright, _ = bright_dark(0.9, 0.3)
+    trace = holonomy.trace_evolution(one_segment(drive(0.9, 0.3), math.pi / 2), [bright])
     final = trace.states[0, -1, :]
-    assert np.linalg.norm(final - (-1j) * qutrit.ket(qutrit.IDX_E)) < 1e-12
+    assert np.linalg.norm(final - (-1j) * EXCITED) < 1e-12
 
 
 def test_trace_endpoint_matches_time_ordered_product(rng):
@@ -102,8 +103,7 @@ def test_composite_schedules_are_holonomic():
 def test_open_loop_fails_closure_but_not_phase():
     # half a segment leaves the subspace displaced; the dynamical phase
     # still vanishes pointwise, so only the closure condition trips
-    f = BrightDarkFrame(math.pi / 2, 0.0)
-    trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 4), COMP_BASIS)
+    trace = holonomy.trace_evolution(one_segment(drive(math.pi / 2, 0.0), math.pi / 4), COMP_BASIS)
     report = holonomy.check_holonomy(trace, tolerance=1e-8)
     assert not report.passed
     assert report.cond1_residual > 0.1
@@ -144,6 +144,13 @@ def test_tolerance_is_taken_literally():
     assert strict.tolerance == 1e-30
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0, math.inf])
+def test_a_tolerance_that_is_not_finite_and_positive_is_rejected(tolerance):
+    trace = holonomy.trace_evolution(elementary_schedule(), COMP_BASIS)
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        holonomy.check_holonomy(trace, tolerance)
+
+
 def test_peak_rabi_of_unit_envelope_is_one():
     trace = holonomy.trace_evolution(elementary_schedule(), COMP_BASIS)
     assert abs(holonomy.peak_rabi(trace) - 1.0) < 1e-12
@@ -176,8 +183,7 @@ def test_midpoint_of_idle_schedule_is_zero():
 
 
 def test_midpoint_requires_two_segments():
-    f = BrightDarkFrame(1.0, 0.0)
-    trace = holonomy.trace_evolution(one_segment(drive(f), math.pi / 2), COMP_BASIS)
+    trace = holonomy.trace_evolution(one_segment(drive(1.0, 0.0), math.pi / 2), COMP_BASIS)
     with pytest.raises(ValueError):
         holonomy.grassmannian_midpoint_check(trace)
 
@@ -227,10 +233,10 @@ def test_trace_input_validation():
         holonomy.trace_evolution(elementary_schedule(), COMP_BASIS, samples_per_segment=0)
     with pytest.raises(ValueError):
         holonomy.trace_evolution(
-            elementary_schedule(), (qutrit.ket(0), 2.0 * qutrit.ket(1))
+            elementary_schedule(), (COMP_BASIS[0], 2.0 * COMP_BASIS[1])
         )
     with pytest.raises(ValueError):
-        holonomy.trace_evolution(elementary_schedule(), (qutrit.ket(0), qutrit.ket(0)))
+        holonomy.trace_evolution(elementary_schedule(), (COMP_BASIS[0], COMP_BASIS[0]))
     with pytest.raises(ValueError):
         holonomy.trace_evolution(
             elementary_schedule(), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -341,10 +347,10 @@ def test_register_trace_leaves_uncoupled_levels_exactly_empty(name):
 def test_uncoupled_basis_vector_is_carried_unchanged():
     # the drive couples only |0> and |e>; |1> is in the basis, on no generator
     gen = np.zeros((3, 3), dtype=complex)
-    gen[qutrit.IDX_0, qutrit.IDX_E] = gen[qutrit.IDX_E, qutrit.IDX_0] = 1.0
+    gen[0, 2] = gen[2, 0] = 1.0
     trace = holonomy.trace_evolution(one_segment(gen, math.pi), COMP_BASIS, 8)
     assert np.array_equal(trace.levels, [0, 1, 2])
-    assert np.array_equal(trace.states[1], np.tile(qutrit.ket(qutrit.IDX_1), (2, 1)))
+    assert np.array_equal(trace.states[1], np.tile(COMP_BASIS[1], (2, 1)))
     ref = trace_states_loop([(gen, math.pi)], COMP_BASIS, 8)[:, ::8, :]
     assert np.max(np.abs(trace.states - ref)) < 1e-12
     # a full Rabi flip of |0> through |e> closes the loop with a pi phase

@@ -207,6 +207,15 @@ NON_FINITE_PROBES = {
     "inf_generator": lambda: linalg.Schedule(ONE_DRIVE + [[[0, 0, 0], [0, math.inf, 0], [0, 0, 0]]], [1.0]),
     "nan_area": lambda: linalg.Schedule(ONE_DRIVE, [math.nan]),
     "inf_area": lambda: linalg.Schedule(ONE_DRIVE, [math.inf]),
+    # an infinite angle once ended in a warning from exp or in a math domain error
+    "build_inf_phi": lambda: GATES["single"].build(0.3, math.inf, "11", [(0.0, 0.0)]),
+    "sweep_inf_phi": lambda: scaling.sweep_samples(GATES["composite4"], "common", (0.01,), 0.8, math.inf),
+    "build_inf_theta": lambda: GATES["composite4"].build(math.inf, 0.0, "11", [(0.0, 0.0)]),
+    "register_inf_theta": lambda: dfs.logical_composite_schedule(math.inf, 0.0),
+    # a finite area whose product with its generator's largest entry overflows,
+    # or whose product with d times that entry does, which bounds every phase
+    "overflowing_area": lambda: linalg.evolve(linalg.Schedule(10 * ONE_DRIVE, [1e308])),
+    "overflowing_phase": lambda: linalg.evolve(linalg.Schedule(np.ones((1, 3, 3)), [1.7e308])),
 }
 
 
@@ -217,6 +226,13 @@ def test_non_finite_schedule_input_is_rejected_before_any_scaling(probe):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
             NON_FINITE_PROBES[probe]()
+
+
+def test_a_large_area_below_the_overflow_bound_still_evolves():
+    # d |area| max|g_ij| = 3e307 is finite, so no phase overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_unitary(linalg.evolve(linalg.Schedule(10 * ONE_DRIVE, [1e306])))
 
 
 def test_coupled_levels_are_read_only_and_match_the_restriction():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hologate import linalg, pulses, qutrit
+from hologate import linalg, pulses
 from hologate.scaling import GATES
 
-from oracles import frobenius_distance, two_qubit_ket
+from oracles import bright_dark, frobenius_distance, two_qubit_ket
 
 
 def random_bright(rng, loops, d):
@@ -111,7 +111,7 @@ BRIGHT_ANGLES = {
 def test_every_error_mode_scales_each_drive_field_by_one_plus_eps(name, theta, phi, jk):
     gate = GATES[name]
     if name in BRIGHT_ANGLES:
-        ideal = np.array([qutrit.BrightDarkFrame(t, phi).bright for t in BRIGHT_ANGLES[name](theta)])
+        ideal = np.array([bright_dark(t, phi)[0] for t in BRIGHT_ANGLES[name](theta)])
     else:
         ideal = np.eye(5)[[int(jk, 2)]]
     for mode in gate.error_modes.values():
@@ -144,12 +144,13 @@ def test_every_gate_generator_drives_its_bright_vector(name, theta, phi, jk):
         for s, phase in enumerate(pulses.DRIVE_PHASES):
             g = gens[2 * i + s]
             if name in BRIGHT_ANGLES:
-                frame = qutrit.BrightDarkFrame(BRIGHT_ANGLES[name](theta)[loop], phi)
-                assert np.max(np.abs(g[:, -1] - np.exp(1j * phase) * frame.bright)) < 1e-15
-                assert np.max(np.abs(g @ frame.dark)) < 1e-15
-                if frame.theta == 0.0:
-                    # a loop at bright angle 0 couples only |0>
-                    assert not g[qutrit.IDX_1].any() and not g[:, qutrit.IDX_1].any()
+                angle = BRIGHT_ANGLES[name](theta)[loop]
+                bright, dark = bright_dark(angle, phi)
+                assert np.max(np.abs(g[:, -1] - np.exp(1j * phase) * bright)) < 1e-15
+                assert np.max(np.abs(g @ dark)) < 1e-15
+                if angle == 0.0:
+                    # a loop at bright angle 0 couples only |0>, not |1>
+                    assert not g[1].any() and not g[:, 1].any()
             else:
                 assert np.array_equal(g[:, -1], np.exp(1j * phase) * two_qubit_ket(jk))
                 assert np.count_nonzero(g) == 2

@@ -7,13 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hologate import linalg, qutrit
-from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import GATES
 
 from oracles import (
+    EXCITED,
     bch_residual,
+    bright_dark,
     effective_error_params,
     frobenius_distance,
+    is_unitary,
     logical_rotation_target,
     projector,
     rk4_propagator,
@@ -27,43 +29,54 @@ phases = st.floats(0.0, 2 * math.pi)
 small_eps = st.floats(-0.2, 0.2)
 
 
-def gate(name, frame, error=(0.0, 0.0), envelope="square", steps=1):
-    return GATES[name].build(frame.theta, frame.phi, "11", [error], envelope, steps)[0]
+def gate(name, theta, phi, error=(0.0, 0.0), envelope="square", steps=1):
+    return GATES[name].build(theta, phi, "11", [error], envelope, steps)[0]
 
 
-def drive_pair(frame):
+def drive_pair(theta, phi):
     """The elementary loop's two unit-envelope generators, first in time first."""
-    return [h for h, _ in two_field_pairs(frame.theta, frame.phi)]
+    return [h for h, _ in two_field_pairs(theta, phi)]
 
 
-def analytic_elementary(frame):
-    e = qutrit.ket(qutrit.IDX_E)
-    return (
-        -1j * projector(e) + 1j * projector(frame.bright) + projector(frame.dark)
-    )
+def analytic_elementary(theta, phi):
+    bright, dark = bright_dark(theta, phi)
+    return -1j * projector(EXCITED) + 1j * projector(bright) + projector(dark)
 
 
 @given(theta=angles, phi=phases)
 def test_frame_vectors_are_orthonormal(theta, phi):
-    f = BrightDarkFrame(theta, phi)
-    assert abs(np.vdot(f.bright, f.bright) - 1) < 1e-12
-    assert abs(np.vdot(f.dark, f.dark) - 1) < 1e-12
-    assert abs(np.vdot(f.bright, f.dark)) < 1e-12
-    assert f.bright[qutrit.IDX_E] == 0 and f.dark[qutrit.IDX_E] == 0
+    # the frame is the unitary whose columns are |e>, |b> and |d>
+    f = qutrit.frame(theta, phi)
+    assert f.shape == (3, 3) and is_unitary(f, 1e-12)
+    bright, dark = bright_dark(theta, phi)
+    assert np.array_equal(f[:, 0], EXCITED)
+    assert np.max(np.abs(f[:, 1] - bright)) <= 1e-15
+    assert np.max(np.abs(f[:, 2] - dark)) <= 1e-15
+
+
+def test_frame_is_batched_over_theta_and_loops_are_its_bright_column():
+    thetas = np.array([[0.0, 0.4], [1.3, math.pi]])
+    f = qutrit.frame(thetas, 0.7)
+    assert f.shape == (2, 2, 3, 3)
+    for index in np.ndindex(thetas.shape):
+        assert np.array_equal(f[index], qutrit.frame(thetas[index], 0.7))
+    angles = (math.pi - 0.8, 0.8)
+    assert np.array_equal(qutrit.loops(angles, 0.7), qutrit.frame(angles, 0.7)[..., 1])
+    assert qutrit.loops(angles, 0.7).shape == (2, 3)
 
 
 def test_error_model_bounds():
-    f = BrightDarkFrame(0.9, 0.3)
+    theta, phi = 0.9, 0.3
     for entry in (GATES["elementary"], GATES["composite2"], GATES["composite4"]):
-        fields = entry.fields(f.theta, f.phi, "11", [(0.99, -0.99)])
-        assert np.array_equal(fields, entry.loops(f.theta, f.phi, "11")[None] * [1 + 0.99, 1 - 0.99, 1.0])
+        fields = entry.fields(theta, phi, "11", [(0.99, -0.99)])
+        assert np.array_equal(fields, entry.loops(theta, phi, "11")[None] * [1 + 0.99, 1 - 0.99, 1.0])
         for error in [(1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.inf)]:
             with pytest.raises(ValueError, match=r"\|eps\| < 1"):
-                entry.fields(f.theta, f.phi, "11", [(0.0, 0.0), error])
+                entry.fields(theta, phi, "11", [(0.0, 0.0), error])
         # a wrong-length row is named by the gate's keys, not by numpy
         for errors in [[(0.1,)], [(0.1, 0.2, 0.3)], (0.1, 0.2)]:
             with pytest.raises(ValueError, match=r"\('eps0', 'eps1'\)"):
-                entry.fields(f.theta, f.phi, "11", errors)
+                entry.fields(theta, phi, "11", errors)
 
 
 @given(theta=angles, delta=st.floats(-0.5, 0.5))
@@ -102,7 +115,7 @@ def test_effective_params_match_spectrum_of_raw_hamiltonian(theta, e0, e1):
     h = two_field_pairs(theta, 0.0, e0, e1)[1][0]
     evals = np.sort(np.abs(np.linalg.eigvalsh(h)))
     assert abs(evals[-1] - (1 + eps)) < 1e-10
-    tilted_dark = BrightDarkFrame(theta_prime, 0.0).dark
+    _, tilted_dark = bright_dark(theta_prime, 0.0)
     assert np.linalg.norm(h @ tilted_dark) < 1e-10
 
 
@@ -114,42 +127,39 @@ def test_tilted_angle_stays_in_principal_branch(theta, e0, e1):
 
 def test_elementary_gate_closed_form(rng):
     for _ in range(10):
-        f = BrightDarkFrame(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert frobenius_distance(gate("elementary", f), analytic_elementary(f)) < 1e-10
+        theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        assert frobenius_distance(gate("elementary", theta, phi), analytic_elementary(theta, phi)) < 1e-10
 
 
 def test_elementary_gate_is_fourth_root_of_identity():
-    u = gate("elementary", BrightDarkFrame(0.8, 1.3))
+    u = gate("elementary", 0.8, 1.3)
     assert frobenius_distance(np.linalg.matrix_power(u, 4), np.eye(3)) < 1e-12
 
 
 def test_elementary_gate_against_integrator():
-    f = BrightDarkFrame(math.pi / 2, 0.0)
-    ref = rk4_propagator(two_field_pairs(f.theta, f.phi))
-    assert frobenius_distance(gate("elementary", f), ref) < 1e-10
+    ref = rk4_propagator(two_field_pairs(math.pi / 2, 0.0))
+    assert frobenius_distance(gate("elementary", math.pi / 2, 0.0), ref) < 1e-10
 
 
 @given(theta=angles, phi=phases)
 def test_elementary_gate_fixes_dark_state(theta, phi):
-    f = BrightDarkFrame(theta, phi)
-    assert np.linalg.norm(gate("elementary", f) @ f.dark - f.dark) < 1e-10
+    _, dark = bright_dark(theta, phi)
+    assert np.linalg.norm(gate("elementary", theta, phi) @ dark - dark) < 1e-10
 
 
 def test_error_gate_without_model_is_ideal():
-    f = BrightDarkFrame(1.0, 0.2)
     # the ideal gate of a batch does not depend on the other rows in it
-    batch = GATES["elementary"].build(f.theta, f.phi, "11", [(0.0, 0.0), (0.1, -0.1)])
-    assert np.array_equal(batch[0], gate("elementary", f))
-    assert frobenius_distance(gate("elementary", f, (-0.0, 0.0)), gate("elementary", f)) < 1e-14
+    batch = GATES["elementary"].build(1.0, 0.2, "11", [(0.0, 0.0), (0.1, -0.1)])
+    assert np.array_equal(batch[0], gate("elementary", 1.0, 0.2))
+    assert frobenius_distance(gate("elementary", 1.0, 0.2, (-0.0, 0.0)), gate("elementary", 1.0, 0.2)) < 1e-14
 
 
 def test_common_mode_gate_is_area_stretched_ideal():
-    f = BrightDarkFrame(0.9, 0.4)
     eps = 0.07
-    direct = gate("elementary", f, (eps, eps))
+    direct = gate("elementary", 0.9, 0.4, (eps, eps))
     stretched = linalg.evolve(
         linalg.Schedule(
-            drive_pair(f),
+            drive_pair(0.9, 0.4),
             [(1 + eps) * math.pi / 2] * 2,
         )
     )
@@ -157,10 +167,10 @@ def test_common_mode_gate_is_area_stretched_ideal():
 
 
 def test_error_gate_matches_raw_two_field_evolution():
-    f = BrightDarkFrame(math.pi / 4, math.pi / 3)
+    theta, phi = math.pi / 4, math.pi / 3
     error = (0.02, -0.01)
-    built = gate("elementary", f, error)
-    pairs = two_field_pairs(f.theta, f.phi, *error)
+    built = gate("elementary", theta, phi, error)
+    pairs = two_field_pairs(theta, phi, *error)
     raw = linalg.evolve(linalg.Schedule(*zip(*pairs)))
     assert frobenius_distance(built, raw) < 1e-9
     assert frobenius_distance(built, rk4_propagator(pairs)) < 1e-9
@@ -173,52 +183,47 @@ def test_reparametrized_route_equals_raw_route(theta, phi, e0, e1):
     raw = linalg.evolve(linalg.Schedule(*zip(*two_field_pairs(theta, phi, e0, e1))))
     tilted = linalg.evolve(linalg.Schedule(*zip(*stretched_tilted_pairs(theta, phi, e0, e1))))
     assert frobenius_distance(tilted, raw) < 1e-9
-    built = gate("elementary", BrightDarkFrame(theta, phi), (e0, e1))
+    built = gate("elementary", theta, phi, (e0, e1))
     assert frobenius_distance(built, raw) < 1e-9
 
 
 def test_composite_two_is_elementary_squared():
-    f = BrightDarkFrame(0.7, 1.9)
-    u = gate("elementary", f)
-    assert np.array_equal(gate("composite2", f), u @ u)
+    u = gate("elementary", 0.7, 1.9)
+    assert np.array_equal(gate("composite2", 0.7, 1.9), u @ u)
 
 
 def test_composite_two_ideal_value():
-    f = BrightDarkFrame(1.2, 0.3)
-    e = qutrit.ket(qutrit.IDX_E)
-    target = -projector(e) - projector(f.bright) + projector(f.dark)
-    assert frobenius_distance(gate("composite2", f), target) < 1e-10
+    bright, dark = bright_dark(1.2, 0.3)
+    target = -projector(EXCITED) - projector(bright) + projector(dark)
+    assert frobenius_distance(gate("composite2", 1.2, 0.3), target) < 1e-10
 
 
 def test_composite_two_common_mode_residual_is_second_order():
-    f = BrightDarkFrame(0.9, 0.0)
-    ideal = gate("composite2", f)
-    d1 = frobenius_distance(gate("composite2", f, (0.02, 0.02)), ideal)
-    d2 = frobenius_distance(gate("composite2", f, (0.01, 0.01)), ideal)
+    ideal = gate("composite2", 0.9, 0.0)
+    d1 = frobenius_distance(gate("composite2", 0.9, 0.0, (0.02, 0.02)), ideal)
+    d2 = frobenius_distance(gate("composite2", 0.9, 0.0, (0.01, 0.01)), ideal)
     assert 3.5 < d1 / d2 < 4.5
 
 
 def test_composite_two_differential_mode_residual_is_first_order():
     # the tilted bright angle survives repetition, so the distance is
     # linear in the differential error
-    f = BrightDarkFrame(0.9, 0.0)
-    ideal = gate("composite2", f)
-    d1 = frobenius_distance(gate("composite2", f, (0.01, -0.01)), ideal)
-    d2 = frobenius_distance(gate("composite2", f, (0.005, -0.005)), ideal)
+    ideal = gate("composite2", 0.9, 0.0)
+    d1 = frobenius_distance(gate("composite2", 0.9, 0.0, (0.01, -0.01)), ideal)
+    d2 = frobenius_distance(gate("composite2", 0.9, 0.0, (0.005, -0.005)), ideal)
     assert 1.8 < d1 / d2 < 2.2
 
 
 def test_composite_two_error_factorizes_into_tilted_loop_times_commutators():
     # U' U' splits exactly into the tilted mirror-symmetric gate times the
     # four-factor commutator product built in the tilted frame
-    f = BrightDarkFrame(1.1, 0.6)
+    theta, phi = 1.1, 0.6
     error = (0.08, -0.03)
-    eps, theta_prime = effective_error_params(f.theta, *error)
-    tilted = BrightDarkFrame(theta_prime, f.phi)
-    e = qutrit.ket(qutrit.IDX_E)
-    u_theta = -projector(e) - projector(tilted.bright) + projector(tilted.dark)
-    u_omega = bch_residual(tilted.theta, tilted.phi, eps) + np.eye(3)
-    actual = gate("composite2", f, error)
+    eps, theta_prime = effective_error_params(theta, *error)
+    bright, dark = bright_dark(theta_prime, phi)
+    u_theta = -projector(EXCITED) - projector(bright) + projector(dark)
+    u_omega = bch_residual(theta_prime, phi, eps) + np.eye(3)
+    actual = gate("composite2", theta, phi, error)
     assert frobenius_distance(actual, u_theta @ u_omega) < 1e-12
     assert frobenius_distance(actual, u_omega @ u_theta) < 1e-12
 
@@ -229,24 +234,22 @@ def test_composite_two_error_factorizes_into_tilted_loop_times_commutators():
 def test_composites_follow_raw_two_field_order(name, n_pulses):
     # The pulse order of the raw two-field route is written out in the
     # oracle, independently of the recipe's loops and order.
-    f = BrightDarkFrame(0.7, 0.3)
     errors = ((0.0, 0.0), (0.03, -0.02), (0.01, 0.01))
-    gates = GATES[name].build(f.theta, f.phi, "11", errors)
+    gates = GATES[name].build(0.7, 0.3, "11", errors)
     assert gates.shape == (len(errors), 3, 3)
     for error, built in zip(errors, gates):
-        pairs = two_field_composite_pairs(f.theta, f.phi, n_pulses, *error)
+        pairs = two_field_composite_pairs(0.7, 0.3, n_pulses, *error)
         assert frobenius_distance(built, linalg.evolve(linalg.Schedule(*zip(*pairs)))) < 1e-12
         assert frobenius_distance(built, rk4_propagator(pairs)) < 1e-10
 
 
 def test_composite_four_trivial_angle_is_logical_identity():
-    f = BrightDarkFrame(math.pi / 2, 0.7)
-    u = gate("composite4", f)
+    u = gate("composite4", math.pi / 2, 0.7)
     assert frobenius_distance(u, np.eye(3)) < 1e-10
 
 
 def test_composite_four_quarter_angle_gives_sigma_y_rotation():
-    u = gate("composite4", BrightDarkFrame(math.pi / 4, 0.0))
+    u = gate("composite4", math.pi / 4, 0.0)
     sy = np.array([[0, -1j], [1j, 0]])
     target = np.zeros((3, 3), dtype=complex)
     target[:2, :2] = 1j * sy
@@ -255,11 +258,10 @@ def test_composite_four_quarter_angle_gives_sigma_y_rotation():
 
 
 def test_composite_four_halving_error_cuts_infidelity_sixteenfold():
-    f = BrightDarkFrame(math.pi / 4, 0.0)
-    ideal = gate("composite4", f)
+    ideal = gate("composite4", math.pi / 4, 0.0)
 
     def infid(error):
-        u = gate("composite4", f, error)
+        u = gate("composite4", math.pi / 4, 0.0, error)
         d = np.asarray(ideal, dtype=complex)
         val = abs(np.trace(d.conj().T @ u)) / 3.0
         return 1.0 - val
@@ -292,9 +294,8 @@ def test_logical_rotation_target_explicit_angle():
 
 @given(theta=angles, phi=phases)
 def test_composite_four_reaches_its_target(theta, phi):
-    f = BrightDarkFrame(theta, phi)
     d = frobenius_distance(
-        gate("composite4", f), logical_rotation_target(theta, phi)
+        gate("composite4", theta, phi), logical_rotation_target(theta, phi)
     )
     assert d < 1e-10
 
@@ -312,11 +313,10 @@ def test_mirrored_tilt_cancels_to_first_order(theta, e0, e1):
 def test_composite_four_has_no_first_order_error_term():
     # fit distance(eps) = c1 eps + c2 eps^2 over a small grid; the linear
     # coefficient must be noise next to the quadratic one
-    f = BrightDarkFrame(math.pi / 3, 0.2)
-    ideal = gate("composite4", f)
+    ideal = gate("composite4", math.pi / 3, 0.2)
     eps_grid = np.linspace(2e-4, 1e-3, 6)
     dists = [
-        frobenius_distance(gate("composite4", f, (e, -e)), ideal)
+        frobenius_distance(gate("composite4", math.pi / 3, 0.2, (e, -e)), ideal)
         for e in eps_grid
     ]
     design = np.column_stack([eps_grid, eps_grid**2])
@@ -330,23 +330,21 @@ def test_bch_residual_zero_error_vanishes():
 
 
 def test_bch_residual_quadratic_shrinkage():
-    f = BrightDarkFrame(math.pi / 3, 0.0)
-    r1 = np.linalg.norm(bch_residual(f.theta, f.phi, 0.01))
-    r2 = np.linalg.norm(bch_residual(f.theta, f.phi, 0.005))
+    r1 = np.linalg.norm(bch_residual(math.pi / 3, 0.0, 0.01))
+    r2 = np.linalg.norm(bch_residual(math.pi / 3, 0.0, 0.005))
     assert 3.8 < r1 / r2 < 4.2
 
 
 def test_bch_residual_matches_direct_factor_product():
-    f = BrightDarkFrame(math.pi / 3, 0.0)
     eps = 0.05
     delta = eps * math.pi / 2
-    gen_a, gen_b = drive_pair(f)
+    gen_a, gen_b = drive_pair(math.pi / 3, 0.0)
     # time order: rightmost factor first
     ref = rk4_propagator(
         [(gen_a, delta), (gen_b, -delta), (gen_a, -delta), (gen_b, delta)],
         steps_per_segment=512,
     )
-    assert frobenius_distance(bch_residual(f.theta, f.phi, eps) + np.eye(3), ref) < 1e-10
+    assert frobenius_distance(bch_residual(math.pi / 3, 0.0, eps) + np.eye(3), ref) < 1e-10
 
 
 def test_bch_residual_rejects_large_eps():
@@ -356,7 +354,6 @@ def test_bch_residual_rejects_large_eps():
 
 @given(theta=angles, phi=phases, envelope_steps=st.integers(4, 40))
 def test_gates_do_not_depend_on_envelope(theta, phi, envelope_steps):
-    f = BrightDarkFrame(theta, phi)
-    square = gate("composite4", f)
-    shaped = gate("composite4", f, (0.0, 0.0), "sine_squared", envelope_steps)
+    square = gate("composite4", theta, phi)
+    shaped = gate("composite4", theta, phi, (0.0, 0.0), "sine_squared", envelope_steps)
     assert frobenius_distance(square, shaped) < 1e-9

@@ -6,24 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hologate import holonomy, linalg, pulses, scaling, two_qubit
-from hologate.qutrit import BrightDarkFrame
 from hologate.scaling import DegenerateFitError
 
 from oracles import bch_residual, frobenius_distance, haar_unitary, order_ratio, residual_norm_ratio
 
 
-def gate(name, frame, error=(0.0, 0.0)):
-    return scaling.GATES[name].build(frame.theta, frame.phi, "11", [error])[0]
+def gate(name, theta, phi, error=(0.0, 0.0)):
+    return scaling.GATES[name].build(theta, phi, "11", [error])[0]
 
 
 def test_fidelity_of_identical_gates_is_one():
-    u = gate("elementary", BrightDarkFrame(0.7, 0.2))
+    u = gate("elementary", 0.7, 0.2)
     assert abs(scaling.gate_fidelity(u, u) - 1.0) < 1e-14
 
 
 @given(alpha=st.floats(0.0, 2 * math.pi))
 def test_fidelity_ignores_global_phase(alpha):
-    u = gate("composite4", BrightDarkFrame(0.9, 0.3))
+    u = gate("composite4", 0.9, 0.3)
     f = scaling.gate_fidelity(u, np.exp(1j * alpha) * u)
     assert abs(f - 1.0) < 1e-12
 
@@ -36,8 +35,8 @@ def test_fidelity_known_value():
 
 
 def test_fidelity_is_invariant_under_a_common_rotation(rng):
-    u = gate("elementary", BrightDarkFrame(1.0, 0.5))
-    v = gate("elementary", BrightDarkFrame(1.0, 0.5), (0.05, -0.05))
+    u = gate("elementary", 1.0, 0.5)
+    v = gate("elementary", 1.0, 0.5, (0.05, -0.05))
     w = haar_unitary(rng, 3)
     before = scaling.gate_fidelity(u, v)
     after = scaling.gate_fidelity(w @ u, w @ v)
@@ -244,26 +243,21 @@ def test_composite_four_differential_mode_slope():
 
 
 def test_order_ratio_for_fourth_order_gate():
-    frame = BrightDarkFrame(math.pi / 4, 0.0)
-
     def builder(eps):
-        return gate("composite4", frame, (eps, eps))
+        return gate("composite4", math.pi / 4, 0.0, (eps, eps))
 
     assert abs(order_ratio(builder, 0.02) - 16.0) < 2.0
 
 
 def test_order_ratio_for_second_order_gate():
-    frame = BrightDarkFrame(math.pi / 4, 0.0)
-
     def builder(eps):
-        return gate("elementary", frame, (eps, eps))
+        return gate("elementary", math.pi / 4, 0.0, (eps, eps))
 
     assert abs(order_ratio(builder, 0.02) - 4.0) < 0.5
 
 
 def test_order_ratio_guards():
-    frame = BrightDarkFrame(0.8, 0.0)
-    ideal = gate("composite4", frame)
+    ideal = gate("composite4", 0.8, 0.0)
     with pytest.raises(ValueError):
         order_ratio(lambda e: ideal, 0.02)
     with pytest.raises(ValueError):
@@ -271,11 +265,10 @@ def test_order_ratio_guards():
 
 
 def test_residual_norm_ratio_is_quadratic():
-    frame = BrightDarkFrame(math.pi / 3, 0.0)
-    ratio = residual_norm_ratio(lambda eps: bch_residual(frame.theta, frame.phi, eps), 0.02)
+    ratio = residual_norm_ratio(lambda eps: bch_residual(math.pi / 3, 0.0, eps), 0.02)
     assert abs(ratio - 4.0) < 0.3
     with pytest.raises(ValueError):
-        residual_norm_ratio(lambda eps: bch_residual(frame.theta, frame.phi, eps), 1e-9)
+        residual_norm_ratio(lambda eps: bch_residual(math.pi / 3, 0.0, eps), 1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(scaling.GATES))
